@@ -150,8 +150,8 @@ def cmd_train(args) -> int:
     ens = build_ensemble(tokenized, part, smoothing, artifacts)
     save_model(ens, args.out, seed=args.seed)
 
-    for cell in part.cells():
-        print(f"cell ({cell.row},{cell.col}): {ens.models[cell].post_count} posts")
+    for cell, n in zip(part.cells(), ens.tables.post_counts.tolist()):
+        print(f"cell ({cell.row},{cell.col}): {n} posts")
     if skipped:
         print(f"skipped {skipped} malformed lines", file=sys.stderr)
     print(f"model written to {args.out}")

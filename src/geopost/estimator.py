@@ -4,6 +4,12 @@ A query post is scored against every cell model, the scores are combined
 with per-cell priors into a normalized posterior field, and the field is
 geo-smoothed by blending each cell with ring-averaged neighbor values.
 The estimate is the center of the cell with the highest smoothed score.
+
+Inside, a post's scores, posterior and smoothed field are row-major
+vectors of length g**2: one gather from the ensemble's compiled tables
+scores every cell at once (``cell_log_scores``), and ``np.argmax`` picks
+the cell. ``dict[CellId, float]`` appears only in the API-edge wrappers
+``posterior_field`` and ``geo_smooth``.
 """
 
 from __future__ import annotations
@@ -12,15 +18,15 @@ import csv
 import io
 import logging
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from math import inf, log
+from functools import cached_property, lru_cache
+from math import inf
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import EstimationError, ValidationError
 from .grid import CellId, GeoPoint, GridPartition
-from .lm import BaselineInterpolation, CellLanguageModel, train_cell
+from .lm import BaselineInterpolation, CellModels, EnsembleTables, count_tables
 from .pipeline import PipelineArtifacts, TokenizedPost
 
 logger = logging.getLogger(__name__)
@@ -67,16 +73,31 @@ class Estimate:
 
 @dataclass(frozen=True)
 class GeoEnsemble:
-    """Everything needed to answer queries: partition, per-cell models,
-    priors from training counts, smoothing config, pipeline artifacts."""
+    """Everything needed to answer queries: partition, the compiled
+    per-cell models and training post counts, smoothing config, pipeline
+    artifacts."""
 
     partition: GridPartition
-    models: dict[CellId, CellLanguageModel]
-    priors: dict[CellId, float]
+    tables: EnsembleTables
     smoothing: SmoothingConfig
     artifacts: PipelineArtifacts
-    total_posts: int
     baseline: Optional[BaselineInterpolation] = None
+
+    @property
+    def total_posts(self) -> int:
+        return int(self.tables.post_counts.sum())
+
+    @cached_property
+    def priors(self) -> dict[CellId, float]:
+        """Per-cell share of the training posts."""
+        total = self.total_posts
+        counts = self.tables.post_counts.tolist()
+        return {cell: n / total for cell, n in zip(self.partition.cells(), counts)}
+
+    @property
+    def models(self) -> CellModels:
+        """Per-cell reference models, rebuilt from the tables on lookup."""
+        return CellModels(self.tables, self.partition.cells())
 
     def with_smoothing(self, smoothing: SmoothingConfig) -> "GeoEnsemble":
         return replace(self, smoothing=smoothing)
@@ -92,42 +113,32 @@ def build_ensemble(
     artifacts: PipelineArtifacts,
     baseline: Optional[BaselineInterpolation] = None,
 ) -> GeoEnsemble:
-    """Assign posts to cells, train one model per cell, set priors to the
-    per-cell share of training posts. Cells with no posts get prior 0 and
-    an empty model; they can never be selected."""
+    """Assign posts to cells and count every cell's model into one set of
+    compiled tables; priors are the per-cell share of training posts.
+    Cells with no posts get prior 0 and empty counts; they can never be
+    selected."""
     if not posts:
         raise ValidationError("cannot build an ensemble from an empty training set")
-    buckets: dict[CellId, list[TokenizedPost]] = {cell: [] for cell in part.cells()}
+    cells = []
     for post in posts:
         if post.location is None:
             raise ValidationError(f"training post {post.id!r} has no location")
-        buckets[part.cell_of(post.location)].append(post)
-    n_total = len(posts)
-    models = {cell: train_cell(assigned, cell) for cell, assigned in buckets.items()}
-    priors = {cell: len(assigned) / n_total for cell, assigned in buckets.items()}
+        cell = part.cell_of(post.location)
+        cells.append(cell.row * part.g + cell.col)
+    tables = count_tables([post.tokens for post in posts], cells, part.g * part.g)
     return GeoEnsemble(
         partition=part,
-        models=models,
-        priors=priors,
+        tables=tables,
         smoothing=smoothing,
         artifacts=artifacts,
-        total_posts=n_total,
         baseline=baseline,
     )
 
 
-def cell_log_scores(ens: GeoEnsemble, tokens: Sequence[str]) -> list[float]:
+def cell_log_scores(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
     """Unnormalized log posterior per cell in row-major order:
     log P(tokens | cell) + log prior. Zero-prior cells get -inf."""
-    scores = []
-    for cell in ens.partition.cells():
-        prior = ens.priors[cell]
-        if prior <= 0.0:
-            scores.append(-inf)
-        else:
-            ll = ens.models[cell].sequence_log_prob(tokens, ens.baseline)
-            scores.append(ll + log(prior))
-    return scores
+    return ens.tables.log_likelihood(tokens, ens.baseline) + ens.tables.log_prior
 
 
 def normalize_log_scores(scores: Sequence[float]) -> np.ndarray:
@@ -141,7 +152,8 @@ def normalize_log_scores(scores: Sequence[float]) -> np.ndarray:
     return q / q.sum()
 
 
-def _posterior_vector(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
+def posterior_vector(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
+    """Row-major posterior over cells for one token sequence."""
     return normalize_log_scores(cell_log_scores(ens, tokens))
 
 
@@ -151,7 +163,7 @@ def posterior_field(ens: GeoEnsemble, post: TokenizedPost) -> PosteriorField:
     An empty token sequence contributes likelihood 1 everywhere, so the
     posterior reduces to the prior vector.
     """
-    vec = _posterior_vector(ens, post.tokens)
+    vec = posterior_vector(ens, post.tokens)
     values = {cell: float(p) for cell, p in zip(ens.partition.cells(), vec)}
     return PosteriorField(values=values, post_id=post.id)
 
@@ -217,30 +229,20 @@ def geo_smooth(ens: GeoEnsemble, field: PosteriorField) -> dict[CellId, float]:
     return {cell: float(s) for cell, s in zip(cells, smoothed)}
 
 
-def _argmax_cell(part: GridPartition, scores: dict[CellId, float]) -> CellId:
-    best_cell = None
-    best = -inf
-    for cell in part.cells():
-        s = scores[cell]
-        if s > best:
-            best = s
-            best_cell = cell
-    if best_cell is None:
-        raise EstimationError("empty score field")
-    return best_cell
-
-
 def estimate(ens: GeoEnsemble, post: TokenizedPost) -> Estimate:
     """Locate one post: argmax of the geo-smoothed posterior, ties broken
-    by lowest row then lowest column."""
-    field = posterior_field(ens, post)
-    scores = geo_smooth(ens, field)
-    cell = _argmax_cell(ens.partition, scores)
+    by lowest row then lowest column (``np.argmax`` takes the first
+    row-major maximum)."""
+    part = ens.partition
+    vec = posterior_vector(ens, post.tokens)
+    scores = smooth_vector(part, vec, ens.smoothing.alpha, ens.smoothing.diameter_for(part.g))
+    i = int(np.argmax(scores))
+    cell = CellId(*divmod(i, part.g))
     return Estimate(
         cell=cell,
-        point=ens.partition.center_of(cell),
-        smoothed_score=scores[cell],
-        posterior=field.values[cell],
+        point=part.center_of(cell),
+        smoothed_score=float(scores[i]),
+        posterior=float(vec[i]),
     )
 
 

@@ -1,4 +1,4 @@
-"""Per-cell bigram language model with Modified Kneser-Ney smoothing.
+"""Per-cell bigram language models with Modified Kneser-Ney smoothing.
 
 Counts are collected from consecutive token pairs within each post; no
 boundary markers are inserted and pairs never cross posts. Smoothing
@@ -6,13 +6,25 @@ subtracts a tiered discount (d1 for bigrams seen once, d2 for twice, d3
 for three or more times) and redistributes the freed mass through the
 continuation probability of the completing word. A simple
 unigram-interpolated estimate is available as a baseline.
+
+An ensemble keeps the models of all its cells in one ``EnsembleTables``:
+flat arrays over a global word index, with the back-off weight of every
+(context, cell) and the discounted numerator of every seen (pair, cell)
+stored rather than recomputed per lookup (the ARPA/KenLM layout). Scoring
+a post then gathers its pairs into one (pairs, cells) block.
+``CellLanguageModel`` and ``train_cell`` are the per-cell reference the
+tables are tested against, and ``EnsembleTables.cell_model`` rebuilds one
+cell's model from the tables on demand.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from math import log
+from math import inf, log
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import UndefinedContextError, ValidationError
 from .grid import CellId
@@ -223,3 +235,250 @@ def _counts_of_counts(tables: CountTables) -> tuple[int, int, int, int]:
             if count <= 4:
                 n[count - 1] += 1
     return n[0], n[1], n[2], n[3]
+
+
+@dataclass(frozen=True, eq=False)
+class EnsembleTables:
+    """The count-derived tables of every cell of an ensemble.
+
+    Words are numbered in sorted order; id ``len(vocab)`` stands for any
+    word outside the vocabulary and has no entries. Cells are numbered
+    row-major. ``word_ptr[t]:word_ptr[t + 1]`` spans the entries of word t,
+    one per cell it occurs in (ascending cell), holding c(t), the back-off
+    weight gamma(t) of t as a context, and its continuation probability
+    p_cont(t) as a completion. The pair arrays hold every seen (v, w) of
+    every cell, sorted by ``v * (len(vocab) + 1) + w`` and then cell, with
+    c(v, w) and the discounted numerator max(c(v, w) - D(c(v, w)), 0).
+    """
+
+    vocab: tuple[str, ...]
+    index: dict[str, int]
+    word_ptr: np.ndarray
+    word_cell: np.ndarray
+    word_count: np.ndarray
+    word_gamma: np.ndarray
+    word_pcont: np.ndarray
+    pair_key: np.ndarray
+    pair_cell: np.ndarray
+    pair_count: np.ndarray
+    pair_num: np.ndarray
+    post_counts: np.ndarray
+    total_tokens: np.ndarray
+    log_prior: np.ndarray
+    discounts: tuple[Discounts, ...]
+
+    def log_likelihood(
+        self, tokens: Sequence[str], baseline: Optional[BaselineInterpolation] = None
+    ) -> np.ndarray:
+        """``sequence_log_prob`` of ``tokens`` under every cell's model at
+        once, in row-major cell order. The floats and the order they are
+        combined in are the reference's, so the results agree bit for bit."""
+        n_cells = len(self.post_counts)
+        if len(tokens) < 2:
+            return np.zeros(n_cells)
+        unknown = len(self.vocab)
+        get = self.index.get
+        ids = np.array([get(t, unknown) for t in tokens], dtype=np.int64)
+        rows, ent = _spans(self.word_ptr[ids], self.word_ptr[ids + 1])
+        cols = self.word_cell[ent]
+        count = np.zeros((len(ids), n_cells))
+        count[rows, cols] = self.word_count[ent]
+        seen = count[:-1] > 0
+        cv = np.where(seen, count[:-1], 1.0)
+
+        keys = ids[:-1] * (unknown + 1) + ids[1:]
+        pair_rows, pair_ent = _spans(
+            np.searchsorted(self.pair_key, keys, "left"),
+            np.searchsorted(self.pair_key, keys, "right"),
+        )
+        pair_cols = self.pair_cell[pair_ent]
+        pair = np.zeros_like(cv)
+        if baseline is None:
+            pair[pair_rows, pair_cols] = self.pair_num[pair_ent]
+            gamma = np.zeros_like(count)
+            gamma[rows, cols] = self.word_gamma[ent]
+            pcont = np.zeros_like(count)
+            pcont[rows, cols] = self.word_pcont[ent]
+            p = np.where(seen, pair / cv + gamma[:-1] * pcont[1:], pcont[1:])
+        else:
+            pair[pair_rows, pair_cols] = self.pair_count[pair_ent]
+            p_uni = count[1:] / np.maximum(self.total_tokens, 1)
+            p = np.where(seen, baseline.lambda1 * (pair / cv) + baseline.lambda2 * p_uni, p_uni)
+        p = np.maximum(p, MIN_PROB)
+        # math.log, not np.log: numpy's SIMD log can differ from libm in the
+        # last place, and the reference sums math.log values. Reducing over
+        # axis 0 adds the pair rows one after another, as the reference does.
+        logs = np.fromiter(map(log, p.ravel().tolist()), np.float64, p.size)
+        return logs.reshape(p.shape).sum(axis=0)
+
+    def cell_counts(self, i: int) -> tuple[list[tuple[str, int]], list[tuple[str, str, int]]]:
+        """Unigram (token, count) and bigram (v, w, count) rows of cell i,
+        sorted by token."""
+        ent = np.flatnonzero(self.word_cell == i)
+        words = np.searchsorted(self.word_ptr, ent, "right") - 1
+        vocab = self.vocab
+        unigrams = [
+            (vocab[t], n) for t, n in zip(words.tolist(), self.word_count[ent].tolist())
+        ]
+        ent = np.flatnonzero(self.pair_cell == i)
+        v, w = np.divmod(self.pair_key[ent], len(vocab) + 1)
+        bigrams = [
+            (vocab[a], vocab[b], n)
+            for a, b, n in zip(v.tolist(), w.tolist(), self.pair_count[ent].tolist())
+        ]
+        return unigrams, bigrams
+
+    def cell_model(self, i: int, cell: CellId) -> CellLanguageModel:
+        """The reference model of cell i, rebuilt from the tables."""
+        unigrams, bigrams = self.cell_counts(i)
+        counts = CountTables(
+            unigram=dict(unigrams),
+            total_tokens=int(self.total_tokens[i]),
+            total_distinct_bigrams=len(bigrams),
+        )
+        for v, w, n in bigrams:
+            counts.bigram.setdefault(v, {})[w] = n
+            counts.distinct_left[w] = counts.distinct_left.get(w, 0) + 1
+        return CellLanguageModel(cell, counts, self.discounts[i], int(self.post_counts[i]))
+
+
+class CellModels(Mapping):
+    """Read-only ``{cell: CellLanguageModel}`` view of an ensemble's
+    tables; each model is rebuilt when it is looked up."""
+
+    def __init__(self, tables: EnsembleTables, cells: Sequence[CellId]):
+        self._tables = tables
+        self._index = {cell: i for i, cell in enumerate(cells)}
+
+    def __getitem__(self, cell: CellId) -> CellLanguageModel:
+        return self._tables.cell_model(self._index[cell], cell)
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, entry) of every entry in the ranges lo[row]:hi[row]."""
+    lens = hi - lo
+    rows = np.repeat(np.arange(len(lo)), lens)
+    ent = np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)
+    return rows, ent
+
+
+def _entry_of(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Position of each query in the sorted ``keys``; all must be there."""
+    pos = np.searchsorted(keys, queries)
+    if np.any(pos == len(keys)) or np.any(keys[np.minimum(pos, len(keys) - 1)] != queries):
+        raise ValueError("a bigram token is missing from its cell's unigram counts")
+    return pos
+
+
+def _backoff_weights(word_keys, word_cell, word_count, contexts, tier, tier_discount):
+    """gamma(v) = (d1 * |once| + d2 * |twice| + d3 * |three or more|) / c(v)
+    for every word entry, from the word-table key (v, cell) of every pair."""
+    entry = _entry_of(word_keys, contexts)
+    t1, t2, t3 = (np.bincount(entry[tier == k], minlength=len(word_keys)) for k in (1, 2, 3))
+    d1, d2, d3 = (tier_discount[word_cell, k] for k in (1, 2, 3))
+    return (d1 * t1 + d2 * t2 + d3 * t3) / word_count
+
+
+def _continuation_probs(word_keys, word_cell, completions, distinct):
+    """p_cont(w): the share of a cell's distinct bigrams that w completes,
+    from the word-table key (w, cell) of every pair; 0 in a cell without
+    bigrams."""
+    entry = _entry_of(word_keys, completions)
+    return np.bincount(entry, minlength=len(word_keys)) / np.maximum(distinct[word_cell], 1)
+
+
+def count_tables(
+    token_lists: Sequence[Sequence[str]], cells: Sequence[int], n_cells: int
+) -> EnsembleTables:
+    """Count the posts ``token_lists`` (post i in row-major cell
+    ``cells[i]``) straight into tables indexed by the training tokens."""
+    words = sorted(set().union(*token_lists))
+    index = {t: i for i, t in enumerate(words)}
+    lens = np.array([len(toks) for toks in token_lists], dtype=np.int64)
+    ids = np.array([index[t] for toks in token_lists for t in toks], dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    token_cell = np.repeat(cells, lens)
+    # A token starts a pair unless it ends its post.
+    starts = np.ones(len(ids), dtype=bool)
+    starts[np.cumsum(lens)[lens > 0] - 1] = False
+    left = np.flatnonzero(starts)
+    pair_keys = (ids[left] * (len(words) + 1) + ids[left + 1]) * n_cells + token_cell[left]
+    return compile_tables(
+        index,
+        np.bincount(cells, minlength=n_cells),
+        *np.unique(ids * n_cells + token_cell, return_counts=True),
+        *np.unique(pair_keys, return_counts=True),
+    )
+
+
+def compile_tables(
+    index: dict[str, int],
+    post_counts: Sequence[int],
+    word_keys: np.ndarray,
+    word_count: np.ndarray,
+    pair_keys: np.ndarray,
+    pair_count: np.ndarray,
+) -> EnsembleTables:
+    """Derive discounts, back-off weights and continuation probabilities
+    from integer counts >= 1.
+
+    ``index`` numbers the sorted vocabulary 0, 1, ..., and the cells of
+    ``post_counts`` are numbered 0, 1, ... too. Word entries are keyed
+    ``word * n_cells + cell`` and pair entries ``(v * (len(index) + 1) + w)
+    * n_cells + cell``, each in increasing key order. Raises ValueError if
+    a key repeats or is out of order, or if a pair's v or w has no word
+    entry in the pair's cell. Every formula mirrors ``CellLanguageModel``
+    operation for operation.
+    """
+    if np.any(np.diff(word_keys) <= 0):
+        raise ValueError("a cell lists a token twice")
+    if np.any(np.diff(pair_keys) <= 0):
+        raise ValueError("a cell lists a bigram twice")
+    vocab = tuple(index)
+    n_words = len(vocab) + 1
+    post_counts = np.asarray(post_counts, dtype=np.int64)
+    n_cells = len(post_counts)
+    word, word_cell = np.divmod(word_keys, n_cells)
+    pair_key, pair_cell = np.divmod(pair_keys, n_cells)
+
+    counts_of_counts = (
+        np.bincount(pair_cell[pair_count == k], minlength=n_cells).tolist() for k in (1, 2, 3, 4)
+    )
+    discounts = tuple(compute_discounts(*n) for n in zip(*counts_of_counts))
+    tier_discount = np.array([[0.0, d.d1, d.d2, d.d3] for d in discounts]).reshape(n_cells, 4)
+    tier = np.minimum(pair_count, 3)
+    pair_num = np.maximum(pair_count - tier_discount[pair_cell, tier], 0.0)
+    # Each pair's context (v, cell) and completion (w, cell) as word keys.
+    word_gamma = _backoff_weights(
+        word_keys, word_cell, word_count, pair_key // n_words * n_cells + pair_cell, tier,
+        tier_discount,
+    )
+    distinct = np.bincount(pair_cell, minlength=n_cells)
+    word_pcont = _continuation_probs(
+        word_keys, word_cell, pair_key % n_words * n_cells + pair_cell, distinct
+    )
+
+    total = int(post_counts.sum())
+    return EnsembleTables(
+        vocab=vocab,
+        index=index,
+        word_ptr=np.concatenate(([0], np.cumsum(np.bincount(word, minlength=n_words)))),
+        word_cell=word_cell,
+        word_count=word_count,
+        word_gamma=word_gamma,
+        word_pcont=word_pcont,
+        pair_key=pair_key,
+        pair_cell=pair_cell,
+        pair_count=pair_count,
+        pair_num=pair_num,
+        post_counts=post_counts,
+        total_tokens=np.bincount(word_cell, word_count, n_cells).astype(np.int64),
+        log_prior=np.array([log(n / total) if n > 0 else -inf for n in post_counts.tolist()]),
+        discounts=discounts,
+    )

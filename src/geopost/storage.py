@@ -12,9 +12,12 @@ Layout:
     cells/cell_RRR_CCC.bigrams.tsv    token <TAB> token <TAB> count
     cells/cell_RRR_CCC.meta.json      post_count, n1..n4, d1..d3
 
-Count tables are plain sorted text for diffability. Discounts and priors
-are recomputed from the integer counts on load, so a load/save round trip
-reproduces the in-memory model exactly.
+Count tables are plain sorted text for diffability. Discounts, back-off
+weights and priors are recomputed from the integer counts on load, so a
+load/save round trip reproduces the in-memory model exactly. The loader
+parses the count files straight into the ensemble's compiled tables; any
+malformed field, count below 1, duplicate row or token missing from
+vocab.txt is a ``DataError``.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ from __future__ import annotations
 import json
 import shutil
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .errors import DataError
 from .estimator import GeoEnsemble, SmoothingConfig
 from .grid import CellId, GeoBounds, GridPartition
-from .lm import CellLanguageModel, CountTables, compute_discounts, _counts_of_counts
+from .lm import compile_tables
 from .pipeline import PipelineArtifacts, PipelineConfig
 
 FORMAT_VERSION = 1
@@ -53,9 +59,59 @@ def _write_lines(path: Path, lines) -> None:
             f.write("\n")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path.name} is not UTF-8 text: {exc}") from None
+
+
 def _read_lines(path: Path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"unreadable {path.name}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path.name} does not hold a JSON object")
+    return obj
+
+
+def _read_columns(path: Path, width: int) -> list[list[str]]:
+    """The ``width`` columns of a TSV file with ``width`` fields a line."""
+    lines = _read_lines(path)
+    if not lines:
+        return [[] for _ in range(width)]
+    if set(map(str.count, lines, repeat("\t"))) != {width - 1}:
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.count("\t") != width - 1)
+        raise DataError(f"{path.name} line {lineno}: expected {width} tab-separated fields")
+    fields = "\t".join(lines).split("\t")
+    return [fields[k::width] for k in range(width)]
+
+
+def _read_ints(path: Path, fields: list[str], minimum: int) -> np.ndarray:
+    try:
+        values = np.fromiter(map(int, fields), np.int64, len(fields))
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path.name}: bad integer field ({exc})") from None
+    if len(values) and values.min() < minimum:
+        raise DataError(f"{path.name}: counts must be >= {minimum}, found {values.min()}")
+    return values
+
+
+def _token_ids(path: Path, tokens: list[str], index: dict[str, int]) -> np.ndarray:
+    try:
+        return np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    except KeyError as exc:
+        raise DataError(f"{path.name}: token {exc.args[0]!r} is not in {_VOCAB}") from None
 
 
 def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None) -> Path:
@@ -93,11 +149,13 @@ def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None
         _write_lines(out / _STOPWORDS, sorted(ens.artifacts.config.stopwords))
         _write_lines(out / _HAPAX, sorted(ens.artifacts.hapax))
         _write_lines(out / _VOCAB, sorted(ens.artifacts.vocab))
+        tables = ens.tables
+        post_counts = tables.post_counts.tolist()
         _write_lines(
             out / _PRIORS,
             (
-                f"{cell.row}\t{cell.col}\t{ens.models[cell].post_count}\t{ens.priors[cell]!r}"
-                for cell in part.cells()
+                f"{cell.row}\t{cell.col}\t{n}\t{ens.priors[cell]!r}"
+                for cell, n in zip(part.cells(), post_counts)
             ),
         )
 
@@ -105,24 +163,16 @@ def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None
         if cells_dir.exists():
             shutil.rmtree(cells_dir)
         cells_dir.mkdir()
-        for cell in part.cells():
-            model = ens.models[cell]
+        for i, cell in enumerate(part.cells()):
+            unigrams, bigrams = tables.cell_counts(i)
             stem = cells_dir / _cell_stem(cell)
-            _write_lines(
-                Path(f"{stem}.unigrams.tsv"),
-                (f"{tok}\t{n}" for tok, n in sorted(model.counts.unigram.items())),
-            )
-            rows = sorted(
-                (v, w, n)
-                for v, ws in model.counts.bigram.items()
-                for w, n in ws.items()
-            )
-            _write_lines(Path(f"{stem}.bigrams.tsv"), (f"{v}\t{w}\t{n}" for v, w, n in rows))
-            d = model.discounts
+            _write_lines(Path(f"{stem}.unigrams.tsv"), (f"{tok}\t{n}" for tok, n in unigrams))
+            _write_lines(Path(f"{stem}.bigrams.tsv"), (f"{v}\t{w}\t{n}" for v, w, n in bigrams))
+            d = tables.discounts[i]
             meta = {
                 "row": cell.row,
                 "col": cell.col,
-                "post_count": model.post_count,
+                "post_count": post_counts[i],
                 "n1": d.n1,
                 "n2": d.n2,
                 "n3": d.n3,
@@ -142,16 +192,13 @@ def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None
 
 def load_model(model_dir: str | Path) -> GeoEnsemble:
     """Reconstruct an ensemble from a model directory, validating the
-    format version, cell completeness, and prior normalization."""
+    manifest fields and format version, cell completeness, and every
+    count row."""
     root = Path(model_dir)
     manifest_path = root / _MANIFEST
     if not manifest_path.is_file():
         raise DataError(f"{root} is not a model directory (no {_MANIFEST})")
-    try:
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"unreadable manifest in {root}: {exc}") from exc
+    manifest = _read_json(manifest_path)
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
@@ -159,79 +206,86 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
             f"unsupported model format version {version!r} (this build reads {FORMAT_VERSION})"
         )
 
-    b = manifest["bounds"]
-    part = GridPartition(GeoBounds(b["south"], b["west"], b["north"], b["east"]), manifest["grid_size"])
-    smoothing = SmoothingConfig(alpha=manifest["alpha"], diameter=manifest["diameter"])
-    total_posts = manifest["training_posts"]
-
-    artifacts = PipelineArtifacts(
-        config=PipelineConfig(
+    try:
+        b = manifest["bounds"]
+        part = GridPartition(
+            GeoBounds(b["south"], b["west"], b["north"], b["east"]), manifest["grid_size"]
+        )
+        smoothing = SmoothingConfig(alpha=manifest["alpha"], diameter=manifest["diameter"])
+        total_posts = manifest["training_posts"]
+        config = PipelineConfig(
             stopword_count=manifest["stopword_count"],
             stopwords=tuple(_read_lines(root / _STOPWORDS)),
-        ),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {_MANIFEST} in {root}: missing or bad field {exc}") from None
+    if not isinstance(total_posts, int) or total_posts < 1:
+        raise DataError(f"{_MANIFEST} training_posts must be a positive integer")
+
+    artifacts = PipelineArtifacts(
+        config=config,
         hapax=frozenset(_read_lines(root / _HAPAX)),
         vocab=frozenset(_read_lines(root / _VOCAB)),
     )
 
-    post_counts: dict[CellId, int] = {}
-    for line in _read_lines(root / _PRIORS):
-        r, c, count, _prior = line.split("\t")
-        cell = CellId(int(r), int(c))
-        if cell in post_counts:
-            raise DataError(f"duplicate priors row for cell ({r}, {c})")
-        post_counts[cell] = int(count)
-    expected = set(part.cells())
-    if set(post_counts) != expected:
+    priors_path = root / _PRIORS
+    rows, cols, counts = (
+        _read_ints(priors_path, column, 0).tolist()
+        for column in _read_columns(priors_path, 4)[:3]
+    )
+    post_count = dict(zip(zip(rows, cols), counts))
+    if len(post_count) != len(rows):
+        raise DataError("priors table has a duplicate cell row")
+    cells = part.cells()
+    if set(post_count) != {(cell.row, cell.col) for cell in cells}:
         raise DataError("priors table does not cover every grid cell exactly once")
-    if sum(post_counts.values()) != total_posts:
+    post_counts = [post_count[(cell.row, cell.col)] for cell in cells]
+    if sum(post_counts) != total_posts:
         raise DataError("per-cell post counts disagree with the manifest training-set size")
 
-    models = {}
-    priors = {}
-    for cell in part.cells():
-        models[cell] = _load_cell(root / _CELLS, cell, post_counts[cell])
-        priors[cell] = post_counts[cell] / total_posts
-    if abs(sum(priors.values()) - 1.0) > 1e-9:
-        raise DataError("priors do not sum to 1")
+    index = {t: i for i, t in enumerate(sorted(artifacts.vocab))}
+    per_cell = [
+        _load_cell(root / _CELLS, cell, i, len(cells), post_counts[i], index)
+        for i, cell in enumerate(cells)
+    ]
+    word_keys, word_count, pair_keys, pair_count = (np.concatenate(c) for c in zip(*per_cell))
+    word_order = np.argsort(word_keys, kind="stable")
+    pair_order = np.argsort(pair_keys, kind="stable")
+    try:
+        tables = compile_tables(
+            index,
+            post_counts,
+            word_keys[word_order],
+            word_count[word_order],
+            pair_keys[pair_order],
+            pair_count[pair_order],
+        )
+    except ValueError as exc:
+        raise DataError(f"inconsistent count tables in {root / _CELLS}: {exc}") from None
+    return GeoEnsemble(partition=part, tables=tables, smoothing=smoothing, artifacts=artifacts)
 
-    return GeoEnsemble(
-        partition=part,
-        models=models,
-        priors=priors,
-        smoothing=smoothing,
-        artifacts=artifacts,
-        total_posts=total_posts,
-    )
 
+def _load_cell(
+    cells_dir: Path, cell: CellId, i: int, n_cells: int, expected_posts: int, index: dict[str, int]
+):
+    """Word keys and counts, then pair keys and counts, of cell i, keyed
+    as ``compile_tables`` expects."""
+    stem = _cell_stem(cell)
+    unigrams, bigrams, meta = paths = [
+        cells_dir / f"{stem}{suffix}" for suffix in (".unigrams.tsv", ".bigrams.tsv", ".meta.json")
+    ]
+    for path in paths:
+        if not path.is_file():
+            raise DataError(f"missing {path.name} in model directory")
 
-def _load_cell(cells_dir: Path, cell: CellId, expected_posts: int) -> CellLanguageModel:
-    stem = cells_dir / _cell_stem(cell)
-    for suffix in (".unigrams.tsv", ".bigrams.tsv", ".meta.json"):
-        if not Path(f"{stem}{suffix}").is_file():
-            raise DataError(f"missing {stem.name}{suffix} in model directory")
+    tokens, counts = _read_columns(unigrams, 2)
+    word_keys = _token_ids(unigrams, tokens, index) * n_cells + i
+    word_count = _read_ints(unigrams, counts, 1)
 
-    tables = CountTables()
-    for line in _read_lines(Path(f"{stem}.unigrams.tsv")):
-        tok, n = line.split("\t")
-        tables.unigram[tok] = int(n)
-        tables.total_tokens += int(n)
-    for line in _read_lines(Path(f"{stem}.bigrams.tsv")):
-        v, w, n = line.split("\t")
-        row = tables.bigram.setdefault(v, {})
-        if w in row:
-            raise DataError(f"duplicate bigram row {v!r} {w!r} in {stem.name}.bigrams.tsv")
-        row[w] = int(n)
-        tables.distinct_left[w] = tables.distinct_left.get(w, 0) + 1
-        tables.total_distinct_bigrams += 1
+    vs, ws, counts = _read_columns(bigrams, 3)
+    pairs = _token_ids(bigrams, vs, index) * (len(index) + 1) + _token_ids(bigrams, ws, index)
+    pair_count = _read_ints(bigrams, counts, 1)
 
-    with open(f"{stem}.meta.json", encoding="utf-8") as f:
-        meta = json.load(f)
-    if meta.get("post_count") != expected_posts:
-        raise DataError(f"{stem.name}.meta.json post_count disagrees with the priors table")
-
-    return CellLanguageModel(
-        cell=cell,
-        counts=tables,
-        discounts=compute_discounts(*_counts_of_counts(tables)),
-        post_count=expected_posts,
-    )
+    if _read_json(meta).get("post_count") != expected_posts:
+        raise DataError(f"{meta.name} post_count disagrees with the priors table")
+    return word_keys, word_count, pairs * n_cells + i, pair_count

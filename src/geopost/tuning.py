@@ -18,9 +18,9 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import (
     SmoothingConfig,
-    _posterior_vector,
     blend_smoothed,
     build_ensemble,
+    posterior_vector,
     smoothing_terms,
 )
 from .grid import GeoBounds, geo_distance_km, partition
@@ -58,12 +58,21 @@ class TuneResult:
         return self.surface[self.best]
 
 
+def _check_holdout(holdout: Sequence) -> None:
+    """A hold-out corpus must be non-empty and every post located."""
+    if not holdout:
+        raise ValidationError("tuning needs a non-empty holdout corpus")
+    for post in holdout:
+        if post.location is None:
+            raise ValidationError(f"holdout post {post.id!r} has no truth location")
+
+
 def _holdout_cache(ens, part, holdout: Sequence[TokenizedPost]):
     """Per-post posterior vector, per-ring smoothing terms, and distances
     from the post's truth to every cell center (row-major)."""
     cached = []
     for post in holdout:
-        vec = _posterior_vector(ens, post.tokens)
+        vec = posterior_vector(ens, post.tokens)
         terms = smoothing_terms(part, vec)
         dists = [geo_distance_km(post.location, part.center_of(cell)) for cell in part.cells()]
         cached.append((vec, terms, dists))
@@ -108,11 +117,9 @@ def grid_search(
     ensembles and posteriors are cached and shared across (alpha, d).
     Ties resolve to the smaller g, then alpha, then d.
     """
-    if not train or not holdout:
-        raise ValidationError("grid search needs non-empty train and holdout corpora")
-    for post in holdout:
-        if post.location is None:
-            raise ValidationError(f"holdout post {post.id!r} has no truth location")
+    if not train:
+        raise ValidationError("grid search needs a non-empty training corpus")
+    _check_holdout(holdout)
     tokenized_train, artifacts = build_training_corpus(train, stopword_count)
     holdout_tok = [artifacts.preprocess(p) for p in holdout]
 
@@ -156,11 +163,7 @@ def error_vs_d(
     """Mean hold-out error for every smoothing diameter d = 1..g at a
     fixed alpha, reusing one posterior pass. Values for d >= g-1 are
     identical because larger rings are empty."""
-    if not holdout:
-        raise ValidationError("error sweep needs a non-empty holdout corpus")
-    for post in holdout:
-        if post.location is None:
-            raise ValidationError(f"holdout post {post.id!r} has no truth location")
+    _check_holdout(holdout)
     g = ens.partition.g
     cached = _holdout_cache(ens, ens.partition, holdout)
     per_ad = _sweep_alpha_d(cached, [alpha], range(1, g + 1))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from geopost.cli import main
 
 BOUNDS_FLAG = "40.70,-74.02,40.77,-73.93"
@@ -127,6 +129,49 @@ class TestTrain:
             f.write(json.dumps({"id": "x", "text": "no location"}) + "\n")
         _train(tmp_path, corpus)
         assert "without coordinates" in capsys.readouterr().err
+
+
+def _edit_field(path, line, field, value):
+    lines = path.read_text().splitlines()
+    fields = lines[line].split("\t")
+    fields[field] = value
+    lines[line] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_manifest_key(model):
+    manifest = json.loads((model / "manifest.json").read_text())
+    del manifest["grid_size"]
+    (model / "manifest.json").write_text(json.dumps(manifest))
+
+
+UNIGRAMS = "cells/cell_000_000.unigrams.tsv"
+BIGRAMS = "cells/cell_000_000.bigrams.tsv"
+CORRUPTIONS = {
+    "malformed-tsv-line": lambda m: (m / UNIGRAMS).write_text(
+        (m / UNIGRAMS).read_text() + "no tabs here\n"
+    ),
+    "non-integer-count": lambda m: _edit_field(m / UNIGRAMS, 0, 1, "two"),
+    "missing-manifest-key": _drop_manifest_key,
+    "negative-count": lambda m: _edit_field(m / BIGRAMS, 0, 2, "-3"),
+    "zero-count": lambda m: _edit_field(m / UNIGRAMS, 0, 1, "0"),
+    "token-not-in-vocab": lambda m: _edit_field(m / UNIGRAMS, 0, 0, "notinvocab"),
+}
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_estimate_reports_data_error(self, tmp_path, capsys, corruption):
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        CORRUPTIONS[corruption](model)
+        capsys.readouterr()
+        code = main(["estimate", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "est.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestEstimate:

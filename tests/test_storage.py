@@ -109,6 +109,34 @@ class TestValidation:
             load_model(tmp_path / "model")
 
 
+    def test_duplicate_bigram_row(self, trained, tmp_path):
+        ens, _ = trained
+        save_model(ens, tmp_path / "model")
+        path = tmp_path / "model" / "cells" / "cell_000_000.bigrams.tsv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + lines[:1]) + "\n")
+        with pytest.raises(DataError, match="twice"):
+            load_model(tmp_path / "model")
+
+    def test_bigram_token_missing_from_cell_unigrams(self, trained, tmp_path):
+        ens, _ = trained
+        save_model(ens, tmp_path / "model")
+        cells = tmp_path / "model" / "cells"
+        context = (cells / "cell_000_000.bigrams.tsv").read_text().split("\t")[0]
+        path = cells / "cell_000_000.unigrams.tsv"
+        kept = [line for line in path.read_text().splitlines() if line.split("\t")[0] != context]
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(DataError, match="missing"):
+            load_model(tmp_path / "model")
+
+    def test_unreadable_cell_meta(self, trained, tmp_path):
+        ens, _ = trained
+        save_model(ens, tmp_path / "model")
+        (tmp_path / "model" / "cells" / "cell_000_000.meta.json").write_text("{not json")
+        with pytest.raises(DataError, match="unreadable"):
+            load_model(tmp_path / "model")
+
+
 class TestWriteLock:
     def test_existing_lock_blocks_save(self, trained, tmp_path):
         ens, _ = trained
