@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import DataError, EstimationError, GeopostError, ValidationError
+from .errors import DataError, ValidationError
 from .estimator import (
     SmoothingConfig,
     build_ensemble,
@@ -355,7 +355,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (EstimationError, GeopostError, AssertionError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -171,17 +171,10 @@ def posterior_field(ens: GeoEnsemble, post: TokenizedPost) -> PosteriorField:
 @lru_cache(maxsize=16)
 def _ring_matrices(part: GridPartition) -> tuple[np.ndarray, ...]:
     """One 0/1 matrix per ring distance k = 1..g-1; M[k-1] @ field sums
-    each cell's ring-k neighbors."""
-    cells = part.cells()
-    index = {cell: i for i, cell in enumerate(cells)}
-    mats = []
-    for k in range(1, part.g):
-        m = np.zeros((len(cells), len(cells)))
-        for cell in cells:
-            for nb in part.ring_neighbors(cell, k):
-                m[index[cell], index[nb]] = 1.0
-        mats.append(m)
-    return tuple(mats)
+    each cell's ring-k neighbors, the cells at Chebyshev distance k."""
+    row, col = np.divmod(np.arange(part.g * part.g), part.g)
+    cheb = np.maximum(abs(row[:, None] - row), abs(col[:, None] - col))
+    return tuple((cheb == k).astype(np.float64) for k in range(1, part.g))
 
 
 def smoothing_terms(part: GridPartition, field_vec: np.ndarray) -> list[np.ndarray]:

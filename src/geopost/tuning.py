@@ -1,10 +1,13 @@
 """Hyperparameter fitting by exhaustive grid search on hold-out error.
 
-For each grid dimension g the per-cell models and per-post posterior
-fields depend only on g, so they are computed once and cached; every
-(alpha, d) combination then re-applies only the cheap geo-smoothing step.
-The cached path reproduces from-scratch estimates bit for bit because
-both go through the same smoothing arithmetic.
+For each grid dimension g the per-cell models, the hold-out posteriors
+and their per-ring neighbor terms depend only on g, so they are computed
+once, into a (posts, g**2) matrix and a (g-1, posts, g**2) stack. Every
+d then adds one ring slice to a running (posts, g**2) sum, and every
+alpha is one blend plus one row-wise argmax over all posts. The sweep
+reproduces from-scratch estimates bit for bit because it performs the
+same elementwise arithmetic in the same order, and distances are taken
+only for the cells that win.
 """
 
 from __future__ import annotations
@@ -32,12 +35,15 @@ DEFAULT_ALPHA_VALUES = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Grid-search ranges: g values, alpha values, and d swept 1..g."""
+    """Grid-search ranges: g values, alpha values, and d swept 1..g.
+    Repeated values are dropped, keeping the first of each."""
 
     g_values: tuple[int, ...] = DEFAULT_G_VALUES
     alpha_values: tuple[float, ...] = DEFAULT_ALPHA_VALUES
 
     def __post_init__(self):
+        object.__setattr__(self, "g_values", tuple(dict.fromkeys(self.g_values)))
+        object.__setattr__(self, "alpha_values", tuple(dict.fromkeys(self.alpha_values)))
         if not self.g_values or not self.alpha_values:
             raise ValidationError("search space must be non-empty")
         if any(g < 1 for g in self.g_values):
@@ -67,39 +73,53 @@ def _check_holdout(holdout: Sequence) -> None:
             raise ValidationError(f"holdout post {post.id!r} has no truth location")
 
 
-def _holdout_cache(ens, part, holdout: Sequence[TokenizedPost]):
-    """Per-post posterior vector, per-ring smoothing terms, and distances
-    from the post's truth to every cell center (row-major)."""
-    cached = []
-    for post in holdout:
+def _holdout_cache(ens, holdout: Sequence[TokenizedPost]) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior matrix (posts, g**2) and ring-term stack (g-1, posts, g**2),
+    row-major, filled by one ``posterior_vector`` + ``smoothing_terms``
+    call per hold-out post."""
+    part = ens.partition
+    g2 = part.g * part.g
+    posteriors = np.empty((len(holdout), g2))
+    rings = np.empty((part.g - 1, len(holdout), g2))
+    for i, post in enumerate(holdout):
         vec = posterior_vector(ens, post.tokens)
-        terms = smoothing_terms(part, vec)
-        dists = [geo_distance_km(post.location, part.center_of(cell)) for cell in part.cells()]
-        cached.append((vec, terms, dists))
-    return cached
+        posteriors[i] = vec
+        for k, term in enumerate(smoothing_terms(part, vec)):
+            rings[k, i] = term
+    return posteriors, rings
 
 
-def _sweep_alpha_d(cached, alpha_values: Sequence[float], d_values: Sequence[int]):
-    """Mean hold-out error for every (alpha, d), reusing cached posteriors.
+def _sweep_alpha_d(
+    ens, holdout: Sequence[TokenizedPost], alpha_values: Sequence[float]
+) -> dict[tuple[float, int], float]:
+    """Mean hold-out error for every alpha and every d = 1..g, from one
+    posterior pass.
 
-    Neighbor contributions accumulate incrementally in d, in exactly the
-    order smooth_from_terms uses, so scores match the direct path bit for
-    bit; the argmax therefore picks the same cell.
+    Ring terms accumulate into one (posts, g**2) matrix in increasing d,
+    in exactly the order smooth_from_terms uses, and every alpha is one
+    2-D blend plus a row-wise first-max argmax. Elementwise arithmetic
+    and first-max ties give the same scores and cells as the direct path
+    bit for bit. Distances from a post's truth to a cell center are
+    computed only for cells that win some argmax, once per (post, cell),
+    and errors are summed in post order, as a direct evaluation does.
     """
+    part = ens.partition
+    posteriors, rings = _holdout_cache(ens, holdout)
+    n, g2 = posteriors.shape
+    centers = [part.center_of(cell) for cell in part.cells()]
+    dists = np.full((n, g2), np.nan)  # NaN: not computed yet
+    rows = np.arange(n)
     results = {}
-    accs = [np.zeros_like(vec) for vec, _, _ in cached]
-    d_wanted = set(d_values)
-    for d in range(1, max(d_values) + 1):
-        for i, (_, terms, _) in enumerate(cached):
-            if d - 1 < len(terms):
-                accs[i] = accs[i] + terms[d - 1]
-        if d not in d_wanted:
-            continue
+    acc = np.zeros_like(posteriors)
+    for d in range(1, part.g + 1):
+        if d < part.g:
+            acc = acc + rings[d - 1]
         for alpha in alpha_values:
-            errors = []
-            for (vec, _, dists), acc in zip(cached, accs):
-                scores = blend_smoothed(vec, acc, alpha)
-                errors.append(dists[int(np.argmax(scores))])
+            winners = np.argmax(blend_smoothed(posteriors, acc, alpha), axis=1)
+            for i in rows[np.isnan(dists[rows, winners])].tolist():
+                j = int(winners[i])
+                dists[i, j] = geo_distance_km(holdout[i].location, centers[j])
+            errors = dists[rows, winners].tolist()
             results[(alpha, d)] = sum(errors) / len(errors)
     return results
 
@@ -127,8 +147,7 @@ def grid_search(
     for g in sorted(space.g_values):
         part = partition(bounds, g)
         ens = build_ensemble(tokenized_train, part, SmoothingConfig(alpha=0.0, diameter=g), artifacts)
-        cached = _holdout_cache(ens, part, holdout_tok)
-        per_ad = _sweep_alpha_d(cached, sorted(space.alpha_values), range(1, g + 1))
+        per_ad = _sweep_alpha_d(ens, holdout_tok, sorted(space.alpha_values))
         for (alpha, d), err in per_ad.items():
             surface[(g, alpha, d)] = err
 
@@ -163,8 +182,8 @@ def error_vs_d(
     """Mean hold-out error for every smoothing diameter d = 1..g at a
     fixed alpha, reusing one posterior pass. Values for d >= g-1 are
     identical because larger rings are empty."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     _check_holdout(holdout)
-    g = ens.partition.g
-    cached = _holdout_cache(ens, ens.partition, holdout)
-    per_ad = _sweep_alpha_d(cached, [alpha], range(1, g + 1))
+    per_ad = _sweep_alpha_d(ens, holdout, [alpha])
     return {d: err for (_, d), err in per_ad.items()}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from geopost import cli
 from geopost.cli import main
 
 BOUNDS_FLAG = "40.70,-74.02,40.77,-73.93"
@@ -68,6 +69,16 @@ class TestExitCodes:
         code = main(["synth", "--bounds", BOUNDS_FLAG, "--grid", "2",
                      "--leakage", "1.5", "--out", str(tmp_path / "x.jsonl")])
         assert code == 1
+
+    def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_synth", broken)
+        code = main(["synth", "--bounds", BOUNDS_FLAG, "--grid", "2",
+                     "--out", str(tmp_path / "x.jsonl")])
+        assert code == 3
+        assert capsys.readouterr().err == "internal error: boom\n"
 
 
 class TestSynth:

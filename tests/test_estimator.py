@@ -22,6 +22,7 @@ from geopost import (
 )
 from geopost.estimator import (
     PosteriorField,
+    _ring_matrices,
     cell_log_scores,
     normalize_log_scores,
     smooth_vector,
@@ -329,3 +330,19 @@ class TestEstimateBatch:
         batch = estimate_batch(ens, posts)
         singles = [estimate(ens, p) for p in posts]
         assert batch == singles
+
+
+class TestRingMatrices:
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_rows_match_ring_neighbors(self, g):
+        part = partition(BOUNDS, g)
+        cells = part.cells()
+        mats = _ring_matrices(part)
+        assert len(mats) == g - 1
+        for k, mat in enumerate(mats, start=1):
+            expected = np.zeros((g * g, g * g))
+            for i, cell in enumerate(cells):
+                for nb in part.ring_neighbors(cell, k):
+                    expected[i, nb.row * g + nb.col] = 1.0
+            assert mat.dtype == np.float64
+            assert np.array_equal(mat, expected)

@@ -6,6 +6,8 @@ import pytest
 
 from geopost import (
     GeoBounds,
+    GeoPoint,
+    RawPost,
     SearchSpace,
     SmoothingConfig,
     SplitSpec,
@@ -21,6 +23,8 @@ from geopost import (
     partition,
     split,
 )
+from geopost import tuning
+from geopost.grid import geo_distance_km
 from geopost.tuning import DEFAULT_ALPHA_VALUES, DEFAULT_G_VALUES, select_best
 
 BOUNDS = GeoBounds(40.70, -74.02, 40.77, -73.93)
@@ -43,6 +47,11 @@ class TestSearchSpace:
             SearchSpace(g_values=(0,))
         with pytest.raises(ValidationError):
             SearchSpace(alpha_values=(1.5,))
+
+    def test_repeated_values_dropped(self):
+        space = SearchSpace(g_values=(2, 3, 2), alpha_values=(0.5, 0.1, 0.5))
+        assert space.g_values == (2, 3)
+        assert space.alpha_values == (0.5, 0.1)
 
 
 class TestSelectBest:
@@ -123,6 +132,72 @@ class TestGridSearch:
             grid_search(tr, [], space, BOUNDS)
 
 
+def _edge_case_search():
+    """A small planted search whose hold-out also holds an empty post and
+    an all-``<misc>`` post: both get prior-only posteriors, and equal
+    priors make exact ties."""
+    tr, ho, _ = _splits(
+        SyntheticSpec(g=3, vocab_per_cell=12, posts_per_cell=20, leakage=0.3, seed=8)
+    )
+    truth = GeoPoint(40.71, -74.0)
+    ho = ho[:12] + [
+        RawPost(id="empty", text="", location=truth),
+        RawPost(id="unseen", text="qqzz xxvv qqzz", location=truth),
+    ]
+    space = SearchSpace(g_values=(1, 2, 3, 5), alpha_values=(0.0, 0.5, 1.0))
+    tok, arts = build_training_corpus(tr, stopword_count=0)
+    ho_tok = [arts.preprocess(p) for p in ho]
+    assert ho_tok[-2].tokens == () and set(ho_tok[-1].tokens) == {"<misc>"}
+    return tr, ho, space, tok, arts, ho_tok
+
+
+def _direct_ensembles(space, tok, arts):
+    """(g, alpha, d, ensemble smoothing with that alpha and d) for every
+    triple of the search space."""
+    for g in space.g_values:
+        ens = build_ensemble(tok, partition(BOUNDS, g), SmoothingConfig(), arts)
+        for alpha in space.alpha_values:
+            for d in range(1, g + 1):
+                yield g, alpha, d, ens.with_smoothing(SmoothingConfig(alpha=alpha, diameter=d))
+
+
+class TestTunerMatchesDirectPath:
+    def test_every_triple_equals_estimate(self):
+        tr, ho, space, tok, arts, ho_tok = _edge_case_search()
+        result = grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+        assert len(result.surface) == 3 * (1 + 2 + 3 + 5)
+        for g, alpha, d, direct in _direct_ensembles(space, tok, arts):
+            errors = [estimation_error_km(p.location, estimate(direct, p)) for p in ho_tok]
+            assert result.surface[(g, alpha, d)] == sum(errors) / len(errors)
+
+    def test_error_vs_d_equals_grid_search_slice(self):
+        tr, ho, space, tok, arts, ho_tok = _edge_case_search()
+        result = grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+        for g in space.g_values:
+            ens = build_ensemble(tok, partition(BOUNDS, g), SmoothingConfig(), arts)
+            for alpha in space.alpha_values:
+                sweep = error_vs_d(ens, ho_tok, alpha=alpha)
+                assert sweep == {d: result.surface[(g, alpha, d)] for d in range(1, g + 1)}
+
+    def test_one_distance_per_winning_post_cell(self, monkeypatch):
+        tr, ho, space, tok, arts, ho_tok = _edge_case_search()
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return geo_distance_km(a, b)
+
+        monkeypatch.setattr(tuning, "geo_distance_km", counting)
+        grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+        winners = {
+            (g, i, estimate(direct, p).cell)
+            for g, _, _, direct in _direct_ensembles(space, tok, arts)
+            for i, p in enumerate(ho_tok)
+        }
+        assert len(calls) == len(winners)
+        assert len(calls) < len(ho_tok) * sum(g * g for g in space.g_values)
+
+
 class TestErrorVsD:
     def _fitted(self, alpha, leakage=0.3, g=4):
         spec = SyntheticSpec(g=g, vocab_per_cell=15, posts_per_cell=60, leakage=leakage, seed=21)
@@ -142,6 +217,12 @@ class TestErrorVsD:
         ens, ho_tok = self._fitted(alpha=0.9)
         sweep = error_vs_d(ens, ho_tok, alpha=0.9)
         assert sweep[3] == sweep[4]
+
+    def test_alpha_outside_unit_interval_rejected(self):
+        ens, ho_tok = self._fitted(alpha=0.5)
+        for alpha in (-0.1, 2.5, float("nan")):
+            with pytest.raises(ValidationError):
+                error_vs_d(ens, ho_tok, alpha=alpha)
 
     def test_covers_one_through_g(self):
         ens, ho_tok = self._fitted(alpha=0.5)
