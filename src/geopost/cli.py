@@ -61,12 +61,15 @@ def parse_bounds(text: str) -> GeoBounds:
 
 
 def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[list[RawPost], int]:
-    """Read a JSON-lines corpus. Malformed lines raise DataError with the
-    line number, or are counted and skipped under --skip-bad."""
+    """Read a JSON-lines corpus. Malformed lines, invalid UTF-8 included,
+    raise DataError with the line number, or are counted and skipped
+    under --skip-bad."""
     posts = []
     skipped = 0
     try:
-        with open(path, encoding="utf-8") as f:
+        # Undecodable bytes become lone surrogates (U+DC80..U+DCFF), so a
+        # bad line is caught by _parse_post instead of ending the read.
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
@@ -83,6 +86,12 @@ def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[list[RawPost]
 
 
 def _parse_post(line: str, lineno: int) -> RawPost:
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise DataError(f"line {lineno}: invalid UTF-8 (byte 0x{byte:02x})") from None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:

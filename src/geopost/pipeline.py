@@ -5,6 +5,14 @@ model: (1) cleanup and tokenization, (2) removal of the corpus-induced
 stopword list, (3) folding of words seen only once in training (and, at
 query time, words missing from the trained vocabulary) into the single
 catch-all token ``<misc>``.
+
+Cleanup keeps a lowercased ASCII token that is already alphanumeric as
+it is; every other token is filtered character by character (see
+``clean_and_tokenize``). Training counts the cleaned tokens once; the
+stopwords, the hapax and the vocabulary all come from that one count,
+and each post is stripped and folded in a single pass.
+``induce_stopwords``, ``remove_stopwords`` and ``fold_hapax`` are the
+step-by-step definitions that result must equal.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import ClassVar, Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -91,13 +100,25 @@ def clean_and_tokenize(raw: RawPost) -> list[str]:
     empty or contain any non-ASCII character. The literal token
     ``<misc>`` is kept verbatim so that re-tokenizing pipeline output is a
     no-op; it never occurs in genuine raw input.
+
+    A lowercased token that is ASCII and already alphanumeric is kept as
+    it is: it cannot be ``<misc>`` or carry a removed prefix, and the
+    character filter would return it unchanged. Every other token keeps
+    the per-character ``str.isalnum`` filter, which no ASCII shortcut
+    matches on non-ASCII text: symbols such as ``™`` or the combining dot
+    that ``İ`` lowercases to must be deleted (so ``İstanbul`` gives
+    ``istanbul``), while alphanumerics such as ``ß``, ``σ`` or full-width
+    digits must survive and so drop the whole token.
     """
     out = []
     for tok in raw.text.split():
+        low = tok.lower()
+        if low.isascii() and low.isalnum():
+            out.append(low)
+            continue
         if tok == MISC:
             out.append(tok)
             continue
-        low = tok.lower()
         if low.startswith(_URL_PREFIXES) or low.startswith("@") or low.startswith("#"):
             continue
         cleaned = "".join(ch for ch in low if ch.isalnum())
@@ -111,13 +132,15 @@ def induce_stopwords(corpus: Iterable[Sequence[str]], k: int) -> list[str]:
     """The k most frequent tokens across ``corpus`` (cleaned token
     sequences), ties broken lexicographically ascending. Returns the whole
     vocabulary when k exceeds it."""
+    return _top_k(Counter(chain.from_iterable(corpus)), k)
+
+
+def _top_k(counts: Counter[str], k: int) -> list[str]:
     if k < 0:
         raise ValidationError(f"stopword count must be >= 0, got {k}")
-    counts: Counter[str] = Counter()
-    for tokens in corpus:
-        counts.update(tokens)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [tok for tok, _ in ranked[:k]]
+    # Ascending tokens, then a stable sort by descending count: the
+    # order of the key (-count, token), with no key tuple per token.
+    return sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:k]
 
 
 def remove_stopwords(tokens: Sequence[str], cfg: PipelineConfig) -> list[str]:
@@ -162,13 +185,10 @@ def preprocess(
     vocabulary. A post whose tokens all vanish is kept with an empty
     sequence.
     """
-    tokens = remove_stopwords(clean_and_tokenize(raw), cfg)
-    folded = []
-    for t in tokens:
-        if t in hapax or (vocab is not None and t not in vocab):
-            folded.append(MISC)
-        else:
-            folded.append(t)
+    folded = [
+        MISC if t in hapax or (vocab is not None and t not in vocab) else t
+        for t in remove_stopwords(clean_and_tokenize(raw), cfg)
+    ]
     return TokenizedPost(id=raw.id, tokens=tuple(folded), location=raw.location)
 
 
@@ -181,16 +201,29 @@ def build_training_corpus(
     removes stopwords, folds hapax tokens, and collects the resulting
     global vocabulary. Returns the folded posts plus the artifacts needed
     to preprocess queries identically.
+
+    One count of the cleaned tokens serves every step: dropping stopwords
+    leaves the other tokens' counts unchanged, so the hapax are the
+    non-stopwords counted once, and the vocabulary is the non-stopwords
+    counted more than once, plus ``<misc>`` if anything folded. The
+    result equals ``induce_stopwords`` -> ``remove_stopwords`` ->
+    ``fold_hapax`` applied in turn.
     """
     cleaned = [clean_and_tokenize(p) for p in posts]
-    cfg = PipelineConfig(
-        stopword_count=stopword_count,
-        stopwords=tuple(induce_stopwords(cleaned, stopword_count)),
-    )
-    stripped = [
-        TokenizedPost(id=p.id, tokens=tuple(remove_stopwords(toks, cfg)), location=p.location)
+    counts = Counter(chain.from_iterable(cleaned))
+    stopwords = _top_k(counts, stopword_count)
+    cfg = PipelineConfig(stopword_count=stopword_count, stopwords=tuple(stopwords))
+    stop = _stopword_set(cfg.stopwords)
+    hapax = frozenset(t for t, n in counts.items() if n == 1 and t not in stop)
+    folded = [
+        TokenizedPost(
+            id=p.id,
+            tokens=tuple([MISC if t in hapax else t for t in toks if t not in stop]),
+            location=p.location,
+        )
         for p, toks in zip(posts, cleaned)
     ]
-    folded, hapax = fold_hapax(stripped)
-    vocab = frozenset(t for post in folded for t in post.tokens)
+    vocab = frozenset(t for t, n in counts.items() if n > 1 and t not in stop)
+    if hapax:
+        vocab |= {MISC}
     return folded, PipelineArtifacts(config=cfg, hapax=hapax, vocab=vocab)

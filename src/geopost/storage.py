@@ -16,8 +16,9 @@ Count tables are plain sorted text for diffability. Discounts, back-off
 weights and priors are recomputed from the integer counts on load, so a
 load/save round trip reproduces the in-memory model exactly. The loader
 parses the count files straight into the ensemble's compiled tables; any
-malformed field, count below 1, duplicate row or token missing from
-vocab.txt is a ``DataError``.
+malformed field, count below 1, duplicate row, token missing from
+vocab.txt, or meta.json n1..n4/d1..d3 that differ from the values
+recomputed from the bigram counts is a ``DataError``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import shutil
 from datetime import datetime, timezone
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -46,6 +48,10 @@ _VOCAB = "vocab.txt"
 _PRIORS = "priors.tsv"
 _CELLS = "cells"
 _LOCK = ".lock"
+# Derived fields of cells/*.meta.json, checked against the discounts
+# recomputed from the bigram counts on load.
+_META_DISCOUNT_FIELDS = ("n1", "n2", "n3", "n4", "d1", "d2", "d3")
+_discount_fields = attrgetter(*_META_DISCOUNT_FIELDS)
 
 
 def _cell_stem(cell: CellId) -> str:
@@ -248,7 +254,8 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
         _load_cell(root / _CELLS, cell, i, len(cells), post_counts[i], index)
         for i, cell in enumerate(cells)
     ]
-    word_keys, word_count, pair_keys, pair_count = (np.concatenate(c) for c in zip(*per_cell))
+    *columns, metas = zip(*per_cell)
+    word_keys, word_count, pair_keys, pair_count = (np.concatenate(c) for c in columns)
     word_order = np.argsort(word_keys, kind="stable")
     pair_order = np.argsort(pair_keys, kind="stable")
     try:
@@ -262,6 +269,12 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
         )
     except ValueError as exc:
         raise DataError(f"inconsistent count tables in {root / _CELLS}: {exc}") from None
+    for cell, stored, d in zip(cells, metas, tables.discounts):
+        if stored != _discount_fields(d):
+            raise DataError(
+                f"{_cell_stem(cell)}.meta.json counts-of-counts or discounts disagree "
+                "with its bigram table"
+            )
     return GeoEnsemble(partition=part, tables=tables, smoothing=smoothing, artifacts=artifacts)
 
 
@@ -269,7 +282,7 @@ def _load_cell(
     cells_dir: Path, cell: CellId, i: int, n_cells: int, expected_posts: int, index: dict[str, int]
 ):
     """Word keys and counts, then pair keys and counts, of cell i, keyed
-    as ``compile_tables`` expects."""
+    as ``compile_tables`` expects, and the meta.json n1..n4, d1..d3."""
     stem = _cell_stem(cell)
     unigrams, bigrams, meta = paths = [
         cells_dir / f"{stem}{suffix}" for suffix in (".unigrams.tsv", ".bigrams.tsv", ".meta.json")
@@ -286,6 +299,8 @@ def _load_cell(
     pairs = _token_ids(bigrams, vs, index) * (len(index) + 1) + _token_ids(bigrams, ws, index)
     pair_count = _read_ints(bigrams, counts, 1)
 
-    if _read_json(meta).get("post_count") != expected_posts:
+    meta_obj = _read_json(meta)
+    if meta_obj.get("post_count") != expected_posts:
         raise DataError(f"{meta.name} post_count disagrees with the priors table")
-    return word_keys, word_count, pairs * n_cells + i, pair_count
+    stored = tuple(map(meta_obj.get, _META_DISCOUNT_FIELDS))
+    return word_keys, word_count, pairs * n_cells + i, pair_count, stored

@@ -99,6 +99,13 @@ class TestSynth:
             assert isinstance(obj["lat"], float) and isinstance(obj["lon"], float)
 
 
+def _insert_latin1_line(corpus):
+    """Make line 2 a record whose text is Latin-1 encoded (invalid UTF-8)."""
+    lines = corpus.read_bytes().splitlines()
+    lines.insert(1, b'{"id": "x", "text": "caf\xe9", "lat": 40.72, "lon": -73.95}')
+    corpus.write_bytes(b"\n".join(lines) + b"\n")
+
+
 class TestTrain:
     def test_prints_split_sizes_and_cell_counts(self, tmp_path, capsys):
         corpus = _synth(tmp_path)
@@ -134,6 +141,25 @@ class TestTrain:
         _train(tmp_path, corpus, extra=("--skip-bad",))
         assert "skipping line 3" in capsys.readouterr().err
 
+    def test_invalid_utf8_line_is_data_error(self, tmp_path, capsys):
+        corpus = _synth(tmp_path)
+        _insert_latin1_line(corpus)
+        code = main(["train", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
+                     "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2: invalid UTF-8 (byte 0xe9)\n"
+
+    def test_skip_bad_skips_invalid_utf8_line(self, tmp_path, capsys):
+        corpus = _synth(tmp_path)
+        clean = _train(tmp_path, corpus, name="clean")
+        _insert_latin1_line(corpus)
+        capsys.readouterr()
+        skipped = _train(tmp_path, corpus, name="skipped", extra=("--skip-bad",))
+        err = capsys.readouterr().err
+        assert "skipping line 2: invalid UTF-8" in err
+        assert "skipped 1 malformed lines" in err
+        assert (skipped / "vocab.txt").read_bytes() == (clean / "vocab.txt").read_bytes()
+
     def test_unlocated_posts_dropped_with_note(self, tmp_path, capsys):
         corpus = _synth(tmp_path)
         with open(corpus, "a", encoding="utf-8") as f:
@@ -150,6 +176,13 @@ def _edit_field(path, line, field, value):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _shift_meta_d2(model):
+    path = model / "cells" / "cell_000_000.meta.json"
+    meta = json.loads(path.read_text())
+    meta["d2"] += 0.125
+    path.write_text(json.dumps(meta))
+
+
 def _drop_manifest_key(model):
     manifest = json.loads((model / "manifest.json").read_text())
     del manifest["grid_size"]
@@ -164,6 +197,7 @@ CORRUPTIONS = {
     ),
     "non-integer-count": lambda m: _edit_field(m / UNIGRAMS, 0, 1, "two"),
     "missing-manifest-key": _drop_manifest_key,
+    "meta-d2-disagrees": _shift_meta_d2,
     "negative-count": lambda m: _edit_field(m / BIGRAMS, 0, 2, "-3"),
     "zero-count": lambda m: _edit_field(m / UNIGRAMS, 0, 1, "0"),
     "token-not-in-vocab": lambda m: _edit_field(m / UNIGRAMS, 0, 0, "notinvocab"),

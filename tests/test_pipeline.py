@@ -4,11 +4,16 @@ import random
 import string
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geopost import (
     MISC,
+    GeoPoint,
+    PipelineArtifacts,
     PipelineConfig,
     RawPost,
+    TokenizedPost,
     ValidationError,
     build_training_corpus,
     clean_and_tokenize,
@@ -16,6 +21,7 @@ from geopost import (
     induce_stopwords,
     preprocess,
 )
+from geopost.pipeline import remove_stopwords
 from helpers import as_tokenized
 
 
@@ -185,3 +191,92 @@ class TestPipelineProperties:
         seen = {t for p in tokenized for t in p.tokens}
         assert seen == set(artifacts.vocab)
         assert artifacts.hapax.isdisjoint(artifacts.vocab - {MISC})
+
+
+def reference_clean(text):
+    """Cleanup one character at a time, with no fast path."""
+    out = []
+    for tok in text.split():
+        if tok == MISC:
+            out.append(tok)
+            continue
+        low = tok.lower()
+        if low.startswith(("http://", "https://", "www.")) or low.startswith("@") or low.startswith("#"):
+            continue
+        cleaned = "".join(ch for ch in low if ch.isalnum())
+        if cleaned and cleaned.isascii():
+            out.append(cleaned)
+    return out
+
+
+# Pieces whose cleanup differs by branch: ASCII punctuation and control
+# characters, link/reply/hashtag prefixes in either case, the catch-all
+# token, and non-ASCII characters that lowercase to ASCII (Kelvin sign,
+# dotted capital I), vanish (trade mark sign, combining dot) or survive
+# as non-ASCII alphanumerics (sharp s, sigma, full-width digit/letter).
+PIECES = [
+    "a", "Z", "7", "ok", "Go", "x1",
+    *string.punctuation, "\x00", "\x1b", "\x7f",
+    "http://", "HTTPS://", "https://", "www.", "WWW.", "@", "#",
+    MISC, "<MISC>",
+    "\u0130", "\u2122", "\u00df", "\u03a3", "\u03c3", "\uff11", "\uff41", "\u212a", "\u0307", "\u00e9",
+]
+SEPARATORS = [" ", "  ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2003", "\u2028", "\u3000"]
+
+raw_tokens = st.lists(
+    st.one_of(st.sampled_from(PIECES), st.characters(max_codepoint=0x3000)), min_size=1, max_size=5
+).map("".join)
+texts = st.lists(st.tuples(raw_tokens, st.sampled_from(SEPARATORS)), max_size=8).map(
+    lambda parts: "".join(tok + sep for tok, sep in parts)
+)
+
+
+class TestCleanMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(texts)
+    @example("Don't @bob #Tag http://x.co www.y.z <misc> <MISC> İstanbul a™ ß Σ １ \u212a")
+    @example("a@b c#d e.www. x-http:// !@x ..#y")
+    def test_equals_per_character_reference(self, text):
+        assert clean_and_tokenize(RawPost("x", text)) == reference_clean(text)
+
+
+def reference_build(posts, k):
+    """The training pipeline as its separate steps."""
+    cleaned = [clean_and_tokenize(p) for p in posts]
+    cfg = PipelineConfig(stopword_count=k, stopwords=tuple(induce_stopwords(cleaned, k)))
+    stripped = [
+        TokenizedPost(id=p.id, tokens=tuple(remove_stopwords(toks, cfg)), location=p.location)
+        for p, toks in zip(posts, cleaned)
+    ]
+    folded, hapax = fold_hapax(stripped)
+    vocab = frozenset(t for post in folded for t in post.tokens)
+    return folded, PipelineArtifacts(config=cfg, hapax=hapax, vocab=vocab)
+
+
+WORDS = ["a", "b", "c", "the", "Storm", "storm!", MISC, "<MISC>", "x1", "café", "@at", ""]
+corpora = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join),
+        st.none() | st.just(GeoPoint(40.7, -74.0)),
+    ),
+    max_size=8,
+).map(lambda rows: [RawPost(str(i), text, loc) for i, (text, loc) in enumerate(rows)])
+
+
+class TestBuildMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(corpora, st.integers(0, 12))
+    @example([RawPost("0", "a b c"), RawPost("1", "d e")], 0)  # all hapax, no stopwords
+    @example([RawPost("0", "a b c"), RawPost("1", "d e")], 2)  # stopwords that occur once
+    @example([RawPost("0", "a a b"), RawPost("1", "b c")], 100)  # k beyond the vocabulary
+    @example([RawPost("0", f"{MISC} a a"), RawPost("1", "b")], 1)  # literal <misc> counted once
+    @example([RawPost("0", f"{MISC} {MISC} b b"), RawPost("1", "")], 0)  # literal <misc>, no hapax
+    @example([], 3)
+    def test_equals_step_by_step_pipeline(self, posts, k):
+        assert build_training_corpus(posts, k) == reference_build(posts, k)
+
+    def test_negative_k_raises(self):
+        with pytest.raises(ValidationError):
+            build_training_corpus([RawPost("0", "a b")], -1)
+        with pytest.raises(ValidationError):
+            induce_stopwords([["a"]], -1)
