@@ -53,9 +53,6 @@ class CountTables:
     total_tokens: int = 0
     total_distinct_bigrams: int = 0
 
-    def distinct_right(self, v: str) -> int:
-        return len(self.bigram.get(v, {}))
-
 
 @dataclass(frozen=True)
 class Discounts:
@@ -311,34 +308,21 @@ class EnsembleTables:
         logs = np.fromiter(map(log, p.ravel().tolist()), np.float64, p.size)
         return logs.reshape(p.shape).sum(axis=0)
 
-    def cell_counts(self, i: int) -> tuple[list[tuple[str, int]], list[tuple[str, str, int]]]:
-        """Unigram (token, count) and bigram (v, w, count) rows of cell i,
-        sorted by token."""
-        ent = np.flatnonzero(self.word_cell == i)
-        words = np.searchsorted(self.word_ptr, ent, "right") - 1
-        vocab = self.vocab
-        unigrams = [
-            (vocab[t], n) for t, n in zip(words.tolist(), self.word_count[ent].tolist())
-        ]
-        ent = np.flatnonzero(self.pair_cell == i)
-        v, w = np.divmod(self.pair_key[ent], len(vocab) + 1)
-        bigrams = [
-            (vocab[a], vocab[b], n)
-            for a, b, n in zip(v.tolist(), w.tolist(), self.pair_count[ent].tolist())
-        ]
-        return unigrams, bigrams
-
     def cell_model(self, i: int, cell: CellId) -> CellLanguageModel:
         """The reference model of cell i, rebuilt from the tables."""
-        unigrams, bigrams = self.cell_counts(i)
+        vocab = self.vocab
+        ent = np.flatnonzero(self.word_cell == i)
+        words = np.searchsorted(self.word_ptr, ent, "right") - 1
         counts = CountTables(
-            unigram=dict(unigrams),
+            unigram={vocab[t]: n for t, n in zip(words.tolist(), self.word_count[ent].tolist())},
             total_tokens=int(self.total_tokens[i]),
-            total_distinct_bigrams=len(bigrams),
         )
-        for v, w, n in bigrams:
-            counts.bigram.setdefault(v, {})[w] = n
-            counts.distinct_left[w] = counts.distinct_left.get(w, 0) + 1
+        ent = np.flatnonzero(self.pair_cell == i)
+        v, w = np.divmod(self.pair_key[ent], len(vocab) + 1)
+        for a, b, n in zip(v.tolist(), w.tolist(), self.pair_count[ent].tolist()):
+            counts.bigram.setdefault(vocab[a], {})[vocab[b]] = n
+            counts.distinct_left[vocab[b]] = counts.distinct_left.get(vocab[b], 0) + 1
+        counts.total_distinct_bigrams = len(ent)
         return CellLanguageModel(cell, counts, self.discounts[i], int(self.post_counts[i]))
 
 
@@ -437,9 +421,9 @@ def compile_tables(
     operation for operation.
     """
     if np.any(np.diff(word_keys) <= 0):
-        raise ValueError("a cell lists a token twice")
+        raise ValueError("unigram rows repeat or are out of order")
     if np.any(np.diff(pair_keys) <= 0):
-        raise ValueError("a cell lists a bigram twice")
+        raise ValueError("bigram rows repeat or are out of order")
     vocab = tuple(index)
     n_words = len(vocab) + 1
     post_counts = np.asarray(post_counts, dtype=np.int64)

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import ClassVar, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .grid import GeoPoint
@@ -58,10 +58,6 @@ class PipelineConfig:
 
     stopword_count: int = 200
     stopwords: tuple[str, ...] = ()
-
-    # The only supported policy: tokens with any non-ASCII character are
-    # dropped during cleanup.
-    non_ascii_policy: ClassVar[str] = "drop-token"
 
     def __post_init__(self):
         if self.stopword_count < 0:

@@ -1,13 +1,22 @@
 """End-to-end CLI behavior: workflows, formats, and exit codes."""
 
+import contextlib
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geopost import cli
 from geopost.cli import main
 
 BOUNDS_FLAG = "40.70,-74.02,40.77,-73.93"
+MODEL_FILES = sorted(["manifest.json", "stopwords.txt", "hapax.txt", "vocab.txt",
+                      "cells.tsv", "unigrams.tsv", "bigrams.tsv"])
 
 
 def _synth(tmp_path, name="corpus.jsonl", grid=2, posts=30, seed=42, **extra):
@@ -118,10 +127,8 @@ class TestTrain:
     def test_model_directory_layout(self, tmp_path):
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)
-        for name in ("manifest.json", "stopwords.txt", "hapax.txt", "vocab.txt", "priors.tsv"):
-            assert (model / name).is_file()
-        cell_files = sorted(p.name for p in (model / "cells").iterdir())
-        assert len(cell_files) == 12  # 4 cells x 3 files
+        assert sorted(p.name for p in model.iterdir()) == MODEL_FILES
+        assert len((model / "cells.tsv").read_text().splitlines()) == 4
 
     def test_malformed_line_reports_line_number(self, tmp_path, capsys):
         corpus = _synth(tmp_path)
@@ -176,11 +183,10 @@ def _edit_field(path, line, field, value):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _shift_meta_d2(model):
-    path = model / "cells" / "cell_000_000.meta.json"
-    meta = json.loads(path.read_text())
-    meta["d2"] += 0.125
-    path.write_text(json.dumps(meta))
+def _shift_cell_d2(model):
+    path = model / "cells.tsv"
+    d2 = float(path.read_text().splitlines()[0].split("\t")[6])
+    _edit_field(path, 0, 6, repr(d2 + 0.125))
 
 
 def _drop_manifest_key(model):
@@ -189,19 +195,50 @@ def _drop_manifest_key(model):
     (model / "manifest.json").write_text(json.dumps(manifest))
 
 
-UNIGRAMS = "cells/cell_000_000.unigrams.tsv"
-BIGRAMS = "cells/cell_000_000.bigrams.tsv"
+UNIGRAMS = "unigrams.tsv"
+BIGRAMS = "bigrams.tsv"
 CORRUPTIONS = {
     "malformed-tsv-line": lambda m: (m / UNIGRAMS).write_text(
         (m / UNIGRAMS).read_text() + "no tabs here\n"
     ),
-    "non-integer-count": lambda m: _edit_field(m / UNIGRAMS, 0, 1, "two"),
+    "non-integer-count": lambda m: _edit_field(m / UNIGRAMS, 0, 2, "two"),
     "missing-manifest-key": _drop_manifest_key,
-    "meta-d2-disagrees": _shift_meta_d2,
-    "negative-count": lambda m: _edit_field(m / BIGRAMS, 0, 2, "-3"),
-    "zero-count": lambda m: _edit_field(m / UNIGRAMS, 0, 1, "0"),
+    "meta-d2-disagrees": _shift_cell_d2,
+    "negative-count": lambda m: _edit_field(m / BIGRAMS, 0, 3, "-3"),
+    "zero-count": lambda m: _edit_field(m / UNIGRAMS, 0, 2, "0"),
     "token-not-in-vocab": lambda m: _edit_field(m / UNIGRAMS, 0, 0, "notinvocab"),
+    "cell-index-outside-grid": lambda m: _edit_field(m / UNIGRAMS, 0, 1, "4"),
+    "cells-line-count": lambda m: (m / "cells.tsv").write_text(
+        "".join((m / "cells.tsv").read_text().splitlines(keepends=True)[:3])
+    ),
 }
+
+
+def _damage(model, kind, name, at, byte):
+    """Truncate a file of the model, overwrite one byte, repeat one line,
+    or delete the file; ``at`` in [0, 1) picks the position."""
+    path = model / name
+    data = path.read_bytes()
+    pos = int(at * len(data))
+    if kind == "truncate":
+        path.write_bytes(data[:pos])
+    elif kind == "overwrite":
+        path.write_bytes(data[:pos] + bytes([byte]) + data[pos + 1:])
+    elif kind == "duplicate":
+        lines = data.splitlines(keepends=True)
+        if lines:
+            i = int(at * len(lines))
+            lines.insert(i, lines[i])
+        path.write_bytes(b"".join(lines))
+    else:
+        path.unlink()
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("saved")
+    corpus = _synth(root)
+    return _train(root, corpus), corpus
 
 
 class TestCorruptModel:
@@ -217,6 +254,27 @@ class TestCorruptModel:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["truncate", "overwrite", "duplicate", "delete"]),
+        name=st.sampled_from(MODEL_FILES),
+        at=st.floats(0, 1, exclude_max=True),
+        byte=st.integers(0, 255),
+    )
+    def test_damaged_model_is_estimate_or_data_error(self, saved_model, kind, name, at, byte):
+        model, corpus = saved_model
+        with tempfile.TemporaryDirectory(dir=model.parent) as work:
+            damaged = shutil.copytree(model, Path(work) / "model")
+            _damage(damaged, kind, name, at, byte)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["estimate", "--model", str(damaged), "--corpus", str(corpus),
+                             "--out", str(Path(work) / "est.csv")])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
 
 
 class TestEstimate:
@@ -240,9 +298,8 @@ class TestEstimate:
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)
         priors = {}
-        for line in (model / "priors.tsv").read_text().splitlines():
-            r, c, count, _ = line.split("\t")
-            priors[(int(r), int(c))] = int(count)
+        for i, line in enumerate((model / "cells.tsv").read_text().splitlines()):
+            priors[divmod(i, 2)] = int(line.split("\t")[0])
         best = min(sorted(priors), key=lambda k: -priors[k])
         query = tmp_path / "query.jsonl"
         query.write_text(json.dumps({"id": "q", "text": ""}) + "\n")
