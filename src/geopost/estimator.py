@@ -8,7 +8,9 @@ The estimate is the center of the cell with the highest smoothed score.
 Inside, a post's scores, posterior and smoothed field are row-major
 vectors of length g**2: one gather from the ensemble's compiled tables
 scores every cell at once (``cell_log_scores``), and ``np.argmax`` picks
-the cell. ``dict[CellId, float]`` appears only in the API-edge wrappers
+the cell. ``posterior_matrix`` scores a batch of posts into a (posts,
+g**2) matrix whose rows equal the one-post vectors bit for bit.
+``dict[CellId, float]`` appears only in the API-edge wrappers
 ``posterior_field`` and ``geo_smooth``.
 """
 
@@ -143,18 +145,29 @@ def cell_log_scores(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
 
 def normalize_log_scores(scores: Sequence[float]) -> np.ndarray:
     """Max-shifted exponential normalization of log scores into a
-    probability vector. All -inf means a degenerate ensemble."""
+    probability vector, or of each row of a 2-D array into one. A row of
+    all -inf means a degenerate ensemble."""
     arr = np.asarray(scores, dtype=np.float64)
-    m = arr.max()
-    if m == -inf:
+    # A 1-D input keeps a scalar maximum and sum: (1,) arrays and .any()
+    # would add microseconds to every post ``estimate`` scores.
+    rows = arr.ndim > 1
+    m = arr.max(axis=-1, keepdims=rows)
+    if (-inf in m) if rows else m == -inf:
         raise EstimationError("no cell has positive prior mass")
     q = np.exp(arr - m)
-    return q / q.sum()
+    return q / q.sum(axis=-1, keepdims=rows)
 
 
 def posterior_vector(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
     """Row-major posterior over cells for one token sequence."""
     return normalize_log_scores(cell_log_scores(ens, tokens))
+
+
+def posterior_matrix(ens: GeoEnsemble, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
+    """(posts, g**2) matrix whose row i is ``posterior_vector(ens,
+    token_lists[i])`` bit for bit, scored in one batched pass."""
+    scores = ens.tables.log_likelihoods(token_lists, ens.baseline) + ens.tables.log_prior
+    return normalize_log_scores(scores)
 
 
 def posterior_field(ens: GeoEnsemble, post: TokenizedPost) -> PosteriorField:

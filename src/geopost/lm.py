@@ -10,8 +10,12 @@ unigram-interpolated estimate is available as a baseline.
 An ensemble keeps the models of all its cells in one ``EnsembleTables``:
 flat arrays over a global word index, with the back-off weight of every
 (context, cell) and the discounted numerator of every seen (pair, cell)
-stored rather than recomputed per lookup (the ARPA/KenLM layout). Scoring
-a post then gathers its pairs into one (pairs, cells) block.
+stored rather than recomputed per lookup (the ARPA/KenLM layout). One
+core turns the (v, w) word ids of a set of pairs into a (pairs, cells)
+block of log-probabilities. ``log_likelihood`` scores one post as its
+block summed over the pair rows; ``log_likelihoods`` scores a batch of
+posts a bounded block at a time and sums each post's rows in the same
+order, so its rows equal the one-post results bit for bit.
 ``CellLanguageModel`` and ``train_cell`` are the per-cell reference the
 tables are tested against, and ``EnsembleTables.cell_model`` rebuilds one
 cell's model from the tables on demand.
@@ -32,6 +36,11 @@ from .grid import CellId
 # Floor applied to every returned probability so log-space scoring never
 # sees zero. Far below anything a trained model can produce.
 MIN_PROB = 1e-12
+_LOG_MIN_PROB = log(MIN_PROB)
+
+# Most (pair, cell) entries ``log_likelihoods`` holds at once, for a bounded
+# peak memory whatever the number of posts scored.
+_BLOCK = 1 << 15
 
 # Conventional absolute-discount default used when a discount formula has
 # a zero denominator.
@@ -268,45 +277,109 @@ class EnsembleTables:
         self, tokens: Sequence[str], baseline: Optional[BaselineInterpolation] = None
     ) -> np.ndarray:
         """``sequence_log_prob`` of ``tokens`` under every cell's model at
-        once, in row-major cell order. The floats and the order they are
-        combined in are the reference's, so the results agree bit for bit."""
-        n_cells = len(self.post_counts)
+        once, in row-major cell order: the post's block of pair logs summed
+        over axis 0, which adds the pair rows one after another, as the
+        reference does. The floats and the order they are combined in are
+        the reference's, so with two or more cells the results agree bit
+        for bit."""
         if len(tokens) < 2:
-            return np.zeros(n_cells)
+            return np.zeros(len(self.post_counts))
+        ids = self._ids(tokens)
+        return self._pair_logs(ids[:-1], ids[1:], baseline).sum(axis=0)
+
+    def log_likelihoods(
+        self,
+        token_lists: Sequence[Sequence[str]],
+        baseline: Optional[BaselineInterpolation] = None,
+    ) -> np.ndarray:
+        """``log_likelihood`` of every post of ``token_lists`` as the rows
+        of one (posts, cells) array. The pair logs are built for a block of
+        posts at a time, with at most ``_BLOCK`` (pair, cell) entries per
+        block unless one post alone has more, and each post's rows are
+        added in the order ``log_likelihood`` adds them, so the rows agree
+        bit for bit. (With a single cell, numpy's ``sum(axis=0)`` adds long
+        columns pairwise, so there they can differ in the last place; every
+        posterior is 1 then anyway.)"""
+        n_cells = len(self.post_counts)
+        out = np.zeros((len(token_lists), n_cells))
+        ids = self._ids([t for tokens in token_lists for t in tokens])
+        lens = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
+        n_pairs = np.maximum(lens - 1, 0)
+        left = _pair_starts(lens)
+        v, w = ids[left], ids[left + 1]
+        pair_end = np.cumsum(n_pairs)
+        first = pair_end - n_pairs
+        per_block = max(_BLOCK // n_cells, 1)
+        lo = 0
+        while lo < len(token_lists):
+            hi = max(int(np.searchsorted(pair_end, first[lo] + per_block, "right")), lo + 1)
+            r0, r1 = first[lo], pair_end[hi - 1]
+            if r1 > r0:
+                logs = self._pair_logs(v[r0:r1], w[r0:r1], baseline)
+                out[lo:hi] = _row_sums(logs, first[lo:hi] - r0, n_pairs[lo:hi])
+            lo = hi
+        return out
+
+    def _ids(self, tokens: Sequence[str]) -> np.ndarray:
+        """Word id of every token; ``len(vocab)`` outside the vocabulary."""
         unknown = len(self.vocab)
         get = self.index.get
-        ids = np.array([get(t, unknown) for t in tokens], dtype=np.int64)
+        return np.fromiter((get(t, unknown) for t in tokens), np.int64, len(tokens))
+
+    def _by_cell(self, ids: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+        """For each word-table column, a (len(ids), cells) array holding the
+        column's entry of word ids[i] in cell j at [i, j], and 0 where the
+        word has no entry."""
         rows, ent = _spans(self.word_ptr[ids], self.word_ptr[ids + 1])
         cols = self.word_cell[ent]
-        count = np.zeros((len(ids), n_cells))
-        count[rows, cols] = self.word_count[ent]
-        seen = count[:-1] > 0
-        cv = np.where(seen, count[:-1], 1.0)
+        out = []
+        for column in columns:
+            dense = np.zeros((len(ids), len(self.post_counts)))
+            dense[rows, cols] = column[ent]
+            out.append(dense)
+        return out
 
-        keys = ids[:-1] * (unknown + 1) + ids[1:]
+    def _pair_logs(
+        self, v: np.ndarray, w: np.ndarray, baseline: Optional[BaselineInterpolation]
+    ) -> np.ndarray:
+        """log max(P(w[i] | v[i]), MIN_PROB) in every cell, as a (pairs,
+        cells) array: the one scoring core behind ``log_likelihood`` and
+        ``log_likelihoods``."""
+        keys = v * (len(self.vocab) + 1) + w
         pair_rows, pair_ent = _spans(
             np.searchsorted(self.pair_key, keys, "left"),
             np.searchsorted(self.pair_key, keys, "right"),
         )
         pair_cols = self.pair_cell[pair_ent]
-        pair = np.zeros_like(cv)
+        pair = np.zeros((len(keys), len(self.post_counts)))
+        # One lookup for both words of every pair: rows :n are the v's, n: the w's.
+        n, ids = len(keys), np.concatenate((v, w))
         if baseline is None:
+            count, gamma, pcont = self._by_cell(
+                ids, self.word_count, self.word_gamma, self.word_pcont
+            )
+            count, gamma, pcont = count[:n], gamma[:n], pcont[n:]
             pair[pair_rows, pair_cols] = self.pair_num[pair_ent]
-            gamma = np.zeros_like(count)
-            gamma[rows, cols] = self.word_gamma[ent]
-            pcont = np.zeros_like(count)
-            pcont[rows, cols] = self.word_pcont[ent]
-            p = np.where(seen, pair / cv + gamma[:-1] * pcont[1:], pcont[1:])
+            seen = count > 0
+            p = np.where(seen, pair / np.where(seen, count, 1.0) + gamma * pcont, pcont)
         else:
+            (count,) = self._by_cell(ids, self.word_count)
+            count, count_w = count[:n], count[n:]
             pair[pair_rows, pair_cols] = self.pair_count[pair_ent]
-            p_uni = count[1:] / np.maximum(self.total_tokens, 1)
-            p = np.where(seen, baseline.lambda1 * (pair / cv) + baseline.lambda2 * p_uni, p_uni)
-        p = np.maximum(p, MIN_PROB)
-        # math.log, not np.log: numpy's SIMD log can differ from libm in the
-        # last place, and the reference sums math.log values. Reducing over
-        # axis 0 adds the pair rows one after another, as the reference does.
-        logs = np.fromiter(map(log, p.ravel().tolist()), np.float64, p.size)
-        return logs.reshape(p.shape).sum(axis=0)
+            seen = count > 0
+            p_uni = count_w / np.maximum(self.total_tokens, 1)
+            p_bi = pair / np.where(seen, count, 1.0)
+            p = np.where(seen, baseline.lambda1 * p_bi + baseline.lambda2 * p_uni, p_uni)
+        # Floored entries (a quarter of the lookups on a planted corpus, and
+        # every lookup of a cell without posts) all get log(MIN_PROB); only
+        # the others pay for a log. math.log, not np.log: numpy's SIMD log
+        # can differ from libm in the last place, and the reference sums
+        # math.log values.
+        logs = np.full(p.shape, _LOG_MIN_PROB)
+        live = p > MIN_PROB
+        values = p[live]
+        logs[live] = np.fromiter(map(log, values.tolist()), np.float64, len(values))
+        return logs
 
     def cell_model(self, i: int, cell: CellId) -> CellLanguageModel:
         """The reference model of cell i, rebuilt from the tables."""
@@ -352,6 +425,26 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, ent
 
 
+def _pair_starts(lens: np.ndarray) -> np.ndarray:
+    """Position of the first token of every pair in the posts of lengths
+    ``lens`` laid end to end: a token starts a pair unless it ends its post."""
+    starts = np.ones(int(lens.sum()), dtype=bool)
+    starts[np.cumsum(lens)[lens > 0] - 1] = False
+    return np.flatnonzero(starts)
+
+
+def _row_sums(logs: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Per post i, the sum of the rows ``logs[first[i] : first[i] + lens[i]]``,
+    added in order k = 0, 1, ... exactly as ``sum(axis=0)`` adds the rows of
+    one post's block (``np.add.reduceat`` does not: it can differ in the
+    last place)."""
+    out = np.zeros((len(first), logs.shape[1]))
+    for k in range(int(lens.max(initial=0))):
+        live = np.flatnonzero(lens > k)
+        out[live] += logs[first[live] + k]
+    return out
+
+
 def _entry_of(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Position of each query in the sorted ``keys``; all must be there."""
     pos = np.searchsorted(keys, queries)
@@ -388,10 +481,7 @@ def count_tables(
     ids = np.array([index[t] for toks in token_lists for t in toks], dtype=np.int64)
     cells = np.asarray(cells, dtype=np.int64)
     token_cell = np.repeat(cells, lens)
-    # A token starts a pair unless it ends its post.
-    starts = np.ones(len(ids), dtype=bool)
-    starts[np.cumsum(lens)[lens > 0] - 1] = False
-    left = np.flatnonzero(starts)
+    left = _pair_starts(lens)
     pair_keys = (ids[left] * (len(words) + 1) + ids[left + 1]) * n_cells + token_cell[left]
     return compile_tables(
         index,

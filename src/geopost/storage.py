@@ -20,10 +20,11 @@ back-off weights and priors are recomputed from the integer counts on
 load, so a load/save round trip reproduces the in-memory model exactly.
 Any malformed field, count below 1, cell index outside the grid, row
 that repeats or is out of order, token missing from vocab.txt (or
-vocab.txt token never counted), cells.tsv line count other than g**2, or
-stored n1..n4/d1..d3 that differ from the values recomputed from the
-bigram counts is a ``DataError``. So is a model of another format
-version; there is no reader for older layouts.
+vocab.txt token never counted), token other than ``<misc>`` listed in
+more than one of stopwords.txt, hapax.txt and vocab.txt, cells.tsv line
+count other than g**2, or stored n1..n4/d1..d3 that differ from the
+values recomputed from the bigram counts is a ``DataError``. So is a
+model of another format version; there is no reader for older layouts.
 
 Saving writes into a fresh sibling directory and renames it into place,
 so a reader sees the old model, the new one or (for the moment between
@@ -38,7 +39,7 @@ import shutil
 import uuid
 from datetime import datetime, timezone
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -49,7 +50,7 @@ from .errors import DataError, ValidationError
 from .estimator import GeoEnsemble, SmoothingConfig
 from .grid import GeoBounds, GridPartition
 from .lm import compile_tables
-from .pipeline import PipelineArtifacts, PipelineConfig
+from .pipeline import MISC, PipelineArtifacts, PipelineConfig
 
 FORMAT_VERSION = 2
 
@@ -261,6 +262,18 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
         hapax=frozenset(_read_lines(root / _HAPAX)),
         vocab=frozenset(_read_lines(root / _VOCAB)),
     )
+    # Training puts each token in at most one of the three lists; only the
+    # fold target <misc> may also be a stopword or a hapax (a literal
+    # <misc> in the corpus) and still be in the vocabulary.
+    lists = (
+        (frozenset(config.stopwords), _STOPWORDS),
+        (artifacts.hapax, _HAPAX),
+        (artifacts.vocab, _VOCAB),
+    )
+    for (a, a_name), (b, b_name) in combinations(lists, 2):
+        shared = a & b - {MISC}
+        if shared:
+            raise DataError(f"{min(shared)!r} is listed in both {a_name} and {b_name}")
     index = {t: i for i, t in enumerate(sorted(artifacts.vocab))}
     n_cells = part.g * part.g
 

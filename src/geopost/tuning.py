@@ -2,7 +2,9 @@
 
 For each grid dimension g the per-cell models, the hold-out posteriors
 and their per-ring neighbor terms depend only on g, so they are computed
-once, into a (posts, g**2) matrix and a (g-1, posts, g**2) stack. Every
+once, into a (posts, g**2) matrix and a (g-1, posts, g**2) stack. The
+posteriors come from one batched ``posterior_matrix`` pass over all
+hold-out posts, whose rows equal ``posterior_vector`` bit for bit. Every
 d then adds one ring slice to a running (posts, g**2) sum, and every
 alpha is one blend plus one row-wise argmax over all posts. The sweep
 reproduces from-scratch estimates bit for bit because it performs the
@@ -23,7 +25,7 @@ from .estimator import (
     SmoothingConfig,
     blend_smoothed,
     build_ensemble,
-    posterior_vector,
+    posterior_matrix,
     smoothing_terms,
 )
 from .grid import GeoBounds, geo_distance_km, partition
@@ -75,15 +77,14 @@ def _check_holdout(holdout: Sequence) -> None:
 
 def _holdout_cache(ens, holdout: Sequence[TokenizedPost]) -> tuple[np.ndarray, np.ndarray]:
     """Posterior matrix (posts, g**2) and ring-term stack (g-1, posts, g**2),
-    row-major, filled by one ``posterior_vector`` + ``smoothing_terms``
-    call per hold-out post."""
+    row-major. The posteriors come from one batched ``posterior_matrix``
+    pass, whose rows equal ``posterior_vector`` bit for bit; the ring terms
+    from one ``smoothing_terms`` call per hold-out post, as ``estimate``
+    makes them."""
     part = ens.partition
-    g2 = part.g * part.g
-    posteriors = np.empty((len(holdout), g2))
-    rings = np.empty((part.g - 1, len(holdout), g2))
-    for i, post in enumerate(holdout):
-        vec = posterior_vector(ens, post.tokens)
-        posteriors[i] = vec
+    posteriors = posterior_matrix(ens, [post.tokens for post in holdout])
+    rings = np.empty((part.g - 1,) + posteriors.shape)
+    for i, vec in enumerate(posteriors):
         for k, term in enumerate(smoothing_terms(part, vec)):
             rings[k, i] = term
     return posteriors, rings

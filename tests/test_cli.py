@@ -195,6 +195,12 @@ def _drop_manifest_key(model):
     (model / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _vocab_token_into_stopwords(model):
+    token = (model / "unigrams.tsv").read_text().split("\t", 1)[0]
+    stopwords = (model / "stopwords.txt").read_text().splitlines()
+    (model / "stopwords.txt").write_text("".join(t + "\n" for t in sorted([*stopwords, token])))
+
+
 UNIGRAMS = "unigrams.tsv"
 BIGRAMS = "bigrams.tsv"
 CORRUPTIONS = {
@@ -211,6 +217,7 @@ CORRUPTIONS = {
     "cells-line-count": lambda m: (m / "cells.tsv").write_text(
         "".join((m / "cells.tsv").read_text().splitlines(keepends=True)[:3])
     ),
+    "vocab-token-in-stopwords": _vocab_token_into_stopwords,
 }
 
 

@@ -1,11 +1,16 @@
-"""The compiled ensemble tables against the per-cell reference models.
+"""The compiled ensemble tables against the per-cell reference models,
+and the batched scorer against the one-post path.
 
 Scores must agree bit for bit, not to a tolerance: the tables compute the
-same floats in the same order as ``CellLanguageModel``.
+same floats in the same order as ``CellLanguageModel``, and a batch adds
+each post's pair logs in the order one post's scoring adds them.
 """
 
+import tracemalloc
 from math import inf, log
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +33,8 @@ from geopost import (
     split,
     train_cell,
 )
-from geopost.estimator import cell_log_scores
+from geopost import lm
+from geopost.estimator import cell_log_scores, posterior_matrix, posterior_vector
 
 BOUNDS = GeoBounds(0.0, 0.0, 4.0, 4.0)
 WORDS = ("a", "b", "c", "d", "e")
@@ -160,3 +166,86 @@ def test_planted_corpus_equals_reference_bit_for_bit():
             assert cell_log_scores(scored, tokens).tolist() == _reference_scores(
                 scored, by_cell, tokens
             )
+
+
+def _assert_rows_equal_posterior_vector(ens, token_lists):
+    got = posterior_matrix(ens, token_lists)
+    want = np.array([posterior_vector(ens, tokens) for tokens in token_lists])
+    want = want.reshape(len(token_lists), ens.partition.g ** 2)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+MISC = "<misc>"
+batch_posts = st.lists(st.sampled_from(WORDS + (UNSEEN, MISC)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ensembles(), st.lists(batch_posts, max_size=12), st.sampled_from((1, 7, 40, lm._BLOCK)))
+def test_posterior_matrix_rows_equal_posterior_vector(built, token_lists, block):
+    # Small blocks put block boundaries between and inside the posts'
+    # pair rows; a block smaller than a post's rows holds that post alone.
+    ens, _ = built
+    with mock.patch.object(lm, "_BLOCK", block):
+        _assert_rows_equal_posterior_vector(ens, token_lists)
+
+
+def test_posterior_matrix_edge_cases_across_blocks():
+    # Cell 0 ends every post with "b" or "c", so they are sequence-final-only
+    # contexts there; cells 4..8 have no posts. The batch mixes empty,
+    # 1-token, out-of-vocabulary and all-<misc> posts, and is long enough
+    # to take several blocks of the default size.
+    cells = partition(BOUNDS, 3).cells()
+    cell_posts = [
+        (cells[0], [["a", "b"], ["a", "c"], ["d", "a", "b"], [MISC, "b"]]),
+        (cells[1], [["a", "b", "c", "a"], ["c", "c"], [MISC, MISC, "a"]]),
+        (cells[2], [[], ["e"], ["a"]]),
+        (cells[3], [["a", "e"], ["a", "e", MISC]]),
+    ]
+    posts = [[], ["a"], [UNSEEN], [MISC, MISC, MISC], ["b", "a"], ["c", "d"],
+             ["a", UNSEEN, "b"], ["e", "a", "e", "b", "c", "d", "a", "b"]]
+    batch = posts * 700
+    n_pairs = sum(max(len(tokens) - 1, 0) for tokens in batch)
+    assert n_pairs * len(cells) > 2 * lm._BLOCK
+    for baseline in (None, BaselineInterpolation(0.6, 0.4)):
+        ens, _ = _ensemble(3, cell_posts, baseline=baseline)
+        assert ens.priors[cells[8]] == 0.0
+        _assert_rows_equal_posterior_vector(ens, batch)
+
+
+def test_row_sums_add_pair_rows_in_order():
+    # Each post's pair rows must be added one after another, as sum(axis=0)
+    # adds the rows of a one-post block; np.add.reduceat, for one, does not.
+    rng = np.random.default_rng(5)
+    for n_cells in (4, 9, 64, 144):
+        lens = rng.integers(2, 14, size=50)
+        logs = np.log(rng.random((lens.sum(), n_cells)))
+        first = np.cumsum(lens) - lens
+        got = lm._row_sums(logs, first, lens)
+        for i, (lo, n) in enumerate(zip(first, lens)):
+            assert got[i].view(np.int64).tolist() == (
+                logs[lo : lo + n].sum(axis=0).view(np.int64).tolist()
+            )
+
+
+def _scoring_peak(ens, batch):
+    tracemalloc.start()
+    try:
+        posterior_matrix(ens, batch)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_posterior_matrix_memory_is_bounded_by_blocks():
+    # Scoring ten times as many posts holds ten times the token ids and
+    # posteriors, but never more than one block of (pair, cell) entries.
+    spec = SyntheticSpec(
+        g=4, vocab_per_cell=30, shared_vocab=60, posts_per_cell=60, tokens_per_post=12, seed=7
+    )
+    tr, _, _ = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
+    tok, arts = build_training_corpus(tr, stopword_count=0)
+    ens = build_ensemble(tok, partition(BOUNDS, 4), SmoothingConfig(), arts)
+    posts = [post.tokens for post in tok if len(post.tokens) > 1]
+    batch = [posts[i % len(posts)] for i in range(4000)]
+    assert sum(len(tokens) - 1 for tokens in batch[:400]) * 16 > lm._BLOCK
+    assert _scoring_peak(ens, batch) < 3 * _scoring_peak(ens, batch[:400])

@@ -215,6 +215,39 @@ class TestValidation:
         with pytest.raises(DataError, match="vocab.txt lists tokens that unigrams.tsv never"):
             load_model(model)
 
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            ("vocab.txt", "stopwords.txt"),
+            ("vocab.txt", "hapax.txt"),
+            ("stopwords.txt", "hapax.txt"),
+        ],
+    )
+    def test_token_listed_twice(self, model, source, target):
+        # A vocabulary token in stopwords.txt would be dropped from every
+        # query, and in hapax.txt folded into <misc>.
+        token = next(t for t in (model / source).read_text().split() if t != "<misc>")
+        _edit_lines(model / target, lambda lines: sorted([*lines, token]))
+        with pytest.raises(DataError, match=f"{token!r} is listed in both"):
+            load_model(model)
+
+    def test_literal_misc_in_corpus_round_trips(self, tmp_path):
+        # A literal <misc> seen once is a hapax, and folding keeps <misc> in
+        # the vocabulary too: that overlap is the one training produces.
+        spec = SyntheticSpec(g=2, vocab_per_cell=8, posts_per_cell=25, seed=31)
+        tr, _, te = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
+        tr.append(RawPost("m", "c0x0w1 <misc> c0x0w2", GeoPoint(40.71, -74.01)))
+        tok, arts = build_training_corpus(tr, stopword_count=3)
+        assert "<misc>" in arts.hapax & arts.vocab
+        ens = build_ensemble(tok, partition(BOUNDS, 2), SmoothingConfig(), arts)
+        save_model(ens, tmp_path / "model")
+        loaded = load_model(tmp_path / "model")
+        assert (loaded.artifacts.hapax, loaded.artifacts.vocab) == (arts.hapax, arts.vocab)
+        queries = [arts.preprocess(p) for p in te]
+        assert estimates_csv(queries, estimate_batch(loaded, queries)) == estimates_csv(
+            queries, estimate_batch(ens, queries)
+        )
+
 
 class TestReplace:
     @pytest.mark.parametrize("step", ["write", "rename"])

@@ -23,7 +23,7 @@ from geopost import (
     partition,
     split,
 )
-from geopost import tuning
+from geopost import estimator, tuning
 from geopost.grid import geo_distance_km
 from geopost.tuning import DEFAULT_ALPHA_VALUES, DEFAULT_G_VALUES, select_best
 
@@ -196,6 +196,29 @@ class TestTunerMatchesDirectPath:
         }
         assert len(calls) == len(winners)
         assert len(calls) < len(ho_tok) * sum(g * g for g in space.g_values)
+
+
+def test_grid_search_scores_each_g_in_one_batch(monkeypatch):
+    # The hold-out posts of one g are scored in one posterior_matrix call,
+    # never one post at a time through cell_log_scores.
+    tr, ho, space, *_ = _edge_case_search()
+    calls = {"posterior_matrix": 0, "cell_log_scores": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        tuning, "posterior_matrix", counted("posterior_matrix", tuning.posterior_matrix)
+    )
+    monkeypatch.setattr(
+        estimator, "cell_log_scores", counted("cell_log_scores", estimator.cell_log_scores)
+    )
+    grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+    assert calls == {"posterior_matrix": len(space.g_values), "cell_log_scores": 0}
 
 
 class TestErrorVsD:
