@@ -10,6 +10,8 @@ vectors of length g**2: one gather from the ensemble's compiled tables
 scores every cell at once (``cell_log_scores``), and ``np.argmax`` picks
 the cell. ``posterior_matrix`` scores a batch of posts into a (posts,
 g**2) matrix whose rows equal the one-post vectors bit for bit.
+``smoothing_terms`` maps a vector or such a matrix to its per-ring terms
+in one broadcast matmul against the ring stack ``_ring_matrices(g)``.
 ``dict[CellId, float]`` appears only in the API-edge wrappers
 ``posterior_field`` and ``geo_smooth``.
 """
@@ -46,9 +48,13 @@ class SmoothingConfig:
     diameter: Optional[int] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.diameter is not None and self.diameter < 1:
+        if isinstance(self.alpha, bool) or not 0.0 <= self.alpha <= 1.0:
+            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        if self.diameter is None:
+            return
+        if isinstance(self.diameter, bool) or not hasattr(self.diameter, "__index__"):
+            raise ValidationError(f"diameter must be an integer, got {self.diameter!r}")
+        if self.diameter < 1:
             raise ValidationError(f"diameter must be >= 1, got {self.diameter}")
 
     def diameter_for(self, g: int) -> int:
@@ -182,22 +188,30 @@ def posterior_field(ens: GeoEnsemble, post: TokenizedPost) -> PosteriorField:
 
 
 @lru_cache(maxsize=16)
-def _ring_matrices(part: GridPartition) -> tuple[np.ndarray, ...]:
-    """One 0/1 matrix per ring distance k = 1..g-1; M[k-1] @ field sums
-    each cell's ring-k neighbors, the cells at Chebyshev distance k."""
-    row, col = np.divmod(np.arange(part.g * part.g), part.g)
+def _ring_matrices(g: int) -> np.ndarray:
+    """Read-only (g-1, g**2, g**2) stack of 0/1 matrices: R[k-1] @ field
+    sums each cell's ring-k neighbors, the cells at Chebyshev distance k."""
+    row, col = np.divmod(np.arange(g * g), g)
     cheb = np.maximum(abs(row[:, None] - row), abs(col[:, None] - col))
-    return tuple((cheb == k).astype(np.float64) for k in range(1, part.g))
+    stack = (cheb == np.arange(1, g)[:, None, None]).astype(np.float64)
+    stack.flags.writeable = False
+    return stack
 
 
-def smoothing_terms(part: GridPartition, field_vec: np.ndarray) -> list[np.ndarray]:
-    """Per-ring neighbor contributions: the k-th entry holds, for every
-    cell, the sum of ring-k neighbor values divided by the full-ring size
-    (2k+1)**2 - 1. Clipped rings keep the full denominator; missing cells
-    simply contribute zero."""
-    terms = []
-    for k, mat in enumerate(_ring_matrices(part), start=1):
-        terms.append((mat @ field_vec) / ((2 * k + 1) ** 2 - 1))
+def smoothing_terms(part: GridPartition, fields: np.ndarray) -> np.ndarray:
+    """Per-ring neighbor contributions of a (g**2,) field, or of each row
+    of a (posts, g**2) matrix, as a (g-1, ...) stack: entry k-1 holds, for
+    every cell, the sum of ring-k neighbor values divided by the full-ring
+    size (2k+1)**2 - 1. Clipped rings keep the full denominator; missing
+    cells simply contribute zero.
+
+    The broadcast matmul runs one gemv per (ring, post), so a post's terms
+    have the same bits alone or in a batch (a gemm such as ``R @ fields.T``
+    would not), and dividing in place keeps one copy of a batch's stack."""
+    g = part.g
+    terms = np.matmul(_ring_matrices(g)[:, None], fields.reshape(-1, g * g, 1))
+    terms = terms.reshape((g - 1,) + fields.shape)
+    terms /= ((2 * np.arange(1.0, g) + 1) ** 2 - 1).reshape((g - 1,) + (1,) * fields.ndim)
     return terms
 
 
@@ -206,12 +220,10 @@ def blend_smoothed(field_vec: np.ndarray, neighbor_acc: np.ndarray, alpha: float
 
 
 def smooth_from_terms(
-    field_vec: np.ndarray, terms: Sequence[np.ndarray], alpha: float, diameter: int
+    field_vec: np.ndarray, terms: np.ndarray, alpha: float, diameter: int
 ) -> np.ndarray:
-    acc = np.zeros_like(field_vec)
-    for k in range(min(diameter, len(terms))):
-        acc = acc + terms[k]
-    return blend_smoothed(field_vec, acc, alpha)
+    # Summing over axis 0 adds the rings one by one in increasing k.
+    return blend_smoothed(field_vec, terms[:diameter].sum(axis=0), alpha)
 
 
 def smooth_vector(

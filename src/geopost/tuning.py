@@ -2,14 +2,14 @@
 
 For each grid dimension g the per-cell models, the hold-out posteriors
 and their per-ring neighbor terms depend only on g, so they are computed
-once, into a (posts, g**2) matrix and a (g-1, posts, g**2) stack. The
-posteriors come from one batched ``posterior_matrix`` pass over all
-hold-out posts, whose rows equal ``posterior_vector`` bit for bit. Every
-d then adds one ring slice to a running (posts, g**2) sum, and every
-alpha is one blend plus one row-wise argmax over all posts. The sweep
-reproduces from-scratch estimates bit for bit because it performs the
-same elementwise arithmetic in the same order, and distances are taken
-only for the cells that win.
+once, into a (posts, g**2) matrix and a (g-1, posts, g**2) stack, by one
+``posterior_matrix`` call and one ``smoothing_terms`` call whose rows
+equal the one-post ``posterior_vector`` and ``smoothing_terms`` bit for
+bit. Every d then adds one ring slice to a running (posts, g**2) sum,
+and every alpha is one blend plus one row-wise argmax over all posts.
+The sweep reproduces from-scratch estimates bit for bit because it
+performs the same elementwise arithmetic in the same order, and
+distances are taken only for the cells that win.
 """
 
 from __future__ import annotations
@@ -75,29 +75,14 @@ def _check_holdout(holdout: Sequence) -> None:
             raise ValidationError(f"holdout post {post.id!r} has no truth location")
 
 
-def _holdout_cache(ens, holdout: Sequence[TokenizedPost]) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior matrix (posts, g**2) and ring-term stack (g-1, posts, g**2),
-    row-major. The posteriors come from one batched ``posterior_matrix``
-    pass, whose rows equal ``posterior_vector`` bit for bit; the ring terms
-    from one ``smoothing_terms`` call per hold-out post, as ``estimate``
-    makes them."""
-    part = ens.partition
-    posteriors = posterior_matrix(ens, [post.tokens for post in holdout])
-    rings = np.empty((part.g - 1,) + posteriors.shape)
-    for i, vec in enumerate(posteriors):
-        for k, term in enumerate(smoothing_terms(part, vec)):
-            rings[k, i] = term
-    return posteriors, rings
-
-
 def _sweep_alpha_d(
     ens, holdout: Sequence[TokenizedPost], alpha_values: Sequence[float]
 ) -> dict[tuple[float, int], float]:
     """Mean hold-out error for every alpha and every d = 1..g, from one
-    posterior pass.
+    ``posterior_matrix`` call and one ``smoothing_terms`` call.
 
     Ring terms accumulate into one (posts, g**2) matrix in increasing d,
-    in exactly the order smooth_from_terms uses, and every alpha is one
+    in exactly the order smooth_from_terms sums them, and every alpha is one
     2-D blend plus a row-wise first-max argmax. Elementwise arithmetic
     and first-max ties give the same scores and cells as the direct path
     bit for bit. Distances from a post's truth to a cell center are
@@ -105,7 +90,8 @@ def _sweep_alpha_d(
     and errors are summed in post order, as a direct evaluation does.
     """
     part = ens.partition
-    posteriors, rings = _holdout_cache(ens, holdout)
+    posteriors = posterior_matrix(ens, [post.tokens for post in holdout])
+    rings = smoothing_terms(part, posteriors)
     n, g2 = posteriors.shape
     centers = [part.center_of(cell) for cell in part.cells()]
     dists = np.full((n, g2), np.nan)  # NaN: not computed yet
@@ -183,8 +169,7 @@ def error_vs_d(
     """Mean hold-out error for every smoothing diameter d = 1..g at a
     fixed alpha, reusing one posterior pass. Values for d >= g-1 are
     identical because larger rings are empty."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
+    SmoothingConfig(alpha=alpha)  # raises ValidationError for a bad alpha
     _check_holdout(holdout)
     per_ad = _sweep_alpha_d(ens, holdout, [alpha])
     return {d: err for (_, d), err in per_ad.items()}

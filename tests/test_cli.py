@@ -195,6 +195,15 @@ def _drop_manifest_key(model):
     (model / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _set_manifest(key, value):
+    def corrupt(model):
+        manifest = json.loads((model / "manifest.json").read_text())
+        manifest[key] = value
+        (model / "manifest.json").write_text(json.dumps(manifest))
+
+    return corrupt
+
+
 def _vocab_token_into_stopwords(model):
     token = (model / "unigrams.tsv").read_text().split("\t", 1)[0]
     stopwords = (model / "stopwords.txt").read_text().splitlines()
@@ -218,6 +227,9 @@ CORRUPTIONS = {
         "".join((m / "cells.tsv").read_text().splitlines(keepends=True)[:3])
     ),
     "vocab-token-in-stopwords": _vocab_token_into_stopwords,
+    "diameter-not-integer": _set_manifest("diameter", 2.5),
+    "diameter-bool": _set_manifest("diameter", True),
+    "alpha-bool": _set_manifest("alpha", True),
 }
 
 

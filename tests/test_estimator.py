@@ -25,7 +25,9 @@ from geopost.estimator import (
     _ring_matrices,
     cell_log_scores,
     normalize_log_scores,
+    smooth_from_terms,
     smooth_vector,
+    smoothing_terms,
 )
 from helpers import reference_posterior
 
@@ -332,17 +334,88 @@ class TestEstimateBatch:
         assert batch == singles
 
 
+def _ring_matrix(part, k):
+    """M_k from ``ring_neighbors``: row i marks cell i's ring-k neighbors."""
+    g = part.g
+    mat = np.zeros((g * g, g * g))
+    for i, cell in enumerate(part.cells()):
+        for nb in part.ring_neighbors(cell, k):
+            mat[i, nb.row * g + nb.col] = 1.0
+    return mat
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.int64)
+
+
+def _fields(g, rng):
+    """(9, g**2) rows mixing ordinary values, exact zeros and values near
+    1e-300, plus an all-zero row and an all-tiny row."""
+    fields = rng.random((9, g * g))
+    fields[rng.random(fields.shape) < 0.3] = 0.0
+    tiny = rng.random(fields.shape) < 0.3
+    fields[tiny] = rng.uniform(0.5, 2.0, tiny.sum()) * 1e-300
+    fields[1] = 0.0
+    fields[2] = rng.uniform(0.5, 2.0, g * g) * 1e-300
+    return fields
+
+
 class TestRingMatrices:
-    @pytest.mark.parametrize("g", range(1, 10))
+    @pytest.mark.parametrize("g", range(1, 14))
     def test_rows_match_ring_neighbors(self, g):
         part = partition(BOUNDS, g)
-        cells = part.cells()
-        mats = _ring_matrices(part)
-        assert len(mats) == g - 1
-        for k, mat in enumerate(mats, start=1):
-            expected = np.zeros((g * g, g * g))
-            for i, cell in enumerate(cells):
-                for nb in part.ring_neighbors(cell, k):
-                    expected[i, nb.row * g + nb.col] = 1.0
-            assert mat.dtype == np.float64
-            assert np.array_equal(mat, expected)
+        stack = _ring_matrices(g)
+        assert stack.shape == (g - 1, g * g, g * g)
+        assert stack.dtype == np.float64
+        for k in range(1, g):
+            assert np.array_equal(stack[k - 1], _ring_matrix(part, k))
+
+    @pytest.mark.parametrize("g", range(1, 14))
+    def test_batch_shape_keeps_the_bits(self, g):
+        # Column i of a batch's terms, the one-post terms and the per-ring
+        # formula (M_k @ row) / ((2k+1)**2 - 1) agree bit for bit, for C,
+        # strided and Fortran-ordered batches.
+        part = partition(BOUNDS, g)
+        mats = [_ring_matrix(part, k) for k in range(1, g)]
+        fields = _fields(g, np.random.default_rng(g))
+        for batch in (fields, fields[::2], np.asfortranarray(fields)):
+            terms = smoothing_terms(part, batch)
+            assert terms.shape == (g - 1,) + batch.shape
+            for i, row in enumerate(batch):
+                one = smoothing_terms(part, row)
+                formula = np.array(
+                    [(mat @ row) / ((2 * k + 1) ** 2 - 1) for k, mat in enumerate(mats, 1)]
+                ).reshape(g - 1, g * g)
+                assert np.array_equal(_bits(terms[:, i]), _bits(one))
+                assert np.array_equal(_bits(one), _bits(formula))
+
+    @pytest.mark.parametrize("g", range(1, 14))
+    def test_smooth_from_terms_matches_sequential_sum(self, g):
+        part = partition(BOUNDS, g)
+        for fields in (_fields(g, np.random.default_rng(100 + g)), np.full(g * g, 1.0 / g**2)):
+            terms = smoothing_terms(part, fields)
+            for d in range(1, g + 2):
+                acc = np.zeros_like(fields)
+                for k in range(min(d, g - 1)):
+                    acc = acc + terms[k]
+                expected = (1.0 - 0.9) * fields + 0.9 * acc
+                assert np.array_equal(_bits(smooth_from_terms(fields, terms, 0.9, d)), _bits(expected))
+
+    def test_one_read_only_stack_per_g(self):
+        # The benchmark times a cold ring set-up by calling cache_clear on
+        # geopost's functools caches, and bounds play no part in the rings.
+        a = partition(BOUNDS, 5)
+        b = partition(GeoBounds(10.0, 20.0, 30.0, 25.0), 5)
+        _ring_matrices.cache_clear()
+        smoothing_terms(a, np.ones(25))
+        smoothing_terms(b, np.ones(25))
+        assert _ring_matrices.cache_info().misses == 1
+        stack = _ring_matrices(a.g)
+        assert _ring_matrices(b.g) is stack
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+        _ring_matrices.cache_clear()
+        rebuilt = _ring_matrices(5)
+        assert rebuilt is not stack
+        assert np.array_equal(rebuilt, stack)

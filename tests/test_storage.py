@@ -140,6 +140,19 @@ class TestValidation:
         with pytest.raises(DataError, match="format version 1"):
             load_model(model)
 
+    @pytest.mark.parametrize(
+        "key, value", [("diameter", 2.5), ("diameter", True), ("diameter", "3"), ("alpha", True)]
+    )
+    def test_smoothing_field_types_checked(self, model, key, value):
+        # A float diameter failed at g >= 8 and ran as d = 2 at g = 3; a
+        # bool diameter or alpha ran silently as 1.
+        manifest_path = model / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=f"malformed manifest.json.*{key} must"):
+            load_model(model)
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(DataError, match="manifest"):
