@@ -12,8 +12,10 @@ the cell. ``posterior_matrix`` scores a batch of posts into a (posts,
 g**2) matrix whose rows equal the one-post vectors bit for bit.
 ``smoothing_terms`` maps a vector or such a matrix to its per-ring terms
 in one broadcast matmul against the ring stack ``_ring_matrices(g)``.
-``dict[CellId, float]`` appears only in the API-edge wrappers
-``posterior_field`` and ``geo_smooth``.
+``estimate`` runs this on one post's vector; ``estimate_batch`` and
+``estimate_all`` run it on a block of posts at a time, as a (posts,
+g**2) matrix, with the same bits. ``dict[CellId, float]`` appears only
+in the API-edge wrappers ``posterior_field`` and ``geo_smooth``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from .lm import BaselineInterpolation, CellModels, EnsembleTables, count_tables
 from .pipeline import PipelineArtifacts, TokenizedPost
 
 logger = logging.getLogger(__name__)
+
+# The batch path takes posts in blocks whose ring stack, (g-1) x posts x
+# g**2 floats, has at most this many entries (8 MiB), unless one post
+# alone has more.
+_SMOOTH_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -247,36 +254,66 @@ def geo_smooth(ens: GeoEnsemble, field: PosteriorField) -> dict[CellId, float]:
     return {cell: float(s) for cell, s in zip(cells, smoothed)}
 
 
+def _pick_cells(part: GridPartition, posteriors: np.ndarray, scores: np.ndarray) -> list[Estimate]:
+    """One Estimate per row of the (posts, g**2) smoothed ``scores``: the
+    first row-major maximum, so ties go to the lowest row, then the lowest
+    column, with its center and its row's posterior."""
+    best = np.argmax(scores, axis=1).tolist()
+    return [
+        Estimate(CellId(*divmod(i, part.g)), part.center_at(i), float(row[i]), float(vec[i]))
+        for i, row, vec in zip(best, scores, posteriors)
+    ]
+
+
 def estimate(ens: GeoEnsemble, post: TokenizedPost) -> Estimate:
     """Locate one post: argmax of the geo-smoothed posterior, ties broken
-    by lowest row then lowest column (``np.argmax`` takes the first
-    row-major maximum)."""
+    by lowest row then lowest column."""
     part = ens.partition
     vec = posterior_vector(ens, post.tokens)
     scores = smooth_vector(part, vec, ens.smoothing.alpha, ens.smoothing.diameter_for(part.g))
-    i = int(np.argmax(scores))
-    cell = CellId(*divmod(i, part.g))
-    return Estimate(
-        cell=cell,
-        point=part.center_of(cell),
-        smoothed_score=float(scores[i]),
-        posterior=float(vec[i]),
+    return _pick_cells(part, vec[None], scores[None])[0]
+
+
+def _estimate_block(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Estimate]:
+    """``estimate`` of each post, bit for bit, from one ``posterior_matrix``
+    call, one ``smoothing_terms`` and one ``smooth_from_terms`` call on
+    the (posts, g**2) matrix, and one row-wise argmax."""
+    part = ens.partition
+    vecs = posterior_matrix(ens, [post.tokens for post in posts])
+    scores = smooth_from_terms(
+        vecs, smoothing_terms(part, vecs), ens.smoothing.alpha, ens.smoothing.diameter_for(part.g)
     )
+    return _pick_cells(part, vecs, scores)
+
+
+def _blocks(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Sequence[TokenizedPost]]:
+    """``posts`` cut into consecutive blocks of at most ``_SMOOTH_BLOCK``
+    ring-stack entries each, and of at least one post."""
+    g = ens.partition.g
+    step = max(_SMOOTH_BLOCK // max((g - 1) * g * g, 1), 1)
+    return [posts[lo : lo + step] for lo in range(0, len(posts), step)]
+
+
+def estimate_all(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Estimate]:
+    """``estimate`` of every post, in order and bit for bit, computed a
+    block of posts at a time. Raises EstimationError for an ensemble with
+    no prior mass."""
+    return [est for block in _blocks(ens, posts) for est in _estimate_block(ens, block)]
 
 
 def estimate_batch(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Optional[Estimate]]:
-    """Element-wise ``estimate`` over a batch, order-preserving.
-
-    A post that fails yields None in its slot (logged) instead of aborting
-    the rest; with probability floors in place this is defensive only.
-    """
+    """``estimate_all`` that does not raise: when a block fails, each of
+    its posts yields None in its slot (logged) and the other blocks go on.
+    Log-likelihoods are floored, so only an ensemble with no prior mass
+    fails, and then every block does."""
     out: list[Optional[Estimate]] = []
-    for post in posts:
+    for block in _blocks(ens, posts):
         try:
-            out.append(estimate(ens, post))
+            out += _estimate_block(ens, block)
         except EstimationError as exc:
-            logger.warning("estimate failed for post %r: %s", post.id, exc)
-            out.append(None)
+            for post in block:
+                logger.warning("estimate failed for post %r: %s", post.id, exc)
+            out += [None] * len(block)
     return out
 
 

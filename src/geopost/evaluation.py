@@ -16,7 +16,7 @@ from math import floor
 from typing import Sequence
 
 from .errors import ValidationError
-from .estimator import Estimate, GeoEnsemble, estimate
+from .estimator import Estimate, GeoEnsemble, estimate_all
 from .grid import GeoBounds, GeoPoint, geo_distance_km, partition
 from .pipeline import RawPost, TokenizedPost
 
@@ -157,14 +157,20 @@ def error_report(
 def evaluate(
     ens: GeoEnsemble, posts: Sequence[TokenizedPost], bin_width_km: float = 0.25
 ) -> ErrorReport:
-    """Estimate every post, measure errors against truth, and aggregate."""
+    """Estimate every post, measure errors against truth, and aggregate.
+
+    Every post's truth location is checked before anything is scored;
+    the posts are then estimated a block at a time by ``estimate_all``,
+    which raises EstimationError for a degenerate ensemble."""
     if not posts:
         raise ValidationError("cannot evaluate an empty test set")
-    per_post = []
     for post in posts:
         if post.location is None:
             raise ValidationError(f"test post {post.id!r} has no truth location")
-        per_post.append((post.id, estimation_error_km(post.location, estimate(ens, post))))
+    per_post = [
+        (post.id, estimation_error_km(post.location, est))
+        for post, est in zip(posts, estimate_all(ens, posts))
+    ]
     return error_report(per_post, bin_width_km)
 
 

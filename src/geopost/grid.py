@@ -8,6 +8,7 @@ row 0 at the southern edge and col 0 at the western edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import atan2, cos, floor, radians, sin, sqrt
 
 from .errors import OutOfRegionError, ValidationError
@@ -68,7 +69,7 @@ class GridPartition:
     g: int
 
     def __post_init__(self):
-        if not isinstance(self.g, int) or self.g < 1:
+        if isinstance(self.g, bool) or not isinstance(self.g, int) or self.g < 1:
             raise ValidationError(f"grid dimension must be a positive integer, got {self.g}")
 
     @property
@@ -115,6 +116,18 @@ class GridPartition:
             self.bounds.south + (cell.row + 0.5) * self.dlat,
             self.bounds.west + (cell.col + 0.5) * self.dlon,
         )
+
+    @cached_property
+    def _centers(self) -> dict[int, GeoPoint]:
+        return {}
+
+    def center_at(self, index: int) -> GeoPoint:
+        """``center_of`` the cell at row-major ``index``, built once per
+        partition and only for cells that are asked for."""
+        point = self._centers.get(index)
+        if point is None:
+            point = self._centers[index] = self.center_of(CellId(*divmod(index, self.g)))
+        return point
 
     def ring_neighbors(self, cell: CellId, k: int) -> set[CellId]:
         """All in-grid cells at Chebyshev distance exactly k from ``cell``.

@@ -44,14 +44,16 @@ class SearchSpace:
     alpha_values: tuple[float, ...] = DEFAULT_ALPHA_VALUES
 
     def __post_init__(self):
-        object.__setattr__(self, "g_values", tuple(dict.fromkeys(self.g_values)))
-        object.__setattr__(self, "alpha_values", tuple(dict.fromkeys(self.alpha_values)))
         if not self.g_values or not self.alpha_values:
             raise ValidationError("search space must be non-empty")
-        if any(g < 1 for g in self.g_values):
-            raise ValidationError("grid dimensions must be >= 1")
-        if any(not 0.0 <= a <= 1.0 for a in self.alpha_values):
-            raise ValidationError("alpha values must lie in [0, 1]")
+        # Checked before repeats are dropped: True == 1 would hide behind a 1.
+        for g in self.g_values:
+            if isinstance(g, bool) or not isinstance(g, int) or g < 1:
+                raise ValidationError(f"grid dimensions must be positive integers, got {g!r}")
+        for alpha in self.alpha_values:
+            SmoothingConfig(alpha=alpha)  # raises ValidationError for a bad alpha
+        object.__setattr__(self, "g_values", tuple(dict.fromkeys(self.g_values)))
+        object.__setattr__(self, "alpha_values", tuple(dict.fromkeys(self.alpha_values)))
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,6 @@ def _sweep_alpha_d(
     posteriors = posterior_matrix(ens, [post.tokens for post in holdout])
     rings = smoothing_terms(part, posteriors)
     n, g2 = posteriors.shape
-    centers = [part.center_of(cell) for cell in part.cells()]
     dists = np.full((n, g2), np.nan)  # NaN: not computed yet
     rows = np.arange(n)
     results = {}
@@ -105,7 +106,7 @@ def _sweep_alpha_d(
             winners = np.argmax(blend_smoothed(posteriors, acc, alpha), axis=1)
             for i in rows[np.isnan(dists[rows, winners])].tolist():
                 j = int(winners[i])
-                dists[i, j] = geo_distance_km(holdout[i].location, centers[j])
+                dists[i, j] = geo_distance_km(holdout[i].location, part.center_at(j))
             errors = dists[rows, winners].tolist()
             results[(alpha, d)] = sum(errors) / len(errors)
     return results

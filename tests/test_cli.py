@@ -230,6 +230,7 @@ CORRUPTIONS = {
     "diameter-not-integer": _set_manifest("diameter", 2.5),
     "diameter-bool": _set_manifest("diameter", True),
     "alpha-bool": _set_manifest("alpha", True),
+    "grid-size-bool": _set_manifest("grid_size", True),
 }
 
 

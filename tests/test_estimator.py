@@ -1,12 +1,17 @@
 """Ensemble construction, posteriors, geo-smoothing, and cell selection."""
 
+import logging
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geopost import (
+    BaselineInterpolation,
     CellId,
+    EstimationError,
+    GeoPoint,
     GeoBounds,
     PipelineArtifacts,
     PipelineConfig,
@@ -16,10 +21,13 @@ from geopost import (
     build_ensemble,
     estimate,
     estimate_batch,
+    estimates_csv,
+    evaluate,
     geo_smooth,
     partition,
     posterior_field,
 )
+from geopost import estimator
 from geopost.estimator import (
     PosteriorField,
     _ring_matrices,
@@ -332,6 +340,98 @@ class TestEstimateBatch:
         batch = estimate_batch(ens, posts)
         singles = [estimate(ens, p) for p in posts]
         assert batch == singles
+
+    @pytest.mark.parametrize("baseline", [None, BaselineInterpolation(0.6, 0.4)])
+    @pytest.mark.parametrize("g", range(1, 14))
+    def test_bit_for_bit_with_per_post_estimate(self, g, baseline):
+        ens, posts = _batch_case(g, seed=g)
+        _assert_batch_is_per_post(ens.with_baseline(baseline), posts)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("g", [2, 5, 12])
+    def test_bit_for_bit_at_every_diameter(self, g, alpha):
+        ens, posts = _batch_case(g, seed=50 + g)
+        for d in (1, 2, g - 1, g, g + 3):
+            _assert_batch_is_per_post(ens.with_smoothing(SmoothingConfig(alpha, d)), posts)
+
+    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    def test_bit_for_bit_across_blocks(self, monkeypatch, per_block):
+        g = 4
+        ens, posts = _batch_case(g, seed=9)
+        monkeypatch.setattr(estimator, "_SMOOTH_BLOCK", per_block * (g - 1) * g * g)
+        rows = _spy_on_smoothing_terms(monkeypatch)
+        _assert_batch_is_per_post(ens, posts)
+        # One call per block of the batch, then one per post of ``estimate``.
+        full, rest = divmod(len(posts), per_block)
+        assert rows == [per_block] * full + [rest] * (rest > 0) + [1] * len(posts)
+
+    def test_no_block_exceeds_the_ring_stack_bound(self, monkeypatch):
+        g = 13
+        ens, posts = _batch_case(g, seed=3, n_queries=1200)
+        rows = _spy_on_smoothing_terms(monkeypatch)
+        estimates = estimate_batch(ens, posts)
+        assert len(estimates) == len(posts) and None not in estimates
+        assert sum(rows) == len(posts) and len(rows) > 1
+        assert max(rows) * (g - 1) * g * g <= estimator._SMOOTH_BLOCK
+
+    def test_degenerate_ensemble_fails_every_post(self, monkeypatch, caplog):
+        ens, posts = _batch_case(3, seed=4)
+
+        def degenerate(scores):
+            raise EstimationError("no cell has positive prior mass")
+
+        monkeypatch.setattr(estimator, "_SMOOTH_BLOCK", 4 * 2 * 9)
+        monkeypatch.setattr(estimator, "normalize_log_scores", degenerate)
+        with caplog.at_level(logging.WARNING, logger="geopost.estimator"):
+            assert estimate_batch(ens, posts) == [None] * len(posts)
+        warned = [r.getMessage() for r in caplog.records]
+        assert warned == [
+            f"estimate failed for post {p.id!r}: no cell has positive prior mass" for p in posts
+        ]
+        located = [replace(p, location=GeoPoint(1.0, 1.0)) for p in posts]
+        with pytest.raises(EstimationError):
+            evaluate(ens, located)
+
+
+def _batch_case(g, seed, n_queries=40):
+    """An ensemble at g over a small vocabulary, with some cells left
+    empty (zero prior), and queries that include empty posts, one-token
+    posts and out-of-vocabulary tokens."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(10)]
+    cells = {
+        (r, c): [[rng.choice(vocab) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(0, 3))]
+        for r in range(g)
+        for c in range(g)
+    }
+    cells[(0, 0)] = cells[(0, 0)] or [["w0", "w1"]]
+    ens = _ensemble(cells, g=g, alpha=0.9)
+    words = vocab + ["unseen", "other"]
+    posts = [
+        TokenizedPost(f"q{i}", tuple(rng.choice(words) for _ in range(rng.randint(0, 6))), None)
+        for i in range(n_queries)
+    ]
+    return ens, posts
+
+
+def _assert_batch_is_per_post(ens, posts):
+    batch = estimate_batch(ens, posts)
+    singles = [estimate(ens, p) for p in posts]
+    assert batch == singles
+    assert estimates_csv(posts, batch) == estimates_csv(posts, singles)
+
+
+def _spy_on_smoothing_terms(monkeypatch):
+    """Record the number of rows of every ``smoothing_terms`` call."""
+    rows = []
+    real = estimator.smoothing_terms
+
+    def spy(part, fields):
+        rows.append(1 if fields.ndim == 1 else len(fields))
+        return real(part, fields)
+
+    monkeypatch.setattr(estimator, "smoothing_terms", spy)
+    return rows
 
 
 def _ring_matrix(part, k):

@@ -54,6 +54,11 @@ class TestPartition:
         with pytest.raises(ValidationError):
             partition(GeoBounds(0.0, 0.0, 1.0, 1.0), 0)
 
+    @pytest.mark.parametrize("g", [True, False, 2.0])
+    def test_non_integer_grid_rejected(self, g):
+        with pytest.raises(ValidationError):
+            partition(GeoBounds(0.0, 0.0, 1.0, 1.0), g)
+
 
 class TestCellAssignment:
     def test_southwest_corner_is_origin_cell(self):

@@ -23,8 +23,9 @@ def _load_spans():
 
 
 def _pipeline_run(tmp_path):
-    """Train, save, load, estimate, evaluate and tune, calling every stage
-    through its module attribute so that installed wrappers see it."""
+    """Train, save, load, estimate (a batch pass, then a per-post pass),
+    evaluate and tune, calling every stage through its module attribute
+    so that installed wrappers see it."""
     corpus = tmp_path / "corpus.jsonl"
     assert cli.main(["synth", "--bounds", "40.70,-74.02,40.77,-73.93", "--grid", "2",
                      "--posts-per-cell", "15", "--seed", "3", "--out", str(corpus)]) == 0
@@ -37,6 +38,9 @@ def _pipeline_run(tmp_path):
     queries = [ens.artifacts.preprocess(p) for p in te]
     estimates = estimator.estimate_batch(ens, queries)
     estimator.estimates_csv(queries, estimates)
+    # The benchmark's latency pass: one ``estimate`` per post, which is
+    # where ``estimate`` and the one-post scorer are reached.
+    assert [estimator.estimate(ens, q) for q in queries] == estimates
     evaluation.error_report(
         [(p.id, evaluation.estimation_error_km(p.location, e)) for p, e in zip(queries, estimates)]
     )

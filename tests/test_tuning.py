@@ -48,6 +48,21 @@ class TestSearchSpace:
         with pytest.raises(ValidationError):
             SearchSpace(alpha_values=(1.5,))
 
+    @pytest.mark.parametrize("g_values", [(True,), (1, True), (2, False), (2.0,), ("3",), (-1,)])
+    def test_g_must_be_a_positive_int(self, g_values):
+        with pytest.raises(ValidationError):
+            SearchSpace(g_values=g_values)
+
+    @pytest.mark.parametrize("alpha_values", [(True, 0.5), (1.0, True), (0.5, False), (-0.1,), (1.5,)])
+    def test_alpha_validated_as_smoothing_config_does(self, alpha_values):
+        with pytest.raises(ValidationError, match="alpha must lie in"):
+            SearchSpace(alpha_values=alpha_values)
+
+    def test_bounds_of_the_ranges_accepted(self):
+        space = SearchSpace(g_values=(1,), alpha_values=(0, 0.0, 1, 1.0))
+        assert space.g_values == (1,)
+        assert space.alpha_values == (0, 1)
+
     def test_repeated_values_dropped(self):
         space = SearchSpace(g_values=(2, 3, 2), alpha_values=(0.5, 0.1, 0.5))
         assert space.g_values == (2, 3)
