@@ -132,8 +132,7 @@ def _load_with_overrides(args) -> object:
     diameter = ens.smoothing.diameter if args.diameter is None else args.diameter
     ens = ens.with_smoothing(SmoothingConfig(alpha=alpha, diameter=diameter))
     if getattr(args, "baseline_lambda1", None) is not None:
-        lam1 = args.baseline_lambda1
-        ens = ens.with_baseline(BaselineInterpolation(lam1, 1.0 - lam1))
+        ens = ens.with_baseline(BaselineInterpolation(args.baseline_lambda1))
     return ens
 
 

@@ -286,35 +286,27 @@ def _estimate_block(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Es
     return _pick_cells(part, vecs, scores)
 
 
-def _blocks(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Sequence[TokenizedPost]]:
-    """``posts`` cut into consecutive blocks of at most ``_SMOOTH_BLOCK``
-    ring-stack entries each, and of at least one post."""
+def estimate_all(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Estimate]:
+    """``estimate`` of every post, in order and bit for bit, computed in
+    consecutive blocks of at least one post and at most ``_SMOOTH_BLOCK``
+    ring-stack entries. Raises EstimationError for an ensemble with no
+    prior mass."""
     g = ens.partition.g
     step = max(_SMOOTH_BLOCK // max((g - 1) * g * g, 1), 1)
-    return [posts[lo : lo + step] for lo in range(0, len(posts), step)]
-
-
-def estimate_all(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Estimate]:
-    """``estimate`` of every post, in order and bit for bit, computed a
-    block of posts at a time. Raises EstimationError for an ensemble with
-    no prior mass."""
-    return [est for block in _blocks(ens, posts) for est in _estimate_block(ens, block)]
+    blocks = (posts[lo : lo + step] for lo in range(0, len(posts), step))
+    return [est for block in blocks for est in _estimate_block(ens, block)]
 
 
 def estimate_batch(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Optional[Estimate]]:
-    """``estimate_all`` that does not raise: when a block fails, each of
-    its posts yields None in its slot (logged) and the other blocks go on.
-    Log-likelihoods are floored, so only an ensemble with no prior mass
-    fails, and then every block does."""
-    out: list[Optional[Estimate]] = []
-    for block in _blocks(ens, posts):
-        try:
-            out += _estimate_block(ens, block)
-        except EstimationError as exc:
-            for post in block:
-                logger.warning("estimate failed for post %r: %s", post.id, exc)
-            out += [None] * len(block)
-    return out
+    """``estimate_all`` that does not raise. Log-likelihoods are floored,
+    so only an ensemble with no prior mass fails, and then it fails every
+    post: each yields None in its slot, with one warning per post."""
+    try:
+        return estimate_all(ens, posts)
+    except EstimationError as exc:
+        for post in posts:
+            logger.warning("estimate failed for post %r: %s", post.id, exc)
+        return [None] * len(posts)
 
 
 ESTIMATES_CSV_FIELDS = (

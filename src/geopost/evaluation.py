@@ -23,24 +23,20 @@ from .pipeline import RawPost, TokenizedPost
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/holdout/test fractions plus the shuffle seed."""
+    """Train and holdout fractions plus the shuffle seed; the test split
+    is whatever remains."""
 
     train_frac: float = 0.70
     holdout_frac: float = 0.15
-    test_frac: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
-        for name, frac in (
-            ("train_frac", self.train_frac),
-            ("holdout_frac", self.holdout_frac),
-            ("test_frac", self.test_frac),
-        ):
+        for name, frac in (("train_frac", self.train_frac), ("holdout_frac", self.holdout_frac)):
             if frac < 0:
                 raise ValidationError(f"{name} must be >= 0, got {frac}")
-        total = self.train_frac + self.holdout_frac + self.test_frac
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"split fractions must sum to 1, got {total}")
+        total = self.train_frac + self.holdout_frac
+        if total > 1.0:
+            raise ValidationError(f"train and holdout fractions must sum to at most 1, got {total}")
 
 
 @dataclass(frozen=True)

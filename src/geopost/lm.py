@@ -90,16 +90,18 @@ class Discounts:
 
 @dataclass(frozen=True)
 class BaselineInterpolation:
-    """Weights for the plain bigram/unigram interpolation baseline."""
+    """Weights for the plain bigram/unigram interpolation baseline: the
+    bigram weight ``lambda1`` and the unigram weight 1 - ``lambda1``."""
 
     lambda1: float
-    lambda2: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda1 <= 1.0 or not 0.0 <= self.lambda2 <= 1.0:
-            raise ValidationError("interpolation weights must lie in [0, 1]")
-        if abs(self.lambda1 + self.lambda2 - 1.0) > 1e-9:
-            raise ValidationError("interpolation weights must sum to 1")
+        if not 0.0 <= self.lambda1 <= 1.0:
+            raise ValidationError("interpolation weight lambda1 must lie in [0, 1]")
+
+    @property
+    def lambda2(self) -> float:
+        return 1.0 - self.lambda1
 
 
 def compute_discounts(n1: int, n2: int, n3: int, n4: int) -> Discounts:

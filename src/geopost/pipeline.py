@@ -2,9 +2,10 @@
 
 Raw post text goes through three stages before it ever reaches a language
 model: (1) cleanup and tokenization, (2) removal of the corpus-induced
-stopword list, (3) folding of words seen only once in training (and, at
-query time, words missing from the trained vocabulary) into the single
-catch-all token ``<misc>``.
+stopword set, (3) folding of every word outside the trained vocabulary
+into the single catch-all token ``<misc>``. A training hapax (a word seen
+once) is never in the vocabulary, so the vocabulary alone decides which
+words fold, in training and at query time alike.
 
 Cleanup keeps a lowercased ASCII token that is already alphanumeric as
 it is; every other token is filtered character by character (see
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -53,17 +53,16 @@ class TokenizedPost:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Stopword settings. ``stopwords`` is ordered most-frequent-first as
-    induced; non-ASCII tokens are always dropped (the non-English proxy)."""
+    """Stopword settings: the requested count and the induced stopword set,
+    which keeps no frequency order. Non-ASCII tokens are always dropped
+    (the non-English proxy)."""
 
     stopword_count: int = 200
-    stopwords: tuple[str, ...] = ()
+    stopwords: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.stopword_count < 0:
             raise ValidationError(f"stopword count must be >= 0, got {self.stopword_count}")
-        if len(set(self.stopwords)) != len(self.stopwords):
-            raise ValidationError("stopword list contains duplicates")
         for w in self.stopwords:
             if w != w.lower():
                 raise ValidationError(f"stopword not lowercase: {w!r}")
@@ -72,19 +71,13 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class PipelineArtifacts:
     """Everything induced from the training split that query-time
-    preprocessing needs: config, hapax surface forms, global vocabulary."""
+    preprocessing needs: the stopword config and the global vocabulary."""
 
     config: PipelineConfig
-    hapax: frozenset[str]
     vocab: frozenset[str]
 
     def preprocess(self, raw: RawPost) -> TokenizedPost:
-        return preprocess(raw, self.config, self.hapax, self.vocab)
-
-
-@lru_cache(maxsize=32)
-def _stopword_set(stopwords: tuple[str, ...]) -> frozenset[str]:
-    return frozenset(stopwords)
+        return preprocess(raw, self.config, self.vocab)
 
 
 def clean_and_tokenize(raw: RawPost) -> list[str]:
@@ -140,16 +133,16 @@ def _top_k(counts: Counter[str], k: int) -> list[str]:
 
 
 def remove_stopwords(tokens: Sequence[str], cfg: PipelineConfig) -> list[str]:
-    stop = _stopword_set(cfg.stopwords)
-    return [t for t in tokens if t not in stop]
+    return [t for t in tokens if t not in cfg.stopwords]
 
 
 def fold_hapax(corpus: Sequence[TokenizedPost]) -> tuple[list[TokenizedPost], frozenset[str]]:
     """Replace every token whose total corpus count is 1 with ``<misc>``.
 
-    Returns the folded corpus and the set of folded surface forms, which
-    is persisted so query-time unknown words fold the same way. Expects
-    stopwords to have been removed already.
+    Returns the folded corpus and the set of folded surface forms. None
+    of them but ``<misc>`` is left in the corpus, so the vocabulary alone
+    folds them at query time. Expects stopwords to have been removed
+    already.
     """
     counts: Counter[str] = Counter()
     for post in corpus:
@@ -168,23 +161,14 @@ def fold_hapax(corpus: Sequence[TokenizedPost]) -> tuple[list[TokenizedPost], fr
     return folded, hapax
 
 
-def preprocess(
-    raw: RawPost,
-    cfg: PipelineConfig,
-    hapax: frozenset[str] = frozenset(),
-    vocab: Optional[frozenset[str]] = None,
-) -> TokenizedPost:
+def preprocess(raw: RawPost, cfg: PipelineConfig, vocab: frozenset[str]) -> TokenizedPost:
     """Full single-post pipeline: clean, drop stopwords, fold rare/unknown.
 
-    A token folds to ``<misc>`` if it was a training hapax or, when a
-    trained vocabulary is supplied (query time), if it is absent from that
-    vocabulary. A post whose tokens all vanish is kept with an empty
-    sequence.
+    A token folds to ``<misc>`` when the trained vocabulary lacks it, as
+    it lacks every training hapax; ``<misc>`` folds to itself. A post
+    whose tokens all vanish is kept with an empty sequence.
     """
-    folded = [
-        MISC if t in hapax or (vocab is not None and t not in vocab) else t
-        for t in remove_stopwords(clean_and_tokenize(raw), cfg)
-    ]
+    folded = [t if t in vocab else MISC for t in remove_stopwords(clean_and_tokenize(raw), cfg)]
     return TokenizedPost(id=raw.id, tokens=tuple(folded), location=raw.location)
 
 
@@ -193,7 +177,7 @@ def build_training_corpus(
 ) -> tuple[list[TokenizedPost], PipelineArtifacts]:
     """Run the training-side pipeline over a corpus.
 
-    Cleans every post, induces the stopword list from the cleaned corpus,
+    Cleans every post, induces the stopword set from the cleaned corpus,
     removes stopwords, folds hapax tokens, and collects the resulting
     global vocabulary. Returns the folded posts plus the artifacts needed
     to preprocess queries identically.
@@ -207,9 +191,8 @@ def build_training_corpus(
     """
     cleaned = [clean_and_tokenize(p) for p in posts]
     counts = Counter(chain.from_iterable(cleaned))
-    stopwords = _top_k(counts, stopword_count)
-    cfg = PipelineConfig(stopword_count=stopword_count, stopwords=tuple(stopwords))
-    stop = _stopword_set(cfg.stopwords)
+    stop = frozenset(_top_k(counts, stopword_count))
+    cfg = PipelineConfig(stopword_count=stopword_count, stopwords=stop)
     hapax = frozenset(t for t, n in counts.items() if n == 1 and t not in stop)
     folded = [
         TokenizedPost(
@@ -222,4 +205,4 @@ def build_training_corpus(
     vocab = frozenset(t for t, n in counts.items() if n > 1 and t not in stop)
     if hapax:
         vocab |= {MISC}
-    return folded, PipelineArtifacts(config=cfg, hapax=hapax, vocab=vocab)
+    return folded, PipelineArtifacts(config=cfg, vocab=vocab)

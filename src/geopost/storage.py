@@ -1,11 +1,10 @@
 """Versioned on-disk model directory.
 
-Layout (format version 2), exactly seven files:
+Layout (format version 3), exactly six files:
 
     manifest.json    format/version, bounds, g, alpha, d, K,
                      creation metadata, training-set size
     stopwords.txt    one token per line, sorted
-    hapax.txt        one token per line, sorted
     vocab.txt        one token per line, sorted
     cells.tsv        line i is row-major cell i:
                      post_count n1 n2 n3 n4 d1 d2 d3
@@ -18,13 +17,15 @@ saving writes them straight from the arrays and loading parses them
 straight back. Count tables are plain text for diffability. Discounts,
 back-off weights and priors are recomputed from the integer counts on
 load, so a load/save round trip reproduces the in-memory model exactly.
+The vocabulary alone decides query-time folding: a word outside it,
+a training hapax included, folds to ``<misc>``.
 Any malformed field, count below 1, cell index outside the grid, row
 that repeats or is out of order, token missing from vocab.txt (or
 vocab.txt token never counted), token other than ``<misc>`` listed in
-more than one of stopwords.txt, hapax.txt and vocab.txt, cells.tsv line
-count other than g**2, or stored n1..n4/d1..d3 that differ from the
-values recomputed from the bigram counts is a ``DataError``. So is a
-model of another format version; there is no reader for older layouts.
+both stopwords.txt and vocab.txt, cells.tsv line count other than g**2,
+or stored n1..n4/d1..d3 that differ from the values recomputed from the
+bigram counts is a ``DataError``. So is a model of another format
+version; there is no reader for older layouts.
 
 Saving writes into a fresh sibling directory and renames it into place,
 so a reader sees the old model, the new one or (for the moment between
@@ -39,7 +40,7 @@ import shutil
 import uuid
 from datetime import datetime, timezone
 from functools import partial
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -52,11 +53,10 @@ from .grid import GeoBounds, GridPartition
 from .lm import compile_tables
 from .pipeline import MISC, PipelineArtifacts, PipelineConfig
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _MANIFEST = "manifest.json"
 _STOPWORDS = "stopwords.txt"
-_HAPAX = "hapax.txt"
 _VOCAB = "vocab.txt"
 _CELLS = "cells.tsv"
 _UNIGRAMS = "unigrams.tsv"
@@ -209,7 +209,6 @@ def _write_files(ens: GeoEnsemble, out: Path, vocab: list[str], seed: Optional[i
         f.write("\n")
 
     _write_lines(out / _STOPWORDS, sorted(ens.artifacts.config.stopwords))
-    _write_lines(out / _HAPAX, sorted(ens.artifacts.hapax))
     _write_lines(out / _VOCAB, vocab)
     discounts = np.array([_discount_fields(d) for d in tables.discounts], dtype=object)
     _write_table(out / _CELLS, tables.post_counts, *discounts.T)
@@ -250,30 +249,19 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
         total_posts = manifest["training_posts"]
         config = PipelineConfig(
             stopword_count=manifest["stopword_count"],
-            stopwords=tuple(_read_lines(root / _STOPWORDS)),
+            stopwords=frozenset(_read_lines(root / _STOPWORDS)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {_MANIFEST} in {root}: missing or bad field {exc}") from None
     if not isinstance(total_posts, int) or total_posts < 1:
         raise DataError(f"{_MANIFEST} training_posts must be a positive integer")
 
-    artifacts = PipelineArtifacts(
-        config=config,
-        hapax=frozenset(_read_lines(root / _HAPAX)),
-        vocab=frozenset(_read_lines(root / _VOCAB)),
-    )
-    # Training puts each token in at most one of the three lists; only the
-    # fold target <misc> may also be a stopword or a hapax (a literal
-    # <misc> in the corpus) and still be in the vocabulary.
-    lists = (
-        (frozenset(config.stopwords), _STOPWORDS),
-        (artifacts.hapax, _HAPAX),
-        (artifacts.vocab, _VOCAB),
-    )
-    for (a, a_name), (b, b_name) in combinations(lists, 2):
-        shared = a & b - {MISC}
-        if shared:
-            raise DataError(f"{min(shared)!r} is listed in both {a_name} and {b_name}")
+    artifacts = PipelineArtifacts(config=config, vocab=frozenset(_read_lines(root / _VOCAB)))
+    # Training never keeps a stopword in the vocabulary, except the fold
+    # target <misc> (a literal <misc> in the corpus can be a stopword).
+    shared = config.stopwords & artifacts.vocab - {MISC}
+    if shared:
+        raise DataError(f"{min(shared)!r} is listed in both {_STOPWORDS} and {_VOCAB}")
     index = {t: i for i, t in enumerate(sorted(artifacts.vocab))}
     n_cells = part.g * part.g
 

@@ -146,13 +146,7 @@ def select_best(surface: dict[tuple[int, float, int], float]) -> tuple[int, floa
     """Argmin over the surface; ties go to the smaller g, then alpha, then d."""
     if not surface:
         raise ValidationError("empty tuning surface")
-    best = None
-    best_err = None
-    for key in sorted(surface):
-        if best_err is None or surface[key] < best_err:
-            best = key
-            best_err = surface[key]
-    return best
+    return min(sorted(surface), key=surface.__getitem__)
 
 
 def write_surface_csv(result: TuneResult, path) -> None:

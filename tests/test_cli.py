@@ -15,7 +15,7 @@ from geopost import cli
 from geopost.cli import main
 
 BOUNDS_FLAG = "40.70,-74.02,40.77,-73.93"
-MODEL_FILES = sorted(["manifest.json", "stopwords.txt", "hapax.txt", "vocab.txt",
+MODEL_FILES = sorted(["manifest.json", "stopwords.txt", "vocab.txt",
                       "cells.tsv", "unigrams.tsv", "bigrams.tsv"])
 
 
@@ -340,15 +340,22 @@ class TestEstimate:
         assert out.read_text() == "post_id,est_lat,est_lon,cell_row,cell_col,posterior,smoothed_score\n"
 
     def test_version_mismatch_refused(self, tmp_path, capsys):
+        # Any other version is refused, format 2 (which also held
+        # hapax.txt) included: such a model must be retrained.
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)
+        (model / "hapax.txt").write_text("")
         manifest = json.loads((model / "manifest.json").read_text())
-        manifest["format_version"] = 99
-        (model / "manifest.json").write_text(json.dumps(manifest))
-        code = main(["estimate", "--model", str(model), "--corpus", str(corpus),
-                     "--out", str(tmp_path / "est.csv")])
-        assert code == 2
-        assert "format version" in capsys.readouterr().err
+        for version in (99, 2):
+            manifest["format_version"] = version
+            (model / "manifest.json").write_text(json.dumps(manifest))
+            capsys.readouterr()
+            code = main(["estimate", "--model", str(model), "--corpus", str(corpus),
+                         "--out", str(tmp_path / "est.csv")])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(f"error: unsupported model format version {version}")
+            assert "Traceback" not in err
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         corpus = _synth(tmp_path)

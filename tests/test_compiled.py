@@ -53,7 +53,7 @@ def _ensemble(g, cell_posts, alpha=0.9, baseline=None):
             posts.append(post)
             by_cell[cell].append(post)
     vocab = frozenset(t for post in posts for t in post.tokens)
-    artifacts = PipelineArtifacts(PipelineConfig(stopword_count=0), frozenset(), vocab)
+    artifacts = PipelineArtifacts(PipelineConfig(stopword_count=0), vocab)
     ens = build_ensemble(posts, part, SmoothingConfig(alpha=alpha), artifacts, baseline)
     return ens, by_cell
 
@@ -81,7 +81,7 @@ def ensembles(draw):
     )
     baseline = draw(st.sampled_from((None, 0.0, 0.3, 1.0)))
     if baseline is not None:
-        baseline = BaselineInterpolation(baseline, 1.0 - baseline)
+        baseline = BaselineInterpolation(baseline)
     alpha = draw(st.sampled_from((0.0, 0.5, 0.9)))
     return _ensemble(g, cell_posts, alpha, baseline)
 
@@ -138,7 +138,7 @@ def test_edge_cases_equal_reference_bit_for_bit():
         (cells[3], [["a", "e"], ["a", "e"]]),
     ]
     queries = [[], ["a"], [UNSEEN], ["b", "a"], ["c", "d"], ["a", UNSEEN, "b"], ["e", "a", "e"]]
-    for baseline in (None, BaselineInterpolation(0.6, 0.4)):
+    for baseline in (None, BaselineInterpolation(0.6)):
         ens, by_cell = _ensemble(3, cell_posts, baseline=baseline)
         assert ens.priors[cells[8]] == 0.0
         for tokens in queries:
@@ -160,7 +160,7 @@ def test_planted_corpus_equals_reference_bit_for_bit():
         by_cell[part.cell_of(post.location)].append(post)
     queries = [arts.preprocess(p).tokens for p in te]
     queries = [q + q[::-1] for q in queries]
-    for baseline in (None, BaselineInterpolation(0.7, 0.3)):
+    for baseline in (None, BaselineInterpolation(0.7)):
         scored = ens.with_baseline(baseline)
         for tokens in queries:
             assert cell_log_scores(scored, tokens).tolist() == _reference_scores(
@@ -206,7 +206,7 @@ def test_posterior_matrix_edge_cases_across_blocks():
     batch = posts * 700
     n_pairs = sum(max(len(tokens) - 1, 0) for tokens in batch)
     assert n_pairs * len(cells) > 2 * lm._BLOCK
-    for baseline in (None, BaselineInterpolation(0.6, 0.4)):
+    for baseline in (None, BaselineInterpolation(0.6)):
         ens, _ = _ensemble(3, cell_posts, baseline=baseline)
         assert ens.priors[cells[8]] == 0.0
         _assert_rows_equal_posterior_vector(ens, batch)

@@ -43,11 +43,7 @@ BOUNDS = GeoBounds(0.0, 0.0, 4.0, 4.0)
 
 
 def _artifacts(vocab):
-    return PipelineArtifacts(
-        config=PipelineConfig(stopword_count=0, stopwords=()),
-        hapax=frozenset(),
-        vocab=frozenset(vocab),
-    )
+    return PipelineArtifacts(config=PipelineConfig(stopword_count=0), vocab=frozenset(vocab))
 
 
 def _ensemble(cell_token_lists, g=2, alpha=0.0, diameter=None, bounds=BOUNDS):
@@ -168,7 +164,7 @@ class TestPosteriorField:
         ens = _ensemble(
             {(0, 0): [["a", "b"], ["a", "c"]] * 2, (1, 1): [["a", "b"], ["b", "b"]] * 2}
         )
-        with_baseline = ens.with_baseline(BaselineInterpolation(0.5, 0.5))
+        with_baseline = ens.with_baseline(BaselineInterpolation(0.5))
         mkn = posterior_field(ens, _query(["a", "b"]))
         base = posterior_field(with_baseline, _query(["a", "b"]))
         assert sum(base.values.values()) == pytest.approx(1.0, abs=1e-9)
@@ -341,7 +337,7 @@ class TestEstimateBatch:
         singles = [estimate(ens, p) for p in posts]
         assert batch == singles
 
-    @pytest.mark.parametrize("baseline", [None, BaselineInterpolation(0.6, 0.4)])
+    @pytest.mark.parametrize("baseline", [None, BaselineInterpolation(0.6)])
     @pytest.mark.parametrize("g", range(1, 14))
     def test_bit_for_bit_with_per_post_estimate(self, g, baseline):
         ens, posts = _batch_case(g, seed=g)

@@ -58,7 +58,6 @@ class TestSplit:
             spec = SplitSpec(
                 train_frac=fracs[0],
                 holdout_frac=fracs[1] - fracs[0],
-                test_frac=1.0 - fracs[1],
                 seed=rng.randint(0, 10_000),
             )
             corpus = _corpus(n)
@@ -69,9 +68,11 @@ class TestSplit:
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValidationError):
-            SplitSpec(train_frac=0.9, holdout_frac=0.3, test_frac=0.1)
+            SplitSpec(train_frac=0.9, holdout_frac=0.3)
         with pytest.raises(ValidationError):
-            SplitSpec(train_frac=-0.2, holdout_frac=0.6, test_frac=0.6)
+            SplitSpec(train_frac=-0.2, holdout_frac=0.6)
+        with pytest.raises(ValidationError):
+            SplitSpec(train_frac=0.5, holdout_frac=-0.1)
 
 
 class TestErrorReport:

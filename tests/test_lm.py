@@ -172,29 +172,35 @@ class TestBigramProb:
 class TestBaseline:
     def test_pure_mle_at_lambda1_one(self):
         m = _model([["a", "b"], ["a", "c"]])
-        interp = BaselineInterpolation(1.0, 0.0)
+        interp = BaselineInterpolation(1.0)
         assert m.baseline_bigram_prob("a", "b", interp) == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_unigram_at_lambda1_zero(self):
         m = _model([["a", "b"], ["a", "c"]])
-        interp = BaselineInterpolation(0.0, 1.0)
+        interp = BaselineInterpolation(0.0)
         assert m.baseline_bigram_prob("a", "b", interp) == pytest.approx(0.25, abs=1e-12)
 
     def test_even_interpolation(self):
         m = _model([["a", "b"], ["a", "c"]])
-        interp = BaselineInterpolation(0.5, 0.5)
+        interp = BaselineInterpolation(0.5)
         assert m.baseline_bigram_prob("a", "b", interp) == pytest.approx(0.375, abs=1e-12)
 
     def test_unseen_context_uses_unigram_alone(self):
         m = _model([["a", "b"], ["a", "c"]])
-        interp = BaselineInterpolation(0.7, 0.3)
+        interp = BaselineInterpolation(0.7)
         assert m.baseline_bigram_prob("z", "a", interp) == pytest.approx(0.5, abs=1e-12)
 
     def test_weights_validated(self):
         with pytest.raises(ValidationError):
-            BaselineInterpolation(0.7, 0.7)
+            BaselineInterpolation(1.1)
         with pytest.raises(ValidationError):
-            BaselineInterpolation(-0.1, 1.1)
+            BaselineInterpolation(-0.1)
+
+    def test_unigram_weight_is_the_complement(self):
+        # The CLI's --baseline-lambda1 passed 1.0 - lambda1 explicitly;
+        # the derived weight keeps those bits.
+        for lam1 in (0.0, 0.3, 0.6, 0.7, 1.0):
+            assert BaselineInterpolation(lam1).lambda2 == 1.0 - lam1
 
 
 class TestSequenceLogProb:
@@ -225,7 +231,7 @@ class TestSequenceLogProb:
 
     def test_baseline_scoring_composes_from_baseline_pairs(self):
         m = _model([["a", "b", "c"], ["a", "b"]])
-        interp = BaselineInterpolation(0.6, 0.4)
+        interp = BaselineInterpolation(0.6)
         want = log(m.baseline_bigram_prob("a", "b", interp)) + log(
             m.baseline_bigram_prob("b", "c", interp)
         )
@@ -239,7 +245,7 @@ class TestEvidenceMonotonicity:
         # The un-smoothed estimate (baseline with lambda1 = 1) can only
         # grow when (v, w) is observed once more: (c+1)/(cv+1) >= c/cv.
         rng = random.Random(15)
-        interp = BaselineInterpolation(1.0, 0.0)
+        interp = BaselineInterpolation(1.0)
         for _ in range(100):
             corpus = random_token_corpus(rng)
             m = _model(corpus)

@@ -111,32 +111,30 @@ class TestFoldHapax:
 
 class TestPreprocess:
     def test_stopword_removal(self):
-        cfg = PipelineConfig(stopword_count=1, stopwords=("the",))
-        post = preprocess(RawPost("1", "the storm here"), cfg, frozenset(), frozenset({"storm", "here"}))
+        cfg = PipelineConfig(stopword_count=1, stopwords=frozenset({"the"}))
+        post = preprocess(RawPost("1", "the storm here"), cfg, frozenset({"storm", "here"}))
         assert list(post.tokens) == ["storm", "here"]
 
     def test_all_stopwords_yields_empty_post(self):
-        cfg = PipelineConfig(stopword_count=2, stopwords=("the", "a"))
+        cfg = PipelineConfig(stopword_count=2, stopwords=frozenset({"the", "a"}))
         post = preprocess(RawPost("1", "the a THE"), cfg, frozenset())
         assert post.tokens == ()
 
     def test_unknown_word_folds_to_misc(self):
-        cfg = PipelineConfig(stopword_count=0, stopwords=())
-        post = preprocess(RawPost("1", "qqqq storm"), cfg, frozenset(), frozenset({"storm", MISC}))
+        cfg = PipelineConfig(stopword_count=0)
+        post = preprocess(RawPost("1", "qqqq storm"), cfg, frozenset({"storm", MISC}))
         assert list(post.tokens) == [MISC, "storm"]
 
-    def test_hapax_folds_without_vocab(self):
-        cfg = PipelineConfig(stopword_count=0, stopwords=())
-        post = preprocess(RawPost("1", "rare storm"), cfg, frozenset({"rare"}))
-        assert list(post.tokens) == [MISC, "storm"]
+    def test_training_hapax_folds(self):
+        # The vocabulary leaves the hapax out, so it folds at query time.
+        _, artifacts = build_training_corpus([RawPost("0", "rare storm"), RawPost("1", "storm")], 0)
+        assert artifacts.preprocess(RawPost("q", "rare storm")).tokens == (MISC, "storm")
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             PipelineConfig(stopword_count=-1)
         with pytest.raises(ValidationError):
-            PipelineConfig(stopwords=("a", "a"))
-        with pytest.raises(ValidationError):
-            PipelineConfig(stopwords=("Upper",))
+            PipelineConfig(stopwords=frozenset({"Upper"}))
 
 
 def _random_text(rng: random.Random) -> str:
@@ -190,7 +188,6 @@ class TestPipelineProperties:
         tokenized, artifacts = build_training_corpus(raws, stopword_count=3)
         seen = {t for p in tokenized for t in p.tokens}
         assert seen == set(artifacts.vocab)
-        assert artifacts.hapax.isdisjoint(artifacts.vocab - {MISC})
 
 
 def reference_clean(text):
@@ -241,16 +238,17 @@ class TestCleanMatchesReference:
 
 
 def reference_build(posts, k):
-    """The training pipeline as its separate steps."""
+    """The training pipeline as its separate steps: the folded posts, the
+    artifacts, and the hapax set that ``fold_hapax`` folded."""
     cleaned = [clean_and_tokenize(p) for p in posts]
-    cfg = PipelineConfig(stopword_count=k, stopwords=tuple(induce_stopwords(cleaned, k)))
+    cfg = PipelineConfig(stopword_count=k, stopwords=frozenset(induce_stopwords(cleaned, k)))
     stripped = [
         TokenizedPost(id=p.id, tokens=tuple(remove_stopwords(toks, cfg)), location=p.location)
         for p, toks in zip(posts, cleaned)
     ]
     folded, hapax = fold_hapax(stripped)
     vocab = frozenset(t for post in folded for t in post.tokens)
-    return folded, PipelineArtifacts(config=cfg, hapax=hapax, vocab=vocab)
+    return folded, PipelineArtifacts(config=cfg, vocab=vocab), hapax
 
 
 WORDS = ["a", "b", "c", "the", "Storm", "storm!", MISC, "<MISC>", "x1", "café", "@at", ""]
@@ -263,17 +261,37 @@ corpora = st.lists(
 ).map(lambda rows: [RawPost(str(i), text, loc) for i, (text, loc) in enumerate(rows)])
 
 
+def over_corpora(test):
+    """Run ``test(self, posts, k)`` over generated corpora and the cases below."""
+    cases = [
+        ([RawPost("0", "a b c"), RawPost("1", "d e")], 0),  # all hapax, no stopwords
+        ([RawPost("0", "a b c"), RawPost("1", "d e")], 2),  # stopwords that occur once
+        ([RawPost("0", "a a b"), RawPost("1", "b c")], 100),  # k beyond the vocabulary
+        ([RawPost("0", f"{MISC} a a"), RawPost("1", "b")], 1),  # literal <misc> counted once
+        ([RawPost("0", f"{MISC} {MISC} b b"), RawPost("1", "")], 0),  # literal <misc>, no hapax
+        ([], 3),
+    ]
+    for posts, k in cases:
+        test = example(posts, k)(test)
+    return settings(max_examples=300, deadline=None)(given(corpora, st.integers(0, 12))(test))
+
+
 class TestBuildMatchesReference:
-    @settings(max_examples=300, deadline=None)
-    @given(corpora, st.integers(0, 12))
-    @example([RawPost("0", "a b c"), RawPost("1", "d e")], 0)  # all hapax, no stopwords
-    @example([RawPost("0", "a b c"), RawPost("1", "d e")], 2)  # stopwords that occur once
-    @example([RawPost("0", "a a b"), RawPost("1", "b c")], 100)  # k beyond the vocabulary
-    @example([RawPost("0", f"{MISC} a a"), RawPost("1", "b")], 1)  # literal <misc> counted once
-    @example([RawPost("0", f"{MISC} {MISC} b b"), RawPost("1", "")], 0)  # literal <misc>, no hapax
-    @example([], 3)
+    @over_corpora
     def test_equals_step_by_step_pipeline(self, posts, k):
-        assert build_training_corpus(posts, k) == reference_build(posts, k)
+        assert build_training_corpus(posts, k) == reference_build(posts, k)[:2]
+
+    @over_corpora
+    def test_query_folding_equals_step_by_step_rule(self, posts, k):
+        # Folding by the vocabulary alone equals folding a training hapax
+        # or a word the vocabulary lacks, on training posts and on a query
+        # holding every word the corpora draw from.
+        _, artifacts = build_training_corpus(posts, k)
+        _, ref, hapax = reference_build(posts, k)
+        for raw in [*posts, RawPost("q", " ".join(WORDS))]:
+            kept = remove_stopwords(clean_and_tokenize(raw), ref.config)
+            want = tuple(MISC if t in hapax or t not in ref.vocab else t for t in kept)
+            assert artifacts.preprocess(raw) == TokenizedPost(raw.id, want, raw.location)
 
     def test_negative_k_raises(self):
         with pytest.raises(ValidationError):

@@ -30,7 +30,7 @@ from geopost import (
 from geopost import storage
 
 BOUNDS = GeoBounds(40.70, -74.02, 40.77, -73.93)
-MODEL_FILES = sorted(["manifest.json", "stopwords.txt", "hapax.txt", "vocab.txt",
+MODEL_FILES = sorted(["manifest.json", "stopwords.txt", "vocab.txt",
                       "cells.tsv", "unigrams.tsv", "bigrams.tsv"])
 HAPAX = "rareword"
 
@@ -40,10 +40,10 @@ def trained():
     spec = SyntheticSpec(g=2, vocab_per_cell=8, posts_per_cell=25, leakage=0.2, seed=31)
     raw = generate_synthetic(spec, BOUNDS)
     tr, ho, te = split(raw, SplitSpec(seed=1))
-    # One token seen once, so the model has a hapax and a <misc> entry.
+    # One token seen once, so it folds and the model has a <misc> entry.
     tr.append(RawPost("h", f"c0x0w1 {HAPAX} c0x0w2", GeoPoint(40.71, -74.01)))
     tok, arts = build_training_corpus(tr, stopword_count=3)
-    assert arts.hapax == {HAPAX}
+    assert HAPAX not in arts.vocab and "<misc>" in arts.vocab
     ens = build_ensemble(
         tok, partition(BOUNDS, 2), SmoothingConfig(alpha=0.9, diameter=2), arts
     )
@@ -86,9 +86,7 @@ class TestRoundTrip:
         assert loaded.smoothing == ens.smoothing
         assert loaded.total_posts == ens.total_posts
         assert loaded.priors == ens.priors
-        assert loaded.artifacts.hapax == ens.artifacts.hapax
-        assert loaded.artifacts.vocab == ens.artifacts.vocab
-        assert set(loaded.artifacts.config.stopwords) == set(ens.artifacts.config.stopwords)
+        assert loaded.artifacts == ens.artifacts
         _assert_tables_equal(loaded.tables, ens.tables)
         for cell in ens.partition.cells():
             a, b = ens.models[cell], loaded.models[cell]
@@ -132,12 +130,19 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_version_mismatch_refused(self, model):
-        # A directory in the per-cell layout of format 1 must be retrained.
+        # A directory in the per-cell layout of format 1, or in format 2
+        # (which also listed the training hapax in hapax.txt), must be
+        # retrained.
         manifest_path = model / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="format version 1"):
+            load_model(model)
+        (model / "hapax.txt").write_text(f"{HAPAX}\n")
+        manifest["format_version"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="format version 2 .*reads 3"):
             load_model(model)
 
     @pytest.mark.parametrize(
@@ -223,39 +228,35 @@ class TestValidation:
     def test_vocab_token_never_counted(self, model):
         # The hapax moved into the vocabulary would be scored as a word the
         # model has never seen instead of being folded into <misc>.
-        (model / "hapax.txt").write_text("")
         _edit_lines(model / "vocab.txt", lambda lines: sorted([*lines, HAPAX]))
         with pytest.raises(DataError, match="vocab.txt lists tokens that unigrams.tsv never"):
             load_model(model)
 
     @pytest.mark.parametrize(
         "source, target",
-        [
-            ("vocab.txt", "stopwords.txt"),
-            ("vocab.txt", "hapax.txt"),
-            ("stopwords.txt", "hapax.txt"),
-        ],
+        [("vocab.txt", "stopwords.txt")],
     )
     def test_token_listed_twice(self, model, source, target):
         # A vocabulary token in stopwords.txt would be dropped from every
-        # query, and in hapax.txt folded into <misc>.
+        # query.
         token = next(t for t in (model / source).read_text().split() if t != "<misc>")
         _edit_lines(model / target, lambda lines: sorted([*lines, token]))
         with pytest.raises(DataError, match=f"{token!r} is listed in both"):
             load_model(model)
 
     def test_literal_misc_in_corpus_round_trips(self, tmp_path):
-        # A literal <misc> seen once is a hapax, and folding keeps <misc> in
-        # the vocabulary too: that overlap is the one training produces.
+        # A literal <misc> seen once is a hapax, folds to itself, and stays
+        # in the vocabulary as the fold target.
         spec = SyntheticSpec(g=2, vocab_per_cell=8, posts_per_cell=25, seed=31)
         tr, _, te = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
         tr.append(RawPost("m", "c0x0w1 <misc> c0x0w2", GeoPoint(40.71, -74.01)))
         tok, arts = build_training_corpus(tr, stopword_count=3)
-        assert "<misc>" in arts.hapax & arts.vocab
+        assert "<misc>" in arts.vocab
+        assert "<misc>" in next(p for p in tok if p.id == "m").tokens
         ens = build_ensemble(tok, partition(BOUNDS, 2), SmoothingConfig(), arts)
         save_model(ens, tmp_path / "model")
         loaded = load_model(tmp_path / "model")
-        assert (loaded.artifacts.hapax, loaded.artifacts.vocab) == (arts.hapax, arts.vocab)
+        assert loaded.artifacts == arts
         queries = [arts.preprocess(p) for p in te]
         assert estimates_csv(queries, estimate_batch(loaded, queries)) == estimates_csv(
             queries, estimate_batch(ens, queries)
