@@ -1,31 +1,42 @@
 """Versioned on-disk model directory.
 
-Layout (format version 3), exactly six files:
+Layout (format version 4), exactly two files:
 
-    manifest.json    format/version, bounds, g, alpha, d, K,
+    manifest.json    format version, bounds, g, alpha, d, stopword count,
                      creation metadata, training-set size
-    stopwords.txt    one token per line, sorted
-    vocab.txt        one token per line, sorted
-    cells.tsv        line i is row-major cell i:
-                     post_count n1 n2 n3 n4 d1 d2 d3
-    unigrams.tsv     token <TAB> cell <TAB> count, by token, then cell
-    bigrams.tsv      v <TAB> w <TAB> cell <TAB> count, by (v, w), then cell
+    tables.npz       the count tables, an uncompressed ``np.savez`` archive
 
-``cell`` is the row-major cell index. The three tables are the rows of
-the ensemble's compiled tables in the order those tables keep them, so
-saving writes them straight from the arrays and loading parses them
-straight back. Count tables are plain text for diffability. Discounts,
-back-off weights and priors are recomputed from the integer counts on
-load, so a load/save round trip reproduces the in-memory model exactly.
-The vocabulary alone decides query-time folding: a word outside it,
-a training hapax included, folds to ``<misc>``.
-Any malformed field, count below 1, cell index outside the grid, row
-that repeats or is out of order, token missing from vocab.txt (or
-vocab.txt token never counted), token other than ``<misc>`` listed in
-both stopwords.txt and vocab.txt, cells.tsv line count other than g**2,
-or stored n1..n4/d1..d3 that differ from the values recomputed from the
-bigram counts is a ``DataError``. So is a model of another format
-version; there is no reader for older layouts.
+The archive holds one array per member, with V words and ``cell`` the
+row-major cell index:
+
+    vocab         uint8    (bytes,)   sorted vocabulary, newline-joined UTF-8
+    stopwords     uint8    (bytes,)   sorted stopwords, newline-joined UTF-8
+    post_counts   int64    (g*g,)     training posts per cell
+    discounts     float64  (g*g, 7)   n1 n2 n3 n4 d1 d2 d3 per cell
+    word_keys     int64    (entries,) word * g*g + cell, increasing
+    word_count    int64    (entries,) c(word) in the cell
+    pair_keys     int64    (pairs,)   (v * (V + 1) + w) * g*g + cell, increasing
+    pair_count    int64    (pairs,)   c(v, w) in the cell
+
+The keys and counts are the arrays ``compile_tables`` takes, so loading
+passes them straight to it: discounts, back-off weights and priors are
+recomputed from the integer counts, and a load/save round trip
+reproduces the in-memory model exactly. The tables name words by id, so
+the vocabulary is in the archive too, under its CRC-32s. Each member is
+read whole, which makes zipfile check its CRC-32 (``np.load`` of the
+archive stops at the end of the array a member's header declares, and
+then never checks it). The vocabulary alone decides query-time folding:
+a word outside it, a training hapax included, folds to ``<misc>``.
+
+An unreadable archive (bad CRC-32, truncated, a member missing, extra,
+compressed, pickled or of another dtype, ndim or length), a count below
+1, a key naming a word id outside the vocabulary, keys that repeat or
+are out of order, a vocabulary out of order or holding a token never
+counted, a stopword not lowercase, a token other than ``<misc>`` that is
+both a stopword and in the vocabulary, cell tables without g**2 rows, or
+stored n1..n4/d1..d3 that differ from the values recomputed from the
+pair counts is a ``DataError``. So is a model of another format version;
+there is no reader for older layouts.
 
 Saving writes into a fresh sibling directory and renames it into place,
 so a reader sees the old model, the new one or (for the moment between
@@ -34,13 +45,14 @@ two renames) none, never a mix; see ``save_model``.
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 import os
 import shutil
 import uuid
+import zipfile
 from datetime import datetime, timezone
-from functools import partial
-from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -53,37 +65,22 @@ from .grid import GeoBounds, GridPartition
 from .lm import compile_tables
 from .pipeline import MISC, PipelineArtifacts, PipelineConfig
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _MANIFEST = "manifest.json"
-_STOPWORDS = "stopwords.txt"
-_VOCAB = "vocab.txt"
-_CELLS = "cells.tsv"
-_UNIGRAMS = "unigrams.tsv"
-_BIGRAMS = "bigrams.tsv"
+_TABLES = "tables.npz"
 _discount_fields = attrgetter("n1", "n2", "n3", "n4", "d1", "d2", "d3")
-# Tables are formatted and parsed a block of rows (on load, about this
-# many characters) at a time, so that only one block of them is ever held
-# as Python strings: a whole table of them would raise the peak memory of
-# a save or load well above that of the arrays themselves.
-_BLOCK = 1 << 16
-
-
-def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
-            f.write(line)
-            f.write("\n")
-
-
-def _write_table(path: Path, *columns: np.ndarray) -> None:
-    """One tab-separated line per row of the equal-length ``columns``."""
-    line = "\t".join(["{}"] * len(columns)).format
-    blocks = (
-        map(line, *(column[lo : lo + _BLOCK].tolist() for column in columns))
-        for lo in range(0, len(columns[0]), _BLOCK)
-    )
-    _write_lines(path, chain.from_iterable(blocks))
+# Archive member -> (dtype, ndim).
+_MEMBERS = {
+    "vocab": (np.uint8, 1),
+    "stopwords": (np.uint8, 1),
+    "post_counts": (np.int64, 1),
+    "discounts": (np.float64, 2),
+    "word_keys": (np.int64, 1),
+    "word_count": (np.int64, 1),
+    "pair_keys": (np.int64, 1),
+    "pair_count": (np.int64, 1),
+}
 
 
 def _read_text(path: Path) -> str:
@@ -96,57 +93,20 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path.name} is not UTF-8 text: {exc}") from None
 
 
-def _read_lines(path: Path) -> list[str]:
-    lines = _read_text(path).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+def _text(words) -> np.ndarray:
+    return np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
 
 
-def _read_table(path: Path, *parsers) -> list[np.ndarray]:
-    """The columns of a TSV file with one field per parser, each made an
-    array by its parser, which is called with the path and the fields."""
-    width, text = len(parsers), _read_text(path)
-    stop = len(text) - text.endswith("\n")
-    blocks, start, lineno = [], 0, 1
-    while start < stop:
-        end = text.find("\n", start + _BLOCK, stop)
-        end = stop if end < 0 else end
-        lines = text[start:end].split("\n")
-        if set(map(str.count, lines, repeat("\t"))) != {width - 1}:
-            bad = next(i for i, line in enumerate(lines) if line.count("\t") != width - 1)
-            raise DataError(f"{path.name} line {lineno + bad}: expected {width} tab-separated fields")
-        fields = "\t".join(lines).split("\t")
-        blocks.append([parse(path, fields[k::width]) for k, parse in enumerate(parsers)])
-        start, lineno = end + 1, lineno + len(lines)
-    if not blocks:
-        return [parse(path, []) for parse in parsers]
-    return [np.concatenate(column) for column in zip(*blocks)]
-
-
-def _read_ints(path: Path, fields: list[str], minimum: int) -> np.ndarray:
+def _words(text: np.ndarray, name: str) -> list[str]:
     try:
-        values = np.array(fields, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"{path.name}: bad integer field ({exc})") from None
-    if len(values) and values.min() < minimum:
-        raise DataError(f"{path.name}: fields must be >= {minimum}, found {values.min()}")
-    return values
+        joined = text.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{_TABLES} member {name} is not UTF-8 text: {exc}") from None
+    return joined.split("\n") if joined else []
 
 
-def _read_floats(path: Path, fields: list[str]) -> np.ndarray:
-    try:
-        return np.array(fields, dtype=np.float64)
-    except ValueError as exc:
-        raise DataError(f"{path.name}: bad number field ({exc})") from None
-
-
-def _ids(path: Path, fields: list[str], index: dict[str, int], what: str) -> np.ndarray:
-    """The number ``index`` gives each field; a field it lacks is not ``what``."""
-    try:
-        return np.fromiter(map(index.__getitem__, fields), np.int64, len(fields))
-    except KeyError as exc:
-        raise DataError(f"{path.name}: {exc.args[0]!r} is not {what}") from None
+def _outside(ids: np.ndarray, stop: int) -> bool:
+    return len(ids) > 0 and (ids.min() < 0 or ids.max() >= stop)
 
 
 def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None) -> Path:
@@ -208,21 +168,24 @@ def _write_files(ens: GeoEnsemble, out: Path, vocab: list[str], seed: Optional[i
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    _write_lines(out / _STOPWORDS, sorted(ens.artifacts.config.stopwords))
-    _write_lines(out / _VOCAB, vocab)
-    discounts = np.array([_discount_fields(d) for d in tables.discounts], dtype=object)
-    _write_table(out / _CELLS, tables.post_counts, *discounts.T)
-    token = np.array(vocab, dtype=object)
+    n_cells = len(tables.post_counts)
     words = np.repeat(np.arange(len(vocab)), np.diff(tables.word_ptr)[:-1])
-    _write_table(out / _UNIGRAMS, token[words], tables.word_cell, tables.word_count)
-    v, w = np.divmod(tables.pair_key, len(vocab) + 1)
-    _write_table(out / _BIGRAMS, token[v], token[w], tables.pair_cell, tables.pair_count)
+    np.savez(
+        out / _TABLES,
+        vocab=_text(vocab),
+        stopwords=_text(sorted(ens.artifacts.config.stopwords)),
+        post_counts=tables.post_counts,
+        discounts=np.array([_discount_fields(d) for d in tables.discounts], dtype=np.float64),
+        word_keys=words * n_cells + tables.word_cell,
+        word_count=tables.word_count,
+        pair_keys=tables.pair_key * n_cells + tables.pair_cell,
+        pair_count=tables.pair_count,
+    )
 
 
 def load_model(model_dir: str | Path) -> GeoEnsemble:
     """Reconstruct an ensemble from a model directory, validating the
-    manifest fields and format version, the cell table, and every count
-    row."""
+    manifest fields and format version, and every member of the archive."""
     root = Path(model_dir)
     manifest_path = root / _MANIFEST
     if not manifest_path.is_file():
@@ -247,57 +210,86 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
         )
         smoothing = SmoothingConfig(alpha=manifest["alpha"], diameter=manifest["diameter"])
         total_posts = manifest["training_posts"]
-        config = PipelineConfig(
-            stopword_count=manifest["stopword_count"],
-            stopwords=frozenset(_read_lines(root / _STOPWORDS)),
-        )
+        config = PipelineConfig(stopword_count=manifest["stopword_count"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {_MANIFEST} in {root}: missing or bad field {exc}") from None
     if not isinstance(total_posts, int) or total_posts < 1:
         raise DataError(f"{_MANIFEST} training_posts must be a positive integer")
 
-    artifacts = PipelineArtifacts(config=config, vocab=frozenset(_read_lines(root / _VOCAB)))
+    n_cells = part.g * part.g
+    a = _read_tables(root / _TABLES, n_cells)
+    vocab = _words(a["vocab"], "vocab")
+    if not all(map(str.__lt__, vocab[:-1], vocab[1:])):
+        raise DataError(f"{_TABLES}: the vocabulary is not strictly increasing")
+    try:
+        stopwords = frozenset(_words(a["stopwords"], "stopwords"))
+        config = dataclasses.replace(config, stopwords=stopwords)
+    except ValidationError as exc:
+        raise DataError(f"bad stopword list in {_TABLES}: {exc}") from None
+    artifacts = PipelineArtifacts(config=config, vocab=frozenset(vocab))
     # Training never keeps a stopword in the vocabulary, except the fold
     # target <misc> (a literal <misc> in the corpus can be a stopword).
     shared = config.stopwords & artifacts.vocab - {MISC}
     if shared:
-        raise DataError(f"{min(shared)!r} is listed in both {_STOPWORDS} and {_VOCAB}")
-    index = {t: i for i, t in enumerate(sorted(artifacts.vocab))}
-    n_cells = part.g * part.g
+        raise DataError(f"{min(shared)!r} is listed in both the stopwords and the vocabulary")
 
-    path = root / _CELLS
-    post_counts, *stored = _read_table(path, partial(_read_ints, minimum=0), *[_read_floats] * 7)
-    if len(post_counts) != n_cells:
-        raise DataError(f"{_CELLS} has {len(post_counts)} lines, expected one per cell ({n_cells})")
+    post_counts = a["post_counts"]
+    if post_counts.min() < 0:
+        raise DataError(f"{_TABLES}: post_counts must be >= 0, found {post_counts.min()}")
     if post_counts.sum() != total_posts:
         raise DataError("per-cell post counts disagree with the manifest training-set size")
+    for name in ("word_count", "pair_count"):
+        if a[name].min(initial=1) < 1:
+            raise DataError(f"{_TABLES}: {name} must be >= 1, found {a[name].min()}")
+    v, w = np.divmod(a["pair_keys"] // n_cells, len(vocab) + 1)
+    if any(_outside(ids, len(vocab)) for ids in (a["word_keys"] // n_cells, v, w)):
+        raise DataError(f"{_TABLES}: a key names a word id outside the vocabulary")
 
-    token = partial(_ids, index=index, what=f"a token in {_VOCAB}")
-    cell = partial(
-        _ids, index={str(i): i for i in range(n_cells)}, what=f"a cell index below {n_cells}"
-    )
-    count = partial(_read_ints, minimum=1)
-    word, word_cell, word_count = _read_table(root / _UNIGRAMS, token, cell, count)
-    v, w, pair_cell, pair_count = _read_table(root / _BIGRAMS, token, token, cell, count)
-
+    index = dict(zip(vocab, range(len(vocab))))
     try:
         tables = compile_tables(
-            index,
-            post_counts,
-            word * n_cells + word_cell,
-            word_count,
-            (v * (len(index) + 1) + w) * n_cells + pair_cell,
-            pair_count,
+            index, post_counts, a["word_keys"], a["word_count"], a["pair_keys"], a["pair_count"]
         )
     except ValueError as exc:
         raise DataError(f"inconsistent count tables in {root}: {exc}") from None
     if np.count_nonzero(np.diff(tables.word_ptr)) != len(index):
-        raise DataError(f"{_VOCAB} lists tokens that {_UNIGRAMS} never counts")
+        raise DataError(f"{_TABLES}: the vocabulary lists tokens that word_keys never counts")
     # Counts-of-counts compare exactly as floats, far below 2**53.
     expected = np.array([_discount_fields(d) for d in tables.discounts], dtype=np.float64)
-    bad = np.flatnonzero(np.any(np.column_stack(stored) != expected, axis=1))
+    bad = np.flatnonzero(np.any(a["discounts"] != expected, axis=1))
     if len(bad):
         raise DataError(
-            f"{_CELLS} line {bad[0] + 1}: counts-of-counts or discounts disagree with {_BIGRAMS}"
+            f"{_TABLES}: cell {bad[0]}: counts-of-counts or discounts disagree with the pair counts"
         )
     return GeoEnsemble(partition=part, tables=tables, smoothing=smoothing, artifacts=artifacts)
+
+
+def _read_tables(path: Path, n_cells: int) -> dict[str, np.ndarray]:
+    """Every member of the archive as an array of its dtype and ndim, each
+    read whole so that zipfile checks its CRC-32, with one row per cell in
+    the cell tables and equal lengths for the keys and their counts."""
+    expected = sorted(f"{name}.npy" for name in _MEMBERS)
+    try:
+        with zipfile.ZipFile(path) as archive:
+            if sorted(archive.namelist()) != expected:
+                found = sorted(archive.namelist())
+                raise DataError(f"{path.name} holds {found}, expected {expected}")
+            if any(info.compress_type != zipfile.ZIP_STORED for info in archive.infolist()):
+                raise DataError(f"{path.name} has a compressed member")
+            a = {
+                name: np.load(io.BytesIO(archive.read(f"{name}.npy")), allow_pickle=False)
+                for name in _MEMBERS
+            }
+    except FileNotFoundError:
+        raise DataError(f"missing {path.name} in model directory") from None
+    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise DataError(f"unreadable {path.name}: {exc}") from None
+    for name, (dtype, ndim) in _MEMBERS.items():
+        if not isinstance(a[name], np.ndarray) or a[name].dtype != dtype or a[name].ndim != ndim:
+            raise DataError(f"{path.name} member {name} is not a {ndim}-D {np.dtype(dtype)} array")
+    if len(a["post_counts"]) != n_cells or a["discounts"].shape != (n_cells, 7):
+        raise DataError(f"{path.name}: the cell tables need one row per cell ({n_cells})")
+    for keys, counts in (("word_keys", "word_count"), ("pair_keys", "pair_count")):
+        if len(a[keys]) != len(a[counts]):
+            raise DataError(f"{path.name}: {keys} and {counts} differ in length")
+    return a

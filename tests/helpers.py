@@ -1,4 +1,5 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+model directory layout the storage and CLI tests share.
 
 Everything here recounts from scratch with its own data structures — flat
 pair lists, Counters, explicit set comprehensions — so these paths share
@@ -10,11 +11,62 @@ from __future__ import annotations
 import random
 from collections import Counter
 from math import acos, cos, radians, sin
+from pathlib import Path
+
+import numpy as np
 
 from geopost import TokenizedPost
 
 MIN_PROB = 1e-12
 EARTH_RADIUS_KM = 6371.0088
+# The files of a saved model directory, sorted.
+MODEL_FILES = ["manifest.json", "tables.npz"]
+
+
+def edit_tables(model, edit):
+    """Rewrite a saved model's tables.npz with ``edit`` applied in place to
+    the dict of its member arrays. ``np.savez`` writes fresh CRC-32s, so
+    only the loader's own checks stand between the edit and a model."""
+    path = Path(model) / "tables.npz"
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    edit(members)
+    np.savez(path, **members)
+
+
+def at(name, index, change):
+    """An ``edit_tables`` edit that applies ``change`` to
+    ``members[name][index]``."""
+
+    def edit(members):
+        members[name] = members[name].copy()
+        members[name][index] = change(members[name][index])
+
+    return edit
+
+
+def completion_outside_vocabulary(members):
+    """An ``edit_tables`` edit: the last pair's w becomes the id of words
+    outside the vocabulary (the key grows, so the keys stay in order)."""
+    size, n_cells = len(words(members["vocab"])), len(members["post_counts"])
+    v = members["pair_keys"][-1] // n_cells // (size + 1)
+    at("pair_keys", -1, lambda k: (v * (size + 1) + size) * n_cells + k % n_cells)(members)
+
+
+def vocabulary_token_into_stopwords(members):
+    """An ``edit_tables`` edit: a vocabulary token joins the stopwords."""
+    token = next(t for t in words(members["vocab"]) if t != "<misc>")
+    members["stopwords"] = text(sorted([*words(members["stopwords"]), token]))
+
+
+def words(member):
+    """The tokens of a newline-joined UTF-8 ``uint8`` member."""
+    return member.tobytes().decode("utf-8").split("\n") if len(member) else []
+
+
+def text(tokens):
+    """``tokens`` as a newline-joined UTF-8 ``uint8`` member."""
+    return np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2):

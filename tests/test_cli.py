@@ -11,12 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geopost import cli
+from geopost import cli, load_model
 from geopost.cli import main
+from helpers import (
+    MODEL_FILES,
+    at,
+    completion_outside_vocabulary,
+    edit_tables,
+    vocabulary_token_into_stopwords,
+)
 
 BOUNDS_FLAG = "40.70,-74.02,40.77,-73.93"
-MODEL_FILES = sorted(["manifest.json", "stopwords.txt", "vocab.txt",
-                      "cells.tsv", "unigrams.tsv", "bigrams.tsv"])
 
 
 def _synth(tmp_path, name="corpus.jsonl", grid=2, posts=30, seed=42, **extra):
@@ -128,7 +133,7 @@ class TestTrain:
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)
         assert sorted(p.name for p in model.iterdir()) == MODEL_FILES
-        assert len((model / "cells.tsv").read_text().splitlines()) == 4
+        assert len(load_model(model).tables.post_counts) == 4
 
     def test_malformed_line_reports_line_number(self, tmp_path, capsys):
         corpus = _synth(tmp_path)
@@ -165,7 +170,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "skipping line 2: invalid UTF-8" in err
         assert "skipped 1 malformed lines" in err
-        assert (skipped / "vocab.txt").read_bytes() == (clean / "vocab.txt").read_bytes()
+        assert load_model(skipped).artifacts == load_model(clean).artifacts
 
     def test_unlocated_posts_dropped_with_note(self, tmp_path, capsys):
         corpus = _synth(tmp_path)
@@ -173,20 +178,6 @@ class TestTrain:
             f.write(json.dumps({"id": "x", "text": "no location"}) + "\n")
         _train(tmp_path, corpus)
         assert "without coordinates" in capsys.readouterr().err
-
-
-def _edit_field(path, line, field, value):
-    lines = path.read_text().splitlines()
-    fields = lines[line].split("\t")
-    fields[field] = value
-    lines[line] = "\t".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _shift_cell_d2(model):
-    path = model / "cells.tsv"
-    d2 = float(path.read_text().splitlines()[0].split("\t")[6])
-    _edit_field(path, 0, 6, repr(d2 + 0.125))
 
 
 def _drop_manifest_key(model):
@@ -204,29 +195,23 @@ def _set_manifest(key, value):
     return corrupt
 
 
-def _vocab_token_into_stopwords(model):
-    token = (model / "unigrams.tsv").read_text().split("\t", 1)[0]
-    stopwords = (model / "stopwords.txt").read_text().splitlines()
-    (model / "stopwords.txt").write_text("".join(t + "\n" for t in sorted([*stopwords, token])))
+def _tables(edit):
+    return lambda model: edit_tables(model, edit)
 
 
-UNIGRAMS = "unigrams.tsv"
-BIGRAMS = "bigrams.tsv"
+# The model is 2 x 2, so every key holds its cell modulo 4.
 CORRUPTIONS = {
-    "malformed-tsv-line": lambda m: (m / UNIGRAMS).write_text(
-        (m / UNIGRAMS).read_text() + "no tabs here\n"
-    ),
-    "non-integer-count": lambda m: _edit_field(m / UNIGRAMS, 0, 2, "two"),
+    "unequal-member-lengths": _tables(lambda m: m.update(word_count=m["word_count"][:-1])),
+    "non-integer-count": _tables(lambda m: m.update(word_count=m["word_count"] + 0.5)),
     "missing-manifest-key": _drop_manifest_key,
-    "meta-d2-disagrees": _shift_cell_d2,
-    "negative-count": lambda m: _edit_field(m / BIGRAMS, 0, 3, "-3"),
-    "zero-count": lambda m: _edit_field(m / UNIGRAMS, 0, 2, "0"),
-    "token-not-in-vocab": lambda m: _edit_field(m / UNIGRAMS, 0, 0, "notinvocab"),
-    "cell-index-outside-grid": lambda m: _edit_field(m / UNIGRAMS, 0, 1, "4"),
-    "cells-line-count": lambda m: (m / "cells.tsv").write_text(
-        "".join((m / "cells.tsv").read_text().splitlines(keepends=True)[:3])
-    ),
-    "vocab-token-in-stopwords": _vocab_token_into_stopwords,
+    "meta-d2-disagrees": _tables(at("discounts", (0, 5), lambda d2: d2 + 0.125)),
+    "negative-count": _tables(at("pair_count", 0, lambda _: -3)),
+    "zero-count": _tables(at("word_count", 0, lambda _: 0)),
+    "token-not-in-vocab": _tables(completion_outside_vocabulary),
+    # The last word entry moved to cell 4, one past the grid.
+    "cell-index-outside-grid": _tables(at("word_keys", -1, lambda k: k - k % 4 + 4)),
+    "cells-line-count": _tables(lambda m: m.update(post_counts=m["post_counts"][:3])),
+    "vocab-token-in-stopwords": _tables(vocabulary_token_into_stopwords),
     "diameter-not-integer": _set_manifest("diameter", 2.5),
     "diameter-bool": _set_manifest("diameter", True),
     "alpha-bool": _set_manifest("alpha", True),
@@ -235,8 +220,9 @@ CORRUPTIONS = {
 
 
 def _damage(model, kind, name, at, byte):
-    """Truncate a file of the model, overwrite one byte, repeat one line,
-    or delete the file; ``at`` in [0, 1) picks the position."""
+    """Truncate a file of the model, overwrite one byte, repeat one line
+    (bytes up to a newline), or delete the file; ``at`` in [0, 1) picks the
+    position."""
     path = model / name
     data = path.read_bytes()
     pos = int(at * len(data))
@@ -256,9 +242,13 @@ def _damage(model, kind, name, at, byte):
 
 @pytest.fixture(scope="module")
 def saved_model(tmp_path_factory):
+    """A model, its corpus, and the corpus's estimates CSV under it."""
     root = tmp_path_factory.mktemp("saved")
     corpus = _synth(root)
-    return _train(root, corpus), corpus
+    model = _train(root, corpus)
+    assert main(["estimate", "--model", str(model), "--corpus", str(corpus),
+                 "--out", str(root / "est.csv")]) == 0
+    return model, corpus, (root / "est.csv").read_bytes()
 
 
 class TestCorruptModel:
@@ -283,7 +273,10 @@ class TestCorruptModel:
         byte=st.integers(0, 255),
     )
     def test_damaged_model_is_estimate_or_data_error(self, saved_model, kind, name, at, byte):
-        model, corpus = saved_model
+        # A damaged manifest may still hold a valid model (another alpha,
+        # say); a damaged archive must give the undamaged model's estimates
+        # or a data error, never other estimates.
+        model, corpus, undamaged = saved_model
         with tempfile.TemporaryDirectory(dir=model.parent) as work:
             damaged = shutil.copytree(model, Path(work) / "model")
             _damage(damaged, kind, name, at, byte)
@@ -291,9 +284,12 @@ class TestCorruptModel:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["estimate", "--model", str(damaged), "--corpus", str(corpus),
                              "--out", str(Path(work) / "est.csv")])
+            estimates = (Path(work) / "est.csv").read_bytes() if code == 0 else None
         assert code in (0, 2), err.getvalue()
         if code == 2:
             assert err.getvalue().startswith("error: ")
+        elif name == "tables.npz":
+            assert estimates == undamaged
         assert "Traceback" not in err.getvalue()
 
 
@@ -317,9 +313,9 @@ class TestEstimate:
     def test_empty_text_gets_argmax_prior_cell(self, tmp_path):
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)
-        priors = {}
-        for i, line in enumerate((model / "cells.tsv").read_text().splitlines()):
-            priors[divmod(i, 2)] = int(line.split("\t")[0])
+        priors = {
+            divmod(i, 2): n for i, n in enumerate(load_model(model).tables.post_counts.tolist())
+        }
         best = min(sorted(priors), key=lambda k: -priors[k])
         query = tmp_path / "query.jsonl"
         query.write_text(json.dumps({"id": "q", "text": ""}) + "\n")
@@ -356,6 +352,30 @@ class TestEstimate:
             assert code == 2
             assert err.startswith(f"error: unsupported model format version {version}")
             assert "Traceback" not in err
+
+    def test_format_3_directory_refused(self, tmp_path, capsys):
+        # The six text files of format 3 have no reader: retrain.
+        model = tmp_path / "model"
+        model.mkdir()
+        manifest = {
+            "format_version": 3, "bounds": {"south": 40.70, "west": -74.02, "north": 40.77,
+                                            "east": -73.93},
+            "grid_size": 1, "alpha": 0.9, "diameter": 1, "stopword_count": 0,
+            "training_posts": 1, "seed": 1, "created_utc": "2026-01-01T00:00:00+00:00",
+        }
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        for name, content in [("stopwords.txt", ""), ("vocab.txt", "a\nb\n"),
+                              ("cells.tsv", "1\t1\t0\t0\t0\t1.0\t0.75\t0.75\n"),
+                              ("unigrams.tsv", "a\t0\t1\nb\t0\t1\n"),
+                              ("bigrams.tsv", "a\tb\t0\t1\n")]:
+            (model / name).write_text(content)
+        query = tmp_path / "query.jsonl"
+        query.write_text(json.dumps({"id": "q", "text": "a b"}) + "\n")
+        code = main(["estimate", "--model", str(model), "--corpus", str(query),
+                     "--out", str(tmp_path / "est.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: unsupported model format version 3 (this build reads 4)\n"
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         corpus = _synth(tmp_path)
