@@ -54,7 +54,6 @@ from .lm import (
 from .pipeline import (
     MISC,
     PipelineArtifacts,
-    PipelineConfig,
     RawPost,
     TokenizedPost,
     build_training_corpus,
@@ -86,7 +85,6 @@ __all__ = [
     "MISC",
     "OutOfRegionError",
     "PipelineArtifacts",
-    "PipelineConfig",
     "PosteriorField",
     "RawPost",
     "SearchSpace",

@@ -109,9 +109,7 @@ def _parse_post(line: str, lineno: int) -> RawPost:
     location = None
     if has_lat:
         lat, lon = obj["lat"], obj["lon"]
-        if isinstance(lat, bool) or isinstance(lon, bool):
-            raise DataError(f"line {lineno}: 'lat'/'lon' must be numbers")
-        if not isinstance(lat, (int, float)) or not isinstance(lon, (int, float)):
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (lat, lon)):
             raise DataError(f"line {lineno}: 'lat'/'lon' must be numbers")
         try:
             location = GeoPoint(float(lat), float(lon))

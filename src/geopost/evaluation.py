@@ -12,7 +12,7 @@ import csv
 import random
 from collections import Counter
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 from typing import Sequence
 
 from .errors import ValidationError
@@ -32,8 +32,8 @@ class SplitSpec:
 
     def __post_init__(self):
         for name, frac in (("train_frac", self.train_frac), ("holdout_frac", self.holdout_frac)):
-            if frac < 0:
-                raise ValidationError(f"{name} must be >= 0, got {frac}")
+            if not (isfinite(frac) and frac >= 0):
+                raise ValidationError(f"{name} must be a finite number >= 0, got {frac}")
         total = self.train_frac + self.holdout_frac
         if total > 1.0:
             raise ValidationError(f"train and holdout fractions must sum to at most 1, got {total}")
@@ -121,8 +121,7 @@ def error_report(
     empirical CDF at every distinct error value."""
     if not per_post:
         raise ValidationError("cannot aggregate an empty error list")
-    if bin_width_km <= 0:
-        raise ValidationError(f"bin width must be > 0, got {bin_width_km}")
+    _check_bin_width(bin_width_km)
     errors = [e for _, e in per_post]
     mean = sum(errors) / len(errors)
 
@@ -150,16 +149,23 @@ def error_report(
     )
 
 
+def _check_bin_width(bin_width_km: float) -> None:
+    if not (isfinite(bin_width_km) and bin_width_km > 0):
+        raise ValidationError(f"bin width must be a finite number > 0, got {bin_width_km}")
+
+
 def evaluate(
     ens: GeoEnsemble, posts: Sequence[TokenizedPost], bin_width_km: float = 0.25
 ) -> ErrorReport:
     """Estimate every post, measure errors against truth, and aggregate.
 
-    Every post's truth location is checked before anything is scored;
-    the posts are then estimated a block at a time by ``estimate_all``,
-    which raises EstimationError for a degenerate ensemble."""
+    The bin width and every post's truth location are checked before
+    anything is scored; the posts are then estimated a block at a time by
+    ``estimate_all``, which raises EstimationError for a degenerate
+    ensemble."""
     if not posts:
         raise ValidationError("cannot evaluate an empty test set")
+    _check_bin_width(bin_width_km)
     for post in posts:
         if post.location is None:
             raise ValidationError(f"test post {post.id!r} has no truth location")

@@ -96,7 +96,7 @@ class BaselineInterpolation:
     lambda1: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda1 <= 1.0:
+        if isinstance(self.lambda1, bool) or not 0.0 <= self.lambda1 <= 1.0:
             raise ValidationError("interpolation weight lambda1 must lie in [0, 1]")
 
     @property
@@ -400,6 +400,19 @@ class EnsembleTables:
         counts.total_distinct_bigrams = len(ent)
         return CellLanguageModel(cell, counts, self.discounts[i], int(self.post_counts[i]))
 
+    def count_arrays(self) -> dict[str, np.ndarray]:
+        """The keyed integer counts: ``compile_tables(self.vocab,
+        **self.count_arrays())`` rebuilds these tables exactly."""
+        n_cells = len(self.post_counts)
+        words = np.repeat(np.arange(len(self.vocab)), np.diff(self.word_ptr)[:-1])
+        return {
+            "post_counts": self.post_counts,
+            "word_keys": words * n_cells + self.word_cell,
+            "word_count": self.word_count,
+            "pair_keys": self.pair_key * n_cells + self.pair_cell,
+            "pair_count": self.pair_count,
+        }
+
 
 class CellModels(Mapping):
     """Read-only ``{cell: CellLanguageModel}`` view of an ensemble's
@@ -486,7 +499,7 @@ def count_tables(
     left = _pair_starts(lens)
     pair_keys = (ids[left] * (len(words) + 1) + ids[left + 1]) * n_cells + token_cell[left]
     return compile_tables(
-        index,
+        words,
         np.bincount(cells, minlength=n_cells),
         *np.unique(ids * n_cells + token_cell, return_counts=True),
         *np.unique(pair_keys, return_counts=True),
@@ -494,7 +507,7 @@ def count_tables(
 
 
 def compile_tables(
-    index: dict[str, int],
+    vocab: Sequence[str],
     post_counts: Sequence[int],
     word_keys: np.ndarray,
     word_count: np.ndarray,
@@ -502,26 +515,41 @@ def compile_tables(
     pair_count: np.ndarray,
 ) -> EnsembleTables:
     """Derive discounts, back-off weights and continuation probabilities
-    from integer counts >= 1.
+    from integer counts; ``EnsembleTables.count_arrays`` is the inverse.
+    This module alone knows how the counts are keyed.
 
-    ``index`` numbers the sorted vocabulary 0, 1, ..., and the cells of
-    ``post_counts`` are numbered 0, 1, ... too. Word entries are keyed
-    ``word * n_cells + cell`` and pair entries ``(v * (len(index) + 1) + w)
-    * n_cells + cell``, each in increasing key order. Raises ValueError if
-    a key repeats or is out of order, or if a pair's v or w has no word
-    entry in the pair's cell. Every formula mirrors ``CellLanguageModel``
-    operation for operation.
+    ``vocab`` is the sorted vocabulary (the caller checks its order),
+    numbered 0, 1, ..., and the cells of ``post_counts`` are numbered 0,
+    1, ... too. Word entries are keyed ``word * n_cells + cell`` and pair
+    entries ``(v * (len(vocab) + 1) + w) * n_cells + cell``, each in
+    increasing key order, and each key is decoded once. Raises ValueError
+    if a post count is below 0 or another count below 1, if a key repeats
+    or is out of order, if a key names a word id outside the vocabulary,
+    if a pair's v or w has no word entry in the pair's cell, or if a
+    vocabulary word has no entry at all. Every formula mirrors
+    ``CellLanguageModel`` operation for operation.
     """
+    post_counts = np.asarray(post_counts, dtype=np.int64)
+    if post_counts.min(initial=0) < 0:
+        raise ValueError(f"post_counts must be >= 0, found {post_counts.min()}")
+    for name, counts in (("word_count", word_count), ("pair_count", pair_count)):
+        if counts.min(initial=1) < 1:
+            raise ValueError(f"{name} must be >= 1, found {counts.min()}")
     if np.any(np.diff(word_keys) <= 0):
         raise ValueError("unigram rows repeat or are out of order")
     if np.any(np.diff(pair_keys) <= 0):
         raise ValueError("bigram rows repeat or are out of order")
-    vocab = tuple(index)
+    vocab = tuple(vocab)
     n_words = len(vocab) + 1
-    post_counts = np.asarray(post_counts, dtype=np.int64)
     n_cells = len(post_counts)
     word, word_cell = np.divmod(word_keys, n_cells)
     pair_key, pair_cell = np.divmod(pair_keys, n_cells)
+    v, w = np.divmod(pair_key, n_words)
+    # The keys increase, so word and v do too; w is below n_words.
+    if (len(word) and (word[0] < 0 or word[-1] >= len(vocab))) or (
+        len(v) and (v[0] < 0 or v[-1] >= len(vocab) or w.max() >= len(vocab))
+    ):
+        raise ValueError("a key names a word id outside the vocabulary")
 
     counts_of_counts = (
         np.bincount(pair_cell[pair_count == k], minlength=n_cells).tolist() for k in (1, 2, 3, 4)
@@ -532,19 +560,19 @@ def compile_tables(
     pair_num = np.maximum(pair_count - tier_discount[pair_cell, tier], 0.0)
     # Each pair's context (v, cell) and completion (w, cell) as word keys.
     word_gamma = _backoff_weights(
-        word_keys, word_cell, word_count, pair_key // n_words * n_cells + pair_cell, tier,
-        tier_discount,
+        word_keys, word_cell, word_count, v * n_cells + pair_cell, tier, tier_discount
     )
     distinct = np.bincount(pair_cell, minlength=n_cells)
-    word_pcont = _continuation_probs(
-        word_keys, word_cell, pair_key % n_words * n_cells + pair_cell, distinct
-    )
+    word_pcont = _continuation_probs(word_keys, word_cell, w * n_cells + pair_cell, distinct)
+    entries = np.bincount(word, minlength=n_words)
+    if np.count_nonzero(entries) != len(vocab):
+        raise ValueError("the vocabulary lists tokens that word_keys never counts")
 
     total = int(post_counts.sum())
     return EnsembleTables(
         vocab=vocab,
-        index=index,
-        word_ptr=np.concatenate(([0], np.cumsum(np.bincount(word, minlength=n_words)))),
+        index=dict(zip(vocab, range(len(vocab)))),
+        word_ptr=np.concatenate(([0], np.cumsum(entries))),
         word_cell=word_cell,
         word_count=word_count,
         word_gamma=word_gamma,

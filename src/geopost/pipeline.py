@@ -52,32 +52,29 @@ class TokenizedPost:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Stopword settings: the requested count and the induced stopword set,
-    which keeps no frequency order. Non-ASCII tokens are always dropped
-    (the non-English proxy)."""
+class PipelineArtifacts:
+    """Everything induced from the training split that query-time
+    preprocessing needs: the stopword set, which keeps no frequency order,
+    and the global vocabulary. Stopwords are lowercase, and training never
+    keeps one in the vocabulary, except the fold target ``<misc>`` (a
+    literal ``<misc>`` in the corpus can be a stopword). Non-ASCII tokens
+    are always dropped (the non-English proxy)."""
 
-    stopword_count: int = 200
-    stopwords: frozenset[str] = frozenset()
+    stopwords: frozenset[str]
+    vocab: frozenset[str]
 
     def __post_init__(self):
-        if self.stopword_count < 0:
-            raise ValidationError(f"stopword count must be >= 0, got {self.stopword_count}")
         for w in self.stopwords:
             if w != w.lower():
                 raise ValidationError(f"stopword not lowercase: {w!r}")
-
-
-@dataclass(frozen=True)
-class PipelineArtifacts:
-    """Everything induced from the training split that query-time
-    preprocessing needs: the stopword config and the global vocabulary."""
-
-    config: PipelineConfig
-    vocab: frozenset[str]
+        shared = self.stopwords & self.vocab - {MISC}
+        if shared:
+            raise ValidationError(
+                f"{min(shared)!r} is listed in both the stopwords and the vocabulary"
+            )
 
     def preprocess(self, raw: RawPost) -> TokenizedPost:
-        return preprocess(raw, self.config, self.vocab)
+        return preprocess(raw, self.stopwords, self.vocab)
 
 
 def clean_and_tokenize(raw: RawPost) -> list[str]:
@@ -132,8 +129,8 @@ def _top_k(counts: Counter[str], k: int) -> list[str]:
     return sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:k]
 
 
-def remove_stopwords(tokens: Sequence[str], cfg: PipelineConfig) -> list[str]:
-    return [t for t in tokens if t not in cfg.stopwords]
+def remove_stopwords(tokens: Sequence[str], stopwords: frozenset[str]) -> list[str]:
+    return [t for t in tokens if t not in stopwords]
 
 
 def fold_hapax(corpus: Sequence[TokenizedPost]) -> tuple[list[TokenizedPost], frozenset[str]]:
@@ -161,14 +158,16 @@ def fold_hapax(corpus: Sequence[TokenizedPost]) -> tuple[list[TokenizedPost], fr
     return folded, hapax
 
 
-def preprocess(raw: RawPost, cfg: PipelineConfig, vocab: frozenset[str]) -> TokenizedPost:
+def preprocess(
+    raw: RawPost, stopwords: frozenset[str], vocab: frozenset[str]
+) -> TokenizedPost:
     """Full single-post pipeline: clean, drop stopwords, fold rare/unknown.
 
     A token folds to ``<misc>`` when the trained vocabulary lacks it, as
     it lacks every training hapax; ``<misc>`` folds to itself. A post
     whose tokens all vanish is kept with an empty sequence.
     """
-    folded = [t if t in vocab else MISC for t in remove_stopwords(clean_and_tokenize(raw), cfg)]
+    folded = [t if t in vocab else MISC for t in remove_stopwords(clean_and_tokenize(raw), stopwords)]
     return TokenizedPost(id=raw.id, tokens=tuple(folded), location=raw.location)
 
 
@@ -192,7 +191,6 @@ def build_training_corpus(
     cleaned = [clean_and_tokenize(p) for p in posts]
     counts = Counter(chain.from_iterable(cleaned))
     stop = frozenset(_top_k(counts, stopword_count))
-    cfg = PipelineConfig(stopword_count=stopword_count, stopwords=stop)
     hapax = frozenset(t for t, n in counts.items() if n == 1 and t not in stop)
     folded = [
         TokenizedPost(
@@ -205,4 +203,4 @@ def build_training_corpus(
     vocab = frozenset(t for t, n in counts.items() if n > 1 and t not in stop)
     if hapax:
         vocab |= {MISC}
-    return folded, PipelineArtifacts(config=cfg, vocab=vocab)
+    return folded, PipelineArtifacts(stopwords=stop, vocab=vocab)

@@ -1,9 +1,9 @@
 """Versioned on-disk model directory.
 
-Layout (format version 4), exactly two files:
+Layout (format version 5), exactly two files:
 
-    manifest.json    format version, bounds, g, alpha, d, stopword count,
-                     creation metadata, training-set size
+    manifest.json    format version, bounds, g, alpha, d, training-set
+                     size, seed, creation time
     tables.npz       the count tables, an uncompressed ``np.savez`` archive
 
 The archive holds one array per member, with V words and ``cell`` the
@@ -11,32 +11,38 @@ row-major cell index:
 
     vocab         uint8    (bytes,)   sorted vocabulary, newline-joined UTF-8
     stopwords     uint8    (bytes,)   sorted stopwords, newline-joined UTF-8
-    post_counts   int64    (g*g,)     training posts per cell
     discounts     float64  (g*g, 7)   n1 n2 n3 n4 d1 d2 d3 per cell
+    post_counts   int64    (g*g,)     training posts per cell
     word_keys     int64    (entries,) word * g*g + cell, increasing
     word_count    int64    (entries,) c(word) in the cell
     pair_keys     int64    (pairs,)   (v * (V + 1) + w) * g*g + cell, increasing
     pair_count    int64    (pairs,)   c(v, w) in the cell
 
-The keys and counts are the arrays ``compile_tables`` takes, so loading
-passes them straight to it: discounts, back-off weights and priors are
-recomputed from the integer counts, and a load/save round trip
-reproduces the in-memory model exactly. The tables name words by id, so
-the vocabulary is in the archive too, under its CRC-32s. Each member is
-read whole, which makes zipfile check its CRC-32 (``np.load`` of the
-archive stops at the end of the array a member's header declares, and
-then never checks it). The vocabulary alone decides query-time folding:
-a word outside it, a training hapax included, folds to ``<misc>``.
+The last five are ``EnsembleTables.count_arrays``, the arrays
+``compile_tables`` takes, so loading passes them straight back to it:
+discounts, back-off weights and priors are recomputed from the integer
+counts, and a load/save round trip reproduces the in-memory model
+exactly. The tables name words by id, so the vocabulary is in the
+archive too, under its CRC-32s. Each member is read whole, which makes
+zipfile check its CRC-32 (``np.load`` of the archive stops at the end of
+the array a member's header declares, and then never checks it). The
+vocabulary alone decides query-time folding: a word outside it, a
+training hapax included, folds to ``<misc>``.
 
-An unreadable archive (bad CRC-32, truncated, a member missing, extra,
-compressed, pickled or of another dtype, ndim or length), a count below
-1, a key naming a word id outside the vocabulary, keys that repeat or
-are out of order, a vocabulary out of order or holding a token never
-counted, a stopword not lowercase, a token other than ``<misc>`` that is
-both a stopword and in the vocabulary, cell tables without g**2 rows, or
-stored n1..n4/d1..d3 that differ from the values recomputed from the
-pair counts is a ``DataError``. So is a model of another format version;
-there is no reader for older layouts.
+Every failed check is a ``DataError``, and each has one owner. This
+module refuses a model of another format version (there is no reader for
+older layouts), a malformed manifest, an unreadable archive (bad CRC-32,
+truncated, a member missing, extra, compressed, pickled or of another
+dtype, ndim or length, cell tables without g**2 rows), a vocabulary out
+of order, post counts that do not sum to the manifest's training-set
+size, and stored n1..n4/d1..d3 that differ from the values recomputed
+from the pair counts. ``PipelineArtifacts`` refuses a stopword not
+lowercase and a token other than ``<misc>`` that is both a stopword and
+in the vocabulary. ``compile_tables`` refuses every flaw of the count
+arrays: a post count below 0 or another count below 1, keys that repeat
+or are out of order, a key naming a word id outside the vocabulary, a
+pair whose words have no entry in its cell, and a vocabulary token never
+counted.
 
 Saving writes into a fresh sibling directory and renames it into place,
 so a reader sees the old model, the new one or (for the moment between
@@ -45,7 +51,6 @@ two renames) none, never a mix; see ``save_model``.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -63,9 +68,9 @@ from .errors import DataError, ValidationError
 from .estimator import GeoEnsemble, SmoothingConfig
 from .grid import GeoBounds, GridPartition
 from .lm import compile_tables
-from .pipeline import MISC, PipelineArtifacts, PipelineConfig
+from .pipeline import PipelineArtifacts
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _MANIFEST = "manifest.json"
 _TABLES = "tables.npz"
@@ -74,23 +79,13 @@ _discount_fields = attrgetter("n1", "n2", "n3", "n4", "d1", "d2", "d3")
 _MEMBERS = {
     "vocab": (np.uint8, 1),
     "stopwords": (np.uint8, 1),
-    "post_counts": (np.int64, 1),
     "discounts": (np.float64, 2),
+    "post_counts": (np.int64, 1),
     "word_keys": (np.int64, 1),
     "word_count": (np.int64, 1),
     "pair_keys": (np.int64, 1),
     "pair_count": (np.int64, 1),
 }
-
-
-def _read_text(path: Path) -> str:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except FileNotFoundError:
-        raise DataError(f"missing {path.name} in model directory") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path.name} is not UTF-8 text: {exc}") from None
 
 
 def _text(words) -> np.ndarray:
@@ -103,10 +98,6 @@ def _words(text: np.ndarray, name: str) -> list[str]:
     except UnicodeDecodeError as exc:
         raise DataError(f"{_TABLES} member {name} is not UTF-8 text: {exc}") from None
     return joined.split("\n") if joined else []
-
-
-def _outside(ids: np.ndarray, stop: int) -> bool:
-    return len(ids) > 0 and (ids.min() < 0 or ids.max() >= stop)
 
 
 def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None) -> Path:
@@ -122,8 +113,7 @@ def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None
     if os.path.lexists(target) and not (target / _MANIFEST).is_file():
         if not target.is_dir() or any(target.iterdir()):
             raise DataError(f"{out} holds something other than a model; refusing to replace it")
-    vocab = sorted(ens.artifacts.vocab)
-    if tuple(vocab) != ens.tables.vocab:
+    if tuple(sorted(ens.artifacts.vocab)) != ens.tables.vocab:
         raise ValidationError("the ensemble's pipeline vocabulary differs from its count tables")
 
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -132,7 +122,7 @@ def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None
     new.mkdir()
     old = None
     try:
-        _write_files(ens, new, vocab, seed)
+        _write_files(ens, new, seed)
         if os.path.lexists(target):
             old = target.rename(target.with_name(f"{tag}.old"))
         new.rename(target)
@@ -146,7 +136,7 @@ def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None
     return out
 
 
-def _write_files(ens: GeoEnsemble, out: Path, vocab: list[str], seed: Optional[int]) -> None:
+def _write_files(ens: GeoEnsemble, out: Path, seed: Optional[int]) -> None:
     part, tables = ens.partition, ens.tables
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -159,7 +149,6 @@ def _write_files(ens: GeoEnsemble, out: Path, vocab: list[str], seed: Optional[i
         "grid_size": part.g,
         "alpha": ens.smoothing.alpha,
         "diameter": ens.smoothing.diameter_for(part.g),
-        "stopword_count": ens.artifacts.config.stopword_count,
         "training_posts": ens.total_posts,
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -168,19 +157,18 @@ def _write_files(ens: GeoEnsemble, out: Path, vocab: list[str], seed: Optional[i
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    n_cells = len(tables.post_counts)
-    words = np.repeat(np.arange(len(vocab)), np.diff(tables.word_ptr)[:-1])
     np.savez(
         out / _TABLES,
-        vocab=_text(vocab),
-        stopwords=_text(sorted(ens.artifacts.config.stopwords)),
-        post_counts=tables.post_counts,
-        discounts=np.array([_discount_fields(d) for d in tables.discounts], dtype=np.float64),
-        word_keys=words * n_cells + tables.word_cell,
-        word_count=tables.word_count,
-        pair_keys=tables.pair_key * n_cells + tables.pair_cell,
-        pair_count=tables.pair_count,
+        vocab=_text(tables.vocab),
+        stopwords=_text(sorted(ens.artifacts.stopwords)),
+        discounts=_discount_array(tables.discounts),
+        **tables.count_arrays(),
     )
+
+
+def _discount_array(discounts) -> np.ndarray:
+    # Counts-of-counts compare exactly as floats, far below 2**53.
+    return np.array([_discount_fields(d) for d in discounts], dtype=np.float64)
 
 
 def load_model(model_dir: str | Path) -> GeoEnsemble:
@@ -191,8 +179,9 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
     if not manifest_path.is_file():
         raise DataError(f"{root} is not a model directory (no {_MANIFEST})")
     try:
-        manifest = json.loads(_read_text(manifest_path))
-    except json.JSONDecodeError as exc:
+        # Bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError.
+        manifest = json.loads(manifest_path.read_bytes())
+    except (OSError, ValueError) as exc:
         raise DataError(f"unreadable {_MANIFEST}: {exc}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"{_MANIFEST} does not hold a JSON object")
@@ -210,7 +199,6 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
         )
         smoothing = SmoothingConfig(alpha=manifest["alpha"], diameter=manifest["diameter"])
         total_posts = manifest["training_posts"]
-        config = PipelineConfig(stopword_count=manifest["stopword_count"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {_MANIFEST} in {root}: missing or bad field {exc}") from None
     if not isinstance(total_posts, int) or total_posts < 1:
@@ -218,45 +206,23 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
 
     n_cells = part.g * part.g
     a = _read_tables(root / _TABLES, n_cells)
-    vocab = _words(a["vocab"], "vocab")
+    vocab = _words(a.pop("vocab"), "vocab")
     if not all(map(str.__lt__, vocab[:-1], vocab[1:])):
         raise DataError(f"{_TABLES}: the vocabulary is not strictly increasing")
     try:
-        stopwords = frozenset(_words(a["stopwords"], "stopwords"))
-        config = dataclasses.replace(config, stopwords=stopwords)
+        artifacts = PipelineArtifacts(
+            stopwords=frozenset(_words(a.pop("stopwords"), "stopwords")), vocab=frozenset(vocab)
+        )
     except ValidationError as exc:
         raise DataError(f"bad stopword list in {_TABLES}: {exc}") from None
-    artifacts = PipelineArtifacts(config=config, vocab=frozenset(vocab))
-    # Training never keeps a stopword in the vocabulary, except the fold
-    # target <misc> (a literal <misc> in the corpus can be a stopword).
-    shared = config.stopwords & artifacts.vocab - {MISC}
-    if shared:
-        raise DataError(f"{min(shared)!r} is listed in both the stopwords and the vocabulary")
-
-    post_counts = a["post_counts"]
-    if post_counts.min() < 0:
-        raise DataError(f"{_TABLES}: post_counts must be >= 0, found {post_counts.min()}")
-    if post_counts.sum() != total_posts:
-        raise DataError("per-cell post counts disagree with the manifest training-set size")
-    for name in ("word_count", "pair_count"):
-        if a[name].min(initial=1) < 1:
-            raise DataError(f"{_TABLES}: {name} must be >= 1, found {a[name].min()}")
-    v, w = np.divmod(a["pair_keys"] // n_cells, len(vocab) + 1)
-    if any(_outside(ids, len(vocab)) for ids in (a["word_keys"] // n_cells, v, w)):
-        raise DataError(f"{_TABLES}: a key names a word id outside the vocabulary")
-
-    index = dict(zip(vocab, range(len(vocab))))
+    stored = a.pop("discounts")
     try:
-        tables = compile_tables(
-            index, post_counts, a["word_keys"], a["word_count"], a["pair_keys"], a["pair_count"]
-        )
+        tables = compile_tables(vocab, **a)
     except ValueError as exc:
         raise DataError(f"inconsistent count tables in {root}: {exc}") from None
-    if np.count_nonzero(np.diff(tables.word_ptr)) != len(index):
-        raise DataError(f"{_TABLES}: the vocabulary lists tokens that word_keys never counts")
-    # Counts-of-counts compare exactly as floats, far below 2**53.
-    expected = np.array([_discount_fields(d) for d in tables.discounts], dtype=np.float64)
-    bad = np.flatnonzero(np.any(a["discounts"] != expected, axis=1))
+    if tables.post_counts.sum() != total_posts:
+        raise DataError("per-cell post counts disagree with the manifest training-set size")
+    bad = np.flatnonzero(np.any(stored != _discount_array(tables.discounts), axis=1))
     if len(bad):
         raise DataError(
             f"{_TABLES}: cell {bad[0]}: counts-of-counts or discounts disagree with the pair counts"

@@ -134,7 +134,7 @@ def grid_search(
     surface: dict[tuple[int, float, int], float] = {}
     for g in sorted(space.g_values):
         part = partition(bounds, g)
-        ens = build_ensemble(tokenized_train, part, SmoothingConfig(alpha=0.0, diameter=g), artifacts)
+        ens = build_ensemble(tokenized_train, part, SmoothingConfig(), artifacts)
         per_ad = _sweep_alpha_d(ens, holdout_tok, sorted(space.alpha_values))
         for (alpha, d), err in per_ad.items():
             surface[(g, alpha, d)] = err

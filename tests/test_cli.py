@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geopost import cli, load_model
+from geopost import cli, evaluation, load_model
 from geopost.cli import main
 from helpers import (
     MODEL_FILES,
@@ -337,12 +337,14 @@ class TestEstimate:
 
     def test_version_mismatch_refused(self, tmp_path, capsys):
         # Any other version is refused, format 2 (which also held
-        # hapax.txt) included: such a model must be retrained.
+        # hapax.txt) and format 4 (whose manifest also held the stopword
+        # count) included: such a model must be retrained.
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)
         (model / "hapax.txt").write_text("")
         manifest = json.loads((model / "manifest.json").read_text())
-        for version in (99, 2):
+        manifest["stopword_count"] = 0
+        for version in (99, 2, 4):
             manifest["format_version"] = version
             (model / "manifest.json").write_text(json.dumps(manifest))
             capsys.readouterr()
@@ -350,8 +352,9 @@ class TestEstimate:
                          "--out", str(tmp_path / "est.csv")])
             err = capsys.readouterr().err
             assert code == 2
-            assert err.startswith(f"error: unsupported model format version {version}")
-            assert "Traceback" not in err
+            assert err == (
+                f"error: unsupported model format version {version} (this build reads 5)\n"
+            )
 
     def test_format_3_directory_refused(self, tmp_path, capsys):
         # The six text files of format 3 have no reader: retrain.
@@ -375,7 +378,7 @@ class TestEstimate:
                      "--out", str(tmp_path / "est.csv")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: unsupported model format version 3 (this build reads 4)\n"
+        assert err == "error: unsupported model format version 3 (this build reads 5)\n"
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         corpus = _synth(tmp_path)
@@ -437,6 +440,20 @@ class TestEvaluate:
         assert main(["evaluate", "--model", str(model), "--corpus", str(mixed),
                      "--out", str(tmp_path / "rep")]) == 0
         assert "lack truth coordinates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["nan", "inf", "0"])
+    def test_bad_bin_width_is_usage_error(self, tmp_path, capsys, monkeypatch, width):
+        # NaN ended in an internal error (exit 3) and inf wrote the density
+        # row "nan,180,1.0"; the width is now checked before any scoring.
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        capsys.readouterr()
+        monkeypatch.setattr(evaluation, "estimate_all", lambda *args: pytest.fail("scored"))
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "rep"), "--bin-width", width]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bin width must be a finite number > 0, got {float(width)}\n"
+        assert not (tmp_path / "rep").exists()
 
     def test_no_located_posts_is_data_error(self, tmp_path):
         corpus = _synth(tmp_path)

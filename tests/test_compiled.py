@@ -6,11 +6,13 @@ same floats in the same order as ``CellLanguageModel``, and a batch adds
 each post's pair logs in the order one post's scoring adds them.
 """
 
+import dataclasses
 import tracemalloc
 from math import inf, log
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,6 @@ from geopost import (
     BaselineInterpolation,
     GeoBounds,
     PipelineArtifacts,
-    PipelineConfig,
     SmoothingConfig,
     SplitSpec,
     SyntheticSpec,
@@ -53,7 +54,7 @@ def _ensemble(g, cell_posts, alpha=0.9, baseline=None):
             posts.append(post)
             by_cell[cell].append(post)
     vocab = frozenset(t for post in posts for t in post.tokens)
-    artifacts = PipelineArtifacts(PipelineConfig(stopword_count=0), vocab)
+    artifacts = PipelineArtifacts(frozenset(), vocab)
     ens = build_ensemble(posts, part, SmoothingConfig(alpha=alpha), artifacts, baseline)
     return ens, by_cell
 
@@ -123,6 +124,78 @@ def test_model_view_equals_train_cell(built):
         assert got.counts == want.counts
         assert got.discounts == want.discounts
         assert got.post_count == want.post_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(ensembles())
+def test_count_arrays_compile_back_to_the_tables(built):
+    tables = built[0].tables
+    again = lm.compile_tables(tables.vocab, **tables.count_arrays())
+    for field in dataclasses.fields(tables):
+        x, y = getattr(tables, field.name), getattr(again, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+        else:
+            assert x == y, field.name
+
+
+def _counted():
+    """The count arrays of a 2 x 2 ensemble over the words a, b, c, d,
+    where d occurs only in a one-token post of cell 2."""
+    cells = partition(BOUNDS, 2).cells()
+    cell_posts = [(cells[0], [["a", "b"], ["a", "b", "c"]]), (cells[1], [["b", "a"]]),
+                  (cells[2], [["d"]])]
+    tables = _ensemble(2, cell_posts)[0].tables
+    arrays = {name: a.copy() for name, a in tables.count_arrays().items()}
+    # word * 4 + cell, and (v * 5 + w) * 4 + cell with V = 4.
+    assert arrays["word_keys"].tolist() == [0, 1, 4, 5, 8, 14]
+    assert arrays["pair_keys"].tolist() == [4, 21, 28]
+    return tables.vocab, arrays
+
+
+def _set(name, index, value):
+    def edit(arrays):
+        arrays[name][index] = value
+
+    return edit
+
+
+def _drop_word_entry(index):
+    def edit(arrays):
+        for name in ("word_keys", "word_count"):
+            arrays[name] = np.delete(arrays[name], index)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("post_counts", 0, -1), "post_counts must be >= 0, found -1"),
+        (_set("word_count", 0, 0), "word_count must be >= 1, found 0"),
+        (_set("pair_count", 2, 0), "pair_count must be >= 1, found 0"),
+        (_set("word_keys", 5, 4 * 4 + 2), "a key names a word id outside the vocabulary"),
+        (_set("word_keys", 0, -1), "a key names a word id outside the vocabulary"),
+        (_set("pair_keys", 2, (4 * 5 + 0) * 4), "a key names a word id outside the vocabulary"),
+        (_set("pair_keys", 0, (0 * 5 + 4) * 4), "a key names a word id outside the vocabulary"),
+        (_drop_word_entry(5), "the vocabulary lists tokens that word_keys never counts"),
+        (_set("word_keys", 0, 2), "unigram rows repeat or are out of order"),
+        (_set("pair_keys", 1, 4), "bigram rows repeat or are out of order"),
+        (_drop_word_entry(3), "a bigram token is missing from its cell's unigram counts"),
+    ],
+    ids=[
+        "negative-post-count", "zero-word-count", "zero-pair-count", "word-outside",
+        "negative-word-key", "v-outside", "w-outside", "uncounted-word", "unigrams-out-of-order",
+        "bigram-repeated", "context-missing-from-cell",
+    ],
+)
+def test_compile_tables_refuses_broken_counts(edit, message):
+    vocab, arrays = _counted()
+    lm.compile_tables(vocab, **arrays)
+    edit(arrays)
+    with pytest.raises(ValueError) as err:
+        lm.compile_tables(vocab, **arrays)
+    assert str(err.value) == message
 
 
 def test_edge_cases_equal_reference_bit_for_bit():

@@ -14,7 +14,6 @@ from geopost import (
     GeoPoint,
     GeoBounds,
     PipelineArtifacts,
-    PipelineConfig,
     SmoothingConfig,
     TokenizedPost,
     ValidationError,
@@ -43,7 +42,7 @@ BOUNDS = GeoBounds(0.0, 0.0, 4.0, 4.0)
 
 
 def _artifacts(vocab):
-    return PipelineArtifacts(config=PipelineConfig(stopword_count=0), vocab=frozenset(vocab))
+    return PipelineArtifacts(stopwords=frozenset(), vocab=frozenset(vocab))
 
 
 def _ensemble(cell_token_lists, g=2, alpha=0.0, diameter=None, bounds=BOUNDS):

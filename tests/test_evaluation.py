@@ -74,6 +74,14 @@ class TestSplit:
         with pytest.raises(ValidationError):
             SplitSpec(train_frac=0.5, holdout_frac=-0.1)
 
+    @pytest.mark.parametrize("name", ["train_frac", "holdout_frac"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fractions_rejected(self, name, value):
+        # nan < 0 is False, so a NaN fraction passed the sign check and
+        # made split fail with a bare ValueError.
+        with pytest.raises(ValidationError, match=f"{name} must be a finite number >= 0"):
+            SplitSpec(**{name: value})
+
 
 class TestErrorReport:
     def test_single_error(self):
@@ -85,6 +93,13 @@ class TestErrorReport:
         report = error_report([("a", 1.0), ("b", 2.0), ("c", 3.0)])
         assert report.mean_error_km == pytest.approx(2.0, abs=1e-12)
         assert report.cdf_points == ((1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0))
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -0.25])
+    def test_bin_width_must_be_finite_and_positive(self, width):
+        # A NaN width failed converting NaN to int, and an infinite one
+        # gave the one histogram row (nan, 1, 1.0).
+        with pytest.raises(ValidationError, match="bin width must be a finite number > 0"):
+            error_report([("a", 1.0)], bin_width_km=width)
 
     def test_histogram_bins(self):
         report = error_report([("a", 0.0), ("b", 0.1), ("c", 0.3), ("d", 0.5)], bin_width_km=0.25)

@@ -193,6 +193,10 @@ class TestBaseline:
     def test_weights_validated(self):
         with pytest.raises(ValidationError):
             BaselineInterpolation(1.1)
+        # A bool is refused, as SmoothingConfig refuses a bool alpha.
+        for flag in (True, False):
+            with pytest.raises(ValidationError):
+                BaselineInterpolation(flag)
         with pytest.raises(ValidationError):
             BaselineInterpolation(-0.1)
 

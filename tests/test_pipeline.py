@@ -11,7 +11,6 @@ from geopost import (
     MISC,
     GeoPoint,
     PipelineArtifacts,
-    PipelineConfig,
     RawPost,
     TokenizedPost,
     ValidationError,
@@ -111,18 +110,16 @@ class TestFoldHapax:
 
 class TestPreprocess:
     def test_stopword_removal(self):
-        cfg = PipelineConfig(stopword_count=1, stopwords=frozenset({"the"}))
-        post = preprocess(RawPost("1", "the storm here"), cfg, frozenset({"storm", "here"}))
+        stop = frozenset({"the"})
+        post = preprocess(RawPost("1", "the storm here"), stop, frozenset({"storm", "here"}))
         assert list(post.tokens) == ["storm", "here"]
 
     def test_all_stopwords_yields_empty_post(self):
-        cfg = PipelineConfig(stopword_count=2, stopwords=frozenset({"the", "a"}))
-        post = preprocess(RawPost("1", "the a THE"), cfg, frozenset())
+        post = preprocess(RawPost("1", "the a THE"), frozenset({"the", "a"}), frozenset())
         assert post.tokens == ()
 
     def test_unknown_word_folds_to_misc(self):
-        cfg = PipelineConfig(stopword_count=0)
-        post = preprocess(RawPost("1", "qqqq storm"), cfg, frozenset({"storm", MISC}))
+        post = preprocess(RawPost("1", "qqqq storm"), frozenset(), frozenset({"storm", MISC}))
         assert list(post.tokens) == [MISC, "storm"]
 
     def test_training_hapax_folds(self):
@@ -131,10 +128,14 @@ class TestPreprocess:
         assert artifacts.preprocess(RawPost("q", "rare storm")).tokens == (MISC, "storm")
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            PipelineConfig(stopword_count=-1)
-        with pytest.raises(ValidationError):
-            PipelineConfig(stopwords=frozenset({"Upper"}))
+        # A negative stopword count is refused by build_training_corpus
+        # (test_negative_k_raises); the artifacts check the induced sets.
+        with pytest.raises(ValidationError, match="stopword not lowercase: 'Upper'"):
+            PipelineArtifacts(stopwords=frozenset({"Upper"}), vocab=frozenset())
+        with pytest.raises(ValidationError, match="'storm' is listed in both"):
+            PipelineArtifacts(stopwords=frozenset({"storm", MISC}), vocab=frozenset({"storm"}))
+        # The fold target may be both: a literal <misc> can be a stopword.
+        PipelineArtifacts(stopwords=frozenset({MISC}), vocab=frozenset({MISC, "storm"}))
 
 
 def _random_text(rng: random.Random) -> str:
@@ -173,7 +174,7 @@ class TestPipelineProperties:
         rng = random.Random(100)
         raws = [RawPost(str(i), _random_text(rng)) for i in range(150)]
         tokenized, artifacts = build_training_corpus(raws, stopword_count=8)
-        stop = set(artifacts.config.stopwords)
+        stop = set(artifacts.stopwords)
         for post in tokenized:
             for tok in post.tokens:
                 assert tok not in stop
@@ -241,14 +242,14 @@ def reference_build(posts, k):
     """The training pipeline as its separate steps: the folded posts, the
     artifacts, and the hapax set that ``fold_hapax`` folded."""
     cleaned = [clean_and_tokenize(p) for p in posts]
-    cfg = PipelineConfig(stopword_count=k, stopwords=frozenset(induce_stopwords(cleaned, k)))
+    stop = frozenset(induce_stopwords(cleaned, k))
     stripped = [
-        TokenizedPost(id=p.id, tokens=tuple(remove_stopwords(toks, cfg)), location=p.location)
+        TokenizedPost(id=p.id, tokens=tuple(remove_stopwords(toks, stop)), location=p.location)
         for p, toks in zip(posts, cleaned)
     ]
     folded, hapax = fold_hapax(stripped)
     vocab = frozenset(t for post in folded for t in post.tokens)
-    return folded, PipelineArtifacts(config=cfg, vocab=vocab), hapax
+    return folded, PipelineArtifacts(stopwords=stop, vocab=vocab), hapax
 
 
 WORDS = ["a", "b", "c", "the", "Storm", "storm!", MISC, "<MISC>", "x1", "café", "@at", ""]
@@ -289,7 +290,7 @@ class TestBuildMatchesReference:
         _, artifacts = build_training_corpus(posts, k)
         _, ref, hapax = reference_build(posts, k)
         for raw in [*posts, RawPost("q", " ".join(WORDS))]:
-            kept = remove_stopwords(clean_and_tokenize(raw), ref.config)
+            kept = remove_stopwords(clean_and_tokenize(raw), ref.stopwords)
             want = tuple(MISC if t in hapax or t not in ref.vocab else t for t in kept)
             assert artifacts.preprocess(raw) == TokenizedPost(raw.id, want, raw.location)
 

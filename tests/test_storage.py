@@ -151,8 +151,9 @@ def _renumber(members, vocab):
 class TestValidation:
     def test_version_mismatch_refused(self, model):
         # A directory in the per-cell layout of format 1, in format 2
-        # (which also listed the training hapax in hapax.txt) or in the
-        # text tables of format 3 must be retrained.
+        # (which also listed the training hapax in hapax.txt), in the text
+        # tables of format 3 or in format 4 (whose manifest also held the
+        # stopword count) must be retrained.
         manifest_path = model / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 1
@@ -160,10 +161,11 @@ class TestValidation:
         with pytest.raises(DataError, match="format version 1"):
             load_model(model)
         (model / "hapax.txt").write_text(f"{HAPAX}\n")
-        for version in (2, 3):
+        manifest["stopword_count"] = 3
+        for version in (2, 3, 4):
             manifest["format_version"] = version
             manifest_path.write_text(json.dumps(manifest))
-            with pytest.raises(DataError, match=f"format version {version} .*reads 4"):
+            with pytest.raises(DataError, match=f"format version {version} .*reads 5"):
                 load_model(model)
 
     @pytest.mark.parametrize(
