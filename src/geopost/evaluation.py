@@ -20,6 +20,10 @@ from .estimator import Estimate, GeoEnsemble, estimate_all
 from .grid import GeoBounds, GeoPoint, geo_distance_km, partition
 from .pipeline import RawPost, TokenizedPost
 
+# Most bins an error histogram may have: 12 times the 80,061 that the
+# default 0.25 km width gives for the largest great-circle error.
+MAX_HISTOGRAM_BINS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -118,15 +122,21 @@ def error_report(
     per_post: Sequence[tuple[str, float]], bin_width_km: float = 0.25
 ) -> ErrorReport:
     """Aggregate per-post errors into mean, fixed-width histogram, and
-    empirical CDF at every distinct error value."""
+    empirical CDF at every distinct error value. A bin width that would
+    give more than ``MAX_HISTOGRAM_BINS`` bins is a ValidationError."""
     if not per_post:
         raise ValidationError("cannot aggregate an empty error list")
     _check_bin_width(bin_width_km)
     errors = [e for _, e in per_post]
     mean = sum(errors) / len(errors)
 
-    n_bins = int(max(errors) // bin_width_km) + 1
-    counts = [0] * n_bins
+    top_bin = max(errors) // bin_width_km
+    if top_bin >= MAX_HISTOGRAM_BINS:
+        raise ValidationError(
+            f"bin width {bin_width_km} km would need more than {MAX_HISTOGRAM_BINS}"
+            f" histogram bins for the largest error, {max(errors)} km"
+        )
+    counts = [0] * (int(top_bin) + 1)
     for e in errors:
         counts[int(e // bin_width_km)] += 1
     histogram = tuple(

@@ -12,10 +12,15 @@ flat arrays over a global word index, with the back-off weight of every
 (context, cell) and the discounted numerator of every seen (pair, cell)
 stored rather than recomputed per lookup (the ARPA/KenLM layout). One
 core turns the (v, w) word ids of a set of pairs into a (pairs, cells)
-block of log-probabilities. ``log_likelihood`` scores one post as its
-block summed over the pair rows; ``log_likelihoods`` scores a batch of
-posts a bounded block at a time and sums each post's rows in the same
-order, so its rows equal the one-post results bit for bit.
+block of log-probabilities. It looks up the word-table entries of v and
+w in one pass and fills each column only for the half that uses it
+(c(v) and gamma(v), p_cont(w)); a floored probability takes a constant
+log, and a block with more than ``_DISTINCT_MIN`` live entries takes
+one ``math.log`` per distinct value. ``log_likelihood`` scores one post
+as its block summed over the pair rows in order; ``log_likelihoods``
+scores a batch of posts a bounded block at a time and sums each post's
+rows in the same order, so its rows equal the one-post results bit for
+bit.
 ``CellLanguageModel`` and ``train_cell`` are the per-cell reference the
 tables are tested against, and ``EnsembleTables.cell_model`` rebuilds one
 cell's model from the tables on demand.
@@ -41,6 +46,16 @@ _LOG_MIN_PROB = log(MIN_PROB)
 # Most (pair, cell) entries ``log_likelihoods`` holds at once, for a bounded
 # peak memory whatever the number of posts scored.
 _BLOCK = 1 << 15
+
+# ``_floored_logs`` logs only the distinct values of a block with more live
+# (pair, cell) entries than this. On runs of live entries cut from the
+# city-g8 benchmark's batch blocks, np.unique plus one log per distinct
+# value broke even with one log per entry at about 512 entries (93 us
+# each), saved 22% at 1,024 and 60% at 8,192; at 128 it cost 1.8 times
+# as much. Twice the break-even keeps the step where it clearly pays, and
+# keeps one-post scoring at g = 8 (at most 704 entries for 12 tokens) on
+# the plain path.
+_DISTINCT_MIN = 1024
 
 # Conventional absolute-discount default used when a discount formula has
 # a zero denominator.
@@ -279,15 +294,17 @@ class EnsembleTables:
         self, tokens: Sequence[str], baseline: Optional[BaselineInterpolation] = None
     ) -> np.ndarray:
         """``sequence_log_prob`` of ``tokens`` under every cell's model at
-        once, in row-major cell order: the post's block of pair logs summed
-        over axis 0, which adds the pair rows one after another, as the
-        reference does. The floats and the order they are combined in are
-        the reference's, so with two or more cells the results agree bit
-        for bit."""
+        once, in row-major cell order: the post's block of pair logs with
+        its rows added one after another, as the reference adds them. The
+        floats and the order they are combined in are the reference's, so
+        the results agree bit for bit."""
         if len(tokens) < 2:
             return np.zeros(len(self.post_counts))
         ids = self._ids(tokens)
-        return self._pair_logs(ids[:-1], ids[1:], baseline).sum(axis=0)
+        logs = self._pair_logs(ids[:-1], ids[1:], baseline)
+        # sum(axis=0) adds rows in order, but a single column pairwise; the
+        # running sum is in order always, and costs more.
+        return logs.sum(axis=0) if logs.shape[1] > 1 else np.add.accumulate(logs)[-1]
 
     def log_likelihoods(
         self,
@@ -299,9 +316,7 @@ class EnsembleTables:
         posts at a time, with at most ``_BLOCK`` (pair, cell) entries per
         block unless one post alone has more, and each post's rows are
         added in the order ``log_likelihood`` adds them, so the rows agree
-        bit for bit. (With a single cell, numpy's ``sum(axis=0)`` adds long
-        columns pairwise, so there they can differ in the last place; every
-        posterior is 1 then anyway.)"""
+        bit for bit."""
         n_cells = len(self.post_counts)
         out = np.zeros((len(token_lists), n_cells))
         ids = self._ids([t for tokens in token_lists for t in tokens])
@@ -328,17 +343,32 @@ class EnsembleTables:
         get = self.index.get
         return np.fromiter((get(t, unknown) for t in tokens), np.int64, len(tokens))
 
-    def _by_cell(self, ids: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
-        """For each word-table column, a (len(ids), cells) array holding the
-        column's entry of word ids[i] in cell j at [i, j], and 0 where the
-        word has no entry."""
+    def _by_cell(
+        self,
+        v: np.ndarray,
+        w: np.ndarray,
+        v_columns: Sequence[np.ndarray],
+        w_columns: Sequence[np.ndarray],
+    ) -> list[np.ndarray]:
+        """A (len(v), cells) array for each column of ``v_columns``, holding
+        its entry of word v[i] in cell j at [i, j], then one for each column
+        of ``w_columns``, the same for w[i]; 0 where the word has no entry.
+        One span lookup covers v and w; each column fills only its half."""
+        n, n_cells = len(v), len(self.post_counts)
+        ids = np.concatenate((v, w))
         rows, ent = _spans(self.word_ptr[ids], self.word_ptr[ids + 1])
-        cols = self.word_cell[ent]
+        flat = rows * n_cells + self.word_cell[ent]
+        # rows ascend, so the v entries come first.
+        half = int(np.searchsorted(rows, n))
         out = []
-        for column in columns:
-            dense = np.zeros((len(ids), len(self.post_counts)))
-            dense[rows, cols] = column[ent]
-            out.append(dense)
+        for columns, at, src in (
+            (v_columns, flat[:half], ent[:half]),
+            (w_columns, flat[half:] - n * n_cells, ent[half:]),
+        ):
+            for column in columns:
+                dense = np.zeros((n, n_cells))
+                dense.put(at, column[src])
+                out.append(dense)
         return out
 
     def _pair_logs(
@@ -354,34 +384,21 @@ class EnsembleTables:
         )
         pair_cols = self.pair_cell[pair_ent]
         pair = np.zeros((len(keys), len(self.post_counts)))
-        # One lookup for both words of every pair: rows :n are the v's, n: the w's.
-        n, ids = len(keys), np.concatenate((v, w))
         if baseline is None:
             count, gamma, pcont = self._by_cell(
-                ids, self.word_count, self.word_gamma, self.word_pcont
+                v, w, (self.word_count, self.word_gamma), (self.word_pcont,)
             )
-            count, gamma, pcont = count[:n], gamma[:n], pcont[n:]
             pair[pair_rows, pair_cols] = self.pair_num[pair_ent]
             seen = count > 0
             p = np.where(seen, pair / np.where(seen, count, 1.0) + gamma * pcont, pcont)
         else:
-            (count,) = self._by_cell(ids, self.word_count)
-            count, count_w = count[:n], count[n:]
+            count, count_w = self._by_cell(v, w, (self.word_count,), (self.word_count,))
             pair[pair_rows, pair_cols] = self.pair_count[pair_ent]
             seen = count > 0
             p_uni = count_w / np.maximum(self.total_tokens, 1)
             p_bi = pair / np.where(seen, count, 1.0)
             p = np.where(seen, baseline.lambda1 * p_bi + baseline.lambda2 * p_uni, p_uni)
-        # Floored entries (a quarter of the lookups on a planted corpus, and
-        # every lookup of a cell without posts) all get log(MIN_PROB); only
-        # the others pay for a log. math.log, not np.log: numpy's SIMD log
-        # can differ from libm in the last place, and the reference sums
-        # math.log values.
-        logs = np.full(p.shape, _LOG_MIN_PROB)
-        live = p > MIN_PROB
-        values = p[live]
-        logs[live] = np.fromiter(map(log, values.tolist()), np.float64, len(values))
-        return logs
+        return _floored_logs(p)
 
     def cell_model(self, i: int, cell: CellId) -> CellLanguageModel:
         """The reference model of cell i, rebuilt from the tables."""
@@ -436,8 +453,29 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, entry) of every entry in the ranges lo[row]:hi[row]."""
     lens = hi - lo
     rows = np.repeat(np.arange(len(lo)), lens)
-    ent = np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)
+    ent = np.arange(len(rows)) + np.repeat(lo - np.cumsum(lens) + lens, lens)
     return rows, ent
+
+
+def _floored_logs(p: np.ndarray) -> np.ndarray:
+    """log max(p, MIN_PROB) of every entry of ``p``.
+
+    Floored entries (64.5% of the lookups on the city-g8 benchmark queries,
+    and every lookup of a cell without posts) all get log(MIN_PROB); only
+    the others pay for a log. math.log, not np.log: numpy's SIMD log can
+    differ from libm in the last place, and the reference sums math.log
+    values. A large block repeats its values (15,810 distinct of 96,206
+    live entries in the 20 blocks of the city-g8 queries), so there each
+    distinct value is logged once; equal inputs give equal logs, the same
+    bits."""
+    logs = np.full(p.shape, _LOG_MIN_PROB)
+    live = p > MIN_PROB
+    values, back = p[live], None
+    if len(values) > _DISTINCT_MIN:
+        values, back = np.unique(values, return_inverse=True)
+    values = np.fromiter(map(log, values.tolist()), np.float64, len(values))
+    logs[live] = values if back is None else values[back]
+    return logs
 
 
 def _pair_starts(lens: np.ndarray) -> np.ndarray:
@@ -450,8 +488,8 @@ def _pair_starts(lens: np.ndarray) -> np.ndarray:
 
 def _row_sums(logs: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Per post i, the sum of the rows ``logs[first[i] : first[i] + lens[i]]``,
-    added in order k = 0, 1, ... exactly as ``sum(axis=0)`` adds the rows of
-    one post's block (``np.add.reduceat`` does not: it can differ in the
+    added in order k = 0, 1, ... exactly as ``log_likelihood`` adds the rows
+    of one post's block (``np.add.reduceat`` does not: it can differ in the
     last place)."""
     out = np.zeros((len(first), logs.shape[1]))
     for k in range(int(lens.max(initial=0))):

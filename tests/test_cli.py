@@ -455,6 +455,18 @@ class TestEvaluate:
         assert err == f"error: bin width must be a finite number > 0, got {float(width)}\n"
         assert not (tmp_path / "rep").exists()
 
+    def test_bin_width_past_the_bin_limit_is_usage_error(self, tmp_path, capsys):
+        # The histogram list was sized with no limit: an internal error
+        # (exit 3, OverflowError) at 1e-300.
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "rep"), "--bin-width", "1e-300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bin width 1e-300 km would need more than 1000000")
+        assert not (tmp_path / "rep").exists()
+
     def test_no_located_posts_is_data_error(self, tmp_path):
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)

@@ -218,9 +218,9 @@ def test_edge_cases_equal_reference_bit_for_bit():
             assert cell_log_scores(ens, tokens).tolist() == _reference_scores(ens, by_cell, tokens)
 
 
-def test_planted_corpus_equals_reference_bit_for_bit():
-    # Thousands of distinct probabilities: enough to expose a log or a sum
-    # that differs from the reference in the last place.
+def _planted():
+    """A planted g = 4 ensemble, its training posts by cell, and queries
+    built from its test posts."""
     spec = SyntheticSpec(
         g=4, vocab_per_cell=30, shared_vocab=60, posts_per_cell=60, leakage=0.3, seed=7
     )
@@ -232,7 +232,13 @@ def test_planted_corpus_equals_reference_bit_for_bit():
     for post in tok:
         by_cell[part.cell_of(post.location)].append(post)
     queries = [arts.preprocess(p).tokens for p in te]
-    queries = [q + q[::-1] for q in queries]
+    return ens, by_cell, [q + q[::-1] for q in queries]
+
+
+def test_planted_corpus_equals_reference_bit_for_bit():
+    # Thousands of distinct probabilities: enough to expose a log or a sum
+    # that differs from the reference in the last place.
+    ens, by_cell, queries = _planted()
     for baseline in (None, BaselineInterpolation(0.7)):
         scored = ens.with_baseline(baseline)
         for tokens in queries:
@@ -322,3 +328,151 @@ def test_posterior_matrix_memory_is_bounded_by_blocks():
     batch = [posts[i % len(posts)] for i in range(4000)]
     assert sum(len(tokens) - 1 for tokens in batch[:400]) * 16 > lm._BLOCK
     assert _scoring_peak(ens, batch) < 3 * _scoring_peak(ens, batch[:400])
+
+
+# The scoring core on both sides of ``lm._DISTINCT_MIN``: 0 logs the
+# distinct values of every block, a huge cutoff logs every entry.
+CUTOFFS = (0, 10**12)
+
+
+def _core_ensembles():
+    """KN and baseline ensembles at g = 3 where cell 0 has sequence-final-only
+    contexts and cells 4..8 have no posts."""
+    cells = partition(BOUNDS, 3).cells()
+    cell_posts = [
+        (cells[0], [["a", "b"], ["a", "c"], ["d", "a", "b"], [MISC, "b"]]),
+        (cells[1], [["a", "b", "c", "a"], ["c", "c"], [MISC, MISC, "a"]]),
+        (cells[2], [[], ["e"], ["a"]]),
+        (cells[3], [["a", "e"], ["a", "e", MISC]]),
+    ]
+    for baseline in (None, BaselineInterpolation(0.6)):
+        ens, by_cell = _ensemble(3, cell_posts, baseline=baseline)
+        assert ens.priors[cells[8]] == 0.0
+        yield ens, by_cell
+
+
+def _all_pairs(tables, repeat):
+    """Every (v, w) over the vocabulary and the out-of-vocabulary id, each
+    ``repeat`` times, so most probabilities recur many times."""
+    ids = np.arange(len(tables.vocab) + 1)
+    v, w = np.meshgrid(ids, ids, indexing="ij")
+    return np.tile(v.ravel(), repeat), np.tile(w.ravel(), repeat)
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_floored_logs_equal_math_log(cutoff):
+    # 2,000 distinct values, each about 25 times, among floored ones: numpy's
+    # own log misses math.log in the last place on a few of them.
+    rng = np.random.default_rng(3)
+    values = np.concatenate((rng.random(2000), rng.random(2000) * 1e-6, [lm.MIN_PROB, 1e-13, 0.0]))
+    p = rng.choice(values, size=(1000, 100))
+    with mock.patch.object(lm, "_DISTINCT_MIN", cutoff):
+        got = lm._floored_logs(p)
+    want = [[log(max(x, lm.MIN_PROB)) for x in row] for row in p.tolist()]
+    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_pair_logs_equal_per_value_log(cutoff):
+    for ens, by_cell in _core_ensembles():
+        tables = ens.tables
+        v, w = _all_pairs(tables, repeat=40)
+        with mock.patch.object(lm, "_DISTINCT_MIN", cutoff):
+            got = tables._pair_logs(v, w, ens.baseline)
+        words = tables.vocab + (UNSEEN,)
+        want = np.empty(got.shape)
+        for j, cell in enumerate(ens.partition.cells()):
+            model = train_cell(by_cell[cell], cell)
+            for i, (a, b) in enumerate(zip(v.tolist(), w.tolist())):
+                if ens.baseline is None:
+                    p = model.bigram_prob(words[a], words[b])
+                else:
+                    p = model.baseline_bigram_prob(words[a], words[b], ens.baseline)
+                want[i, j] = log(p)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_planted_batch_equals_reference_across_the_cutoff(cutoff):
+    # Enough distinct probabilities that a log other than math.log on the
+    # distinct values would show.
+    ens, by_cell, queries = _planted()
+    models = [train_cell(by_cell[cell], cell) for cell in ens.partition.cells()]
+    for baseline in (None, BaselineInterpolation(0.7)):
+        with mock.patch.object(lm, "_DISTINCT_MIN", cutoff):
+            got = ens.tables.log_likelihoods(queries, baseline)
+        want = [[m.sequence_log_prob(q, baseline) for m in models] for q in queries]
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_batch_rows_equal_one_post_scores_across_the_cutoff(cutoff):
+    posts = [[], ["a"], [UNSEEN], [MISC, MISC, MISC], ["b", "a"], ["c", "d"],
+             ["a", UNSEEN, "b"], ["e", "a", "e", "b", "c", "d", "a", "b"]]
+    batch = posts * 60
+    for ens, _ in _core_ensembles():
+        tables = ens.tables
+        with mock.patch.object(lm, "_DISTINCT_MIN", cutoff):
+            got = tables.log_likelihoods(batch, ens.baseline)
+            want = np.array([tables.log_likelihood(tokens, ens.baseline) for tokens in batch])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensembles(), st.lists(batch_posts, max_size=12), st.sampled_from(CUTOFFS))
+def test_log_likelihoods_rows_equal_log_likelihood(built, token_lists, cutoff):
+    tables, baseline = built[0].tables, built[0].baseline
+    with mock.patch.object(lm, "_DISTINCT_MIN", cutoff):
+        got = tables.log_likelihoods(token_lists * 30, baseline)
+        want = [tables.log_likelihood(tokens, baseline) for tokens in token_lists * 30]
+    want = np.array(want).reshape(got.shape)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_half_gather_equals_full_gather_slices():
+    # Before, every column was scattered into rows for both v and w, and
+    # the caller kept one half.
+    def full(tables, ids, column):
+        rows, ent = lm._spans(tables.word_ptr[ids], tables.word_ptr[ids + 1])
+        dense = np.zeros((len(ids), len(tables.post_counts)))
+        dense[rows, tables.word_cell[ent]] = column[ent]
+        return dense
+
+    for ens, _ in _core_ensembles():
+        t = ens.tables
+        for v, w in (_all_pairs(t, repeat=2), (np.array([], dtype=np.int64),) * 2):
+            n, ids = len(v), np.concatenate((v, w))
+            got = t._by_cell(v, w, (t.word_count, t.word_gamma), (t.word_pcont, t.word_count))
+            want = [
+                full(t, ids, t.word_count)[:n],
+                full(t, ids, t.word_gamma)[:n],
+                full(t, ids, t.word_pcont)[n:],
+                full(t, ids, t.word_count)[n:],
+            ]
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+
+
+def test_one_cell_scores_equal_reference_bit_for_bit():
+    # With one cell, sum(axis=0) added a long column pairwise and missed the
+    # reference's in-order sum in the last place from 9 pairs on.
+    rng = np.random.default_rng(11)
+    words = [f"w{k}" for k in range(30)]
+    train = [list(rng.choice(words, size=rng.integers(2, 9))) for _ in range(60)]
+    queries = [list(rng.choice(words + [UNSEEN], size=rng.integers(10, 40))) for _ in range(60)]
+    cell = partition(BOUNDS, 1).cells()[0]
+    pairwise_differs = False
+    for baseline in (None, BaselineInterpolation(0.7)):
+        ens, by_cell = _ensemble(1, [(cell, train)], baseline=baseline)
+        model = train_cell(by_cell[cell], cell)
+        tables = ens.tables
+        for tokens in queries:
+            want = model.sequence_log_prob(tokens, baseline)
+            assert tables.log_likelihood(tokens, baseline).tolist() == [want]
+            ids = tables._ids(tokens)
+            pairwise = tables._pair_logs(ids[:-1], ids[1:], baseline).sum(axis=0)
+            pairwise_differs |= pairwise.tolist() != [want]
+        rows = tables.log_likelihoods(queries, baseline)
+        assert rows[:, 0].tolist() == [model.sequence_log_prob(q, baseline) for q in queries]
+    assert pairwise_differs

@@ -20,6 +20,7 @@ from geopost import (
     partition,
     split,
 )
+from geopost.evaluation import MAX_HISTOGRAM_BINS
 
 BOUNDS = GeoBounds(40.70, -74.02, 40.77, -73.93)
 
@@ -100,6 +101,22 @@ class TestErrorReport:
         # gave the one histogram row (nan, 1, 1.0).
         with pytest.raises(ValidationError, match="bin width must be a finite number > 0"):
             error_report([("a", 1.0)], bin_width_km=width)
+
+    @pytest.mark.parametrize("width", [1e-300, 5e-324, 2.9e-6])
+    def test_histogram_bin_count_is_bounded(self, width):
+        # 1e-300 raised OverflowError sizing the histogram list.
+        with pytest.raises(ValidationError, match="more than 1000000 histogram bins"):
+            error_report([("a", 3.0), ("b", 1.0)], bin_width_km=width)
+
+    def test_histogram_may_fill_every_allowed_bin(self):
+        # Quarter-km errors are exact binary fractions, so the last bin's
+        # index is exact on both sides of the limit.
+        top = (MAX_HISTOGRAM_BINS - 1) * 0.25
+        report = error_report([("a", 0.0), ("b", top)], bin_width_km=0.25)
+        assert len(report.histogram) == MAX_HISTOGRAM_BINS
+        assert report.histogram[0][1] == report.histogram[-1][1] == 1
+        with pytest.raises(ValidationError, match="more than 1000000 histogram bins"):
+            error_report([("a", 0.0), ("b", top + 0.25)], bin_width_km=0.25)
 
     def test_histogram_bins(self):
         report = error_report([("a", 0.0), ("b", 0.1), ("c", 0.3), ("d", 0.5)], bin_width_km=0.25)
