@@ -85,6 +85,33 @@ def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[list[RawPost]
     return posts, skipped
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+# The whitespace json.loads allows around a value; str.strip() would also
+# take \x0b, \x0c and \x1c-\x1f, which json.loads rejects as "Extra data".
+_JSON_SPACE = " \t\n\r"
+
+
+def _decode_line(line: str, lineno: int):
+    """``json.loads(line)``, with its failures as DataError. A line that
+    starts with its value and ends in JSON whitespace is decoded once by
+    ``raw_decode``; every other line goes through ``json.loads`` itself,
+    so each message is the one it gives."""
+    try:
+        obj, end = _raw_decode(line)
+        if not line[end:].strip(_JSON_SPACE):
+            return obj
+    except (ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer past the int digit limit
+        raise DataError(f"line {lineno}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise DataError(f"line {lineno}: invalid JSON (nested too deeply)") from None
+
+
 def _parse_post(line: str, lineno: int) -> RawPost:
     if not line.isascii():
         try:
@@ -92,10 +119,7 @@ def _parse_post(line: str, lineno: int) -> RawPost:
         except UnicodeEncodeError as exc:
             byte = ord(line[exc.start]) - 0xDC00
             raise DataError(f"line {lineno}: invalid UTF-8 (byte 0x{byte:02x})") from None
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    obj = _decode_line(line, lineno)
     if not isinstance(obj, dict):
         raise DataError(f"line {lineno}: expected a JSON object")
     post_id = obj.get("id")
@@ -109,10 +133,14 @@ def _parse_post(line: str, lineno: int) -> RawPost:
     location = None
     if has_lat:
         lat, lon = obj["lat"], obj["lon"]
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (lat, lon)):
+        # A JSON number decodes to exactly int or float, and true/false to
+        # bool, which is refused.
+        if type(lat) not in (int, float) or type(lon) not in (int, float):
             raise DataError(f"line {lineno}: 'lat'/'lon' must be numbers")
         try:
             location = GeoPoint(float(lat), float(lon))
+        except OverflowError:
+            raise DataError(f"line {lineno}: 'lat'/'lon' outside the float range") from None
         except ValidationError as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
     return RawPost(id=post_id, text=text, location=location)

@@ -134,12 +134,14 @@ def build_ensemble(
     selected."""
     if not posts:
         raise ValidationError("cannot build an ensemble from an empty training set")
-    cells = []
-    for post in posts:
-        if post.location is None:
-            raise ValidationError(f"training post {post.id!r} has no location")
-        cell = part.cell_of(post.location)
-        cells.append(cell.row * part.g + cell.col)
+    n = next((i for i, post in enumerate(posts) if post.location is None), len(posts))
+    # The posts before the first unlocated one are binned first, so an
+    # earlier out-of-region post is the one reported.
+    cells = part.cells_of(
+        [post.location.lat for post in posts[:n]], [post.location.lon for post in posts[:n]]
+    )
+    if n < len(posts):
+        raise ValidationError(f"training post {posts[n].id!r} has no location")
     tables = count_tables([post.tokens for post in posts], cells, part.g * part.g)
     return GeoEnsemble(
         partition=part,

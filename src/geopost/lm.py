@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from math import inf, log
 from typing import Optional, Sequence
 
@@ -530,8 +531,9 @@ def count_tables(
     ``cells[i]``) straight into tables indexed by the training tokens."""
     words = sorted(set().union(*token_lists))
     index = {t: i for i, t in enumerate(words)}
-    lens = np.array([len(toks) for toks in token_lists], dtype=np.int64)
-    ids = np.array([index[t] for toks in token_lists for t in toks], dtype=np.int64)
+    lens = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
+    tokens = chain.from_iterable(token_lists)
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, int(lens.sum()))
     cells = np.asarray(cells, dtype=np.int64)
     token_cell = np.repeat(cells, lens)
     left = _pair_starts(lens)

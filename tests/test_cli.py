@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geopost import cli, evaluation, load_model
+from geopost import DataError, GeoPoint, RawPost, ValidationError, cli, evaluation, load_model
 from geopost.cli import main
 from helpers import (
     MODEL_FILES,
@@ -178,6 +179,161 @@ class TestTrain:
             f.write(json.dumps({"id": "x", "text": "no location"}) + "\n")
         _train(tmp_path, corpus)
         assert "without coordinates" in capsys.readouterr().err
+
+
+def _reference_parse_post(line, lineno):
+    """The reader as a plain ``json.loads`` per line: the oracle for
+    ``cli._parse_post``."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise DataError(f"line {lineno}: invalid UTF-8 (byte 0x{byte:02x})") from None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"line {lineno}: expected a JSON object")
+    post_id = obj.get("id")
+    text = obj.get("text")
+    if not isinstance(post_id, str) or not isinstance(text, str):
+        raise DataError(f"line {lineno}: 'id' and 'text' must be strings")
+    has_lat = "lat" in obj
+    has_lon = "lon" in obj
+    if has_lat != has_lon:
+        raise DataError(f"line {lineno}: 'lat' and 'lon' must appear together")
+    location = None
+    if has_lat:
+        lat, lon = obj["lat"], obj["lon"]
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (lat, lon)):
+            raise DataError(f"line {lineno}: 'lat'/'lon' must be numbers")
+        try:
+            location = GeoPoint(float(lat), float(lon))
+        except ValidationError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+    return RawPost(id=post_id, text=text, location=location)
+
+
+def _outcome(parse, line):
+    """A parser's RawPost, or its DataError message."""
+    try:
+        return parse(line, 7)
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_reads_as_reference(line):
+    assert _outcome(cli._parse_post, line) == _outcome(_reference_parse_post, line), line
+
+
+RECORD = '{"id": "a", "text": "caf\u00e9 day", "lat": 40.72, "lon": -73.95}'
+
+
+# Lines on which a plain json.loads reader ends in an internal error.
+CRASHING_LINES = [
+    pytest.param('{"id": "x", "text": "t", "lat": 1%s, "lon": 0}' % ("0" * 400),
+                 "'lat'/'lon' outside the float range", id="lat-overflows-float"),
+    pytest.param('{"id": "x", "text": "t", "n": %s}' % ("9" * 5000),
+                 "invalid JSON (Exceeds the limit", id="int-digit-limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this Python has no int digit limit")),
+    pytest.param("[" * 100_000, "invalid JSON (nested too deeply)", id="deep-nesting"),
+]
+
+
+class TestReader:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            RECORD + "\n",
+            RECORD,
+            RECORD + "\x0b\n",
+            RECORD + "\x0c\n",
+            RECORD + "\x1c\n",
+            RECORD + "\x1f",
+            RECORD + " \t \r\n",
+            "   " + RECORD + "\n",
+            "\t\r" + RECORD,
+            RECORD + "\r\n",
+            "\ufeff" + RECORD + "\n",
+            '{"id": "a", "text": "t", "lat": NaN, "lon": 1.0}\n',
+            '{"id": "a", "text": "t", "lat": 1.0, "lon": Infinity}\n',
+            '{"id": "a", "text": "t", "lat": -Infinity, "lon": 1.0}\n',
+            '{"id": "a", "text": "t", "lat": 40, "lon": -74}\n',
+            '{"id": "a", "text": "t", "lat": 1e2, "lon": 0}\n',
+            '{"id": "a", "text": "t", "lat": true, "lon": 1.0}\n',
+            '{"id": "a", "text": "t", "lat": 1.0, "lon": false}\n',
+            '{"id": "a", "text": "t", "lat": "1.0", "lon": 1.0}\n',
+            '{"id": "a", "text": "t", "lat": null, "lon": 1.0}\n',
+            '{"id": "a", "id": "b", "text": "t", "text": "u", "lat": 1, "lat": 2, "lon": 3}\n',
+            '{"id": "a", "text": "t", "meta": {"x": [1, {"y": null}], "z": [[[]]]}}\n',
+            '{"id": "a", "text": ["t"]}\n',
+            '{"id": "a", "text": "\\ud800 \\udfff"}\n',
+            '{"id": "\\udc80", "text": "t"}\n',
+            '{"id": "a", "text": "t", "lat": 1.0}\n',
+            '{"id": "a", "text": "t", "lon": 1.0}\n',
+            '[{"id": "a", "text": "t"}]\n',
+            '"a string"\n',
+            "5\n",
+            "{}\n",
+            RECORD + " " + RECORD + "\n",
+            RECORD + "x\n",
+            RECORD[:-1] + "\n",
+            "{not json\n",
+            '{"id": "a", "text": "t", "lat": 95.0, "lon": 1.0}\n',
+            '{"id": "a", "text": "caf\udce9"}\n',
+        ],
+    )
+    def test_reads_as_json_loads(self, line):
+        _assert_reads_as_reference(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.sampled_from([RECORD, '{"id": "b", "text": "x y", "lat": 1, "lon": -2.5e1}',
+                              '{"id": "c", "text": ""}']),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "replace"]),
+                st.floats(0, 1, exclude_max=True),
+                st.sampled_from(list(' \t\r\n\x0b\x0c\x1c\x1f\ufeff\udce9"\\{}[],:0123456789eE.-+tnfNI')),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        newline=st.sampled_from(["", "\n", "\r\n"]),
+    )
+    def test_mutated_lines_read_as_json_loads(self, base, edits, newline):
+        line = base
+        for kind, at, char in edits:
+            i = int(at * (len(line) + (kind == "insert")))
+            if kind == "insert":
+                line = line[:i] + char + line[i:]
+            elif kind == "delete":
+                line = line[:i] + line[i + 1:]
+            else:
+                line = line[:i] + char + line[i + 1:]
+        _assert_reads_as_reference(line + newline)
+
+    @pytest.mark.parametrize("bad, message", CRASHING_LINES)
+    def test_crashing_lines_exit_2_or_are_skipped(self, tmp_path, capsys, bad, message):
+        corpus = _synth(tmp_path)
+        clean = _train(tmp_path, corpus, name="clean")
+        lines = corpus.read_text().splitlines()
+        lines.insert(3, bad)
+        corpus.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["train", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
+                     "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: line 4: {message}") and "Traceback" not in err
+        skipped = _train(tmp_path, corpus, name="skipped", extra=("--skip-bad",))
+        err = capsys.readouterr().err
+        assert f"warning: skipping line 4: {message}" in err
+        assert "skipped 1 malformed lines" in err
+        assert (skipped / "tables.npz").read_bytes() == (clean / "tables.npz").read_bytes()
 
 
 def _drop_manifest_key(model):

@@ -13,20 +13,26 @@ from geopost import (
     EstimationError,
     GeoPoint,
     GeoBounds,
+    OutOfRegionError,
     PipelineArtifacts,
     SmoothingConfig,
+    SplitSpec,
+    SyntheticSpec,
     TokenizedPost,
     ValidationError,
     build_ensemble,
+    build_training_corpus,
     estimate,
     estimate_batch,
     estimates_csv,
     evaluate,
+    generate_synthetic,
     geo_smooth,
     partition,
     posterior_field,
+    split,
 )
-from geopost import estimator
+from geopost import estimator, lm
 from geopost.estimator import (
     PosteriorField,
     _ring_matrices,
@@ -91,6 +97,46 @@ class TestBuildEnsemble:
         posts = [TokenizedPost("p", ("w",), None)]
         with pytest.raises(ValidationError):
             build_ensemble(posts, part, SmoothingConfig(), _artifacts({"w"}))
+
+    def test_first_bad_post_in_order_is_reported(self):
+        # As a per-post loop would: whichever of an unlocated and an
+        # out-of-region post comes first.
+        part = partition(BOUNDS, 2)
+        ok = TokenizedPost("ok", ("w",), GeoPoint(1.0, 1.0))
+        unlocated = TokenizedPost("nowhere", ("w",), None)
+        outside = TokenizedPost("far", ("w",), GeoPoint(5.0, 1.0))
+        with pytest.raises(ValidationError, match="training post 'nowhere' has no location"):
+            build_ensemble([ok, unlocated, outside], part, SmoothingConfig(), _artifacts({"w"}))
+        with pytest.raises(OutOfRegionError) as exc:
+            build_ensemble([ok, outside, unlocated], part, SmoothingConfig(), _artifacts({"w"}))
+        assert str(exc.value) == f"point (5.0, 1.0) outside region {BOUNDS}"
+
+    @pytest.mark.parametrize("g", [1, 5, 8, 12])
+    def test_tables_equal_a_per_post_cell_of_build(self, g):
+        # A planted corpus plus copies of its posts moved onto every band
+        # edge, the closed north and east edges included.
+        spec = SyntheticSpec(g=g, vocab_per_cell=8, shared_vocab=20, posts_per_cell=6,
+                             leakage=0.2, seed=g)
+        train, _, _ = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
+        posts, arts = build_training_corpus(train, stopword_count=3)
+        part = partition(BOUNDS, g)
+        edges = [BOUNDS.south + k * part.dlat for k in range(g + 1)]
+        posts += [
+            replace(post, id=f"{post.id}-edge", location=GeoPoint(edges[i % (g + 1)],
+                                                                  edges[-1 - i % (g + 1)]))
+            for i, post in enumerate(posts[: 4 * (g + 1)])
+        ]
+        ens = build_ensemble(posts, part, SmoothingConfig(), arts)
+        cells = [part.cell_of(post.location) for post in posts]
+        reference = lm.count_tables(
+            [post.tokens for post in posts], [c.row * g + c.col for c in cells], g * g
+        )
+        for name, value in vars(ens.tables).items():
+            ref = getattr(reference, name)
+            if isinstance(value, np.ndarray):
+                assert value.dtype == ref.dtype and value.tobytes() == ref.tobytes(), name
+            else:
+                assert value == ref, name
 
 
 class TestPosteriorField:

@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geopost import (
     CellId,
@@ -94,6 +97,83 @@ class TestCellAssignment:
             lat_lo, lat_hi, lon_lo, lon_hi = part.cell_rect(cell)
             assert lat_lo - 1e-12 <= p.lat <= lat_hi + 1e-12
             assert lon_lo - 1e-12 <= p.lon <= lon_hi + 1e-12
+
+
+def _boundary_values(lo, hi, g):
+    """Every band edge lo + k * (hi - lo) / g (k = 0..g, and hi itself),
+    each with its float neighbours on both sides."""
+    step = (hi - lo) / g
+    edges = [lo + k * step for k in range(g + 1)] + [hi]
+    return [v for e in edges for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+
+
+def _cell_of_or_error(part, lat, lon):
+    try:
+        cell = part.cell_of(GeoPoint(lat, lon))
+    except OutOfRegionError as exc:
+        return str(exc)
+    return cell.row * part.g + cell.col
+
+
+def _cells_of_or_error(part, lats, lons):
+    try:
+        return part.cells_of(lats, lons).tolist()
+    except OutOfRegionError as exc:
+        return str(exc)
+
+
+class TestCellsOf:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=st.sampled_from([1, 5, 8, 12]),
+        south=st.floats(-80.0, 79.0),
+        height=st.floats(1e-6, 10.0),
+        west=st.floats(-170.0, 169.0),
+        width=st.floats(1e-6, 10.0),
+    )
+    def test_equals_cell_of_on_and_next_to_every_boundary(self, g, south, height, west, width):
+        part = partition(GeoBounds(south, west, south + height, west + width), g)
+        b = part.bounds
+        lats = _boundary_values(b.south, b.north, g)
+        lons = _boundary_values(b.west, b.east, g)
+        points = [(lat, lon) for lat in lats for lon in lons]
+        expected = [_cell_of_or_error(part, lat, lon) for lat, lon in points]
+        # One point at a time: the same cell, or the same error message.
+        for (lat, lon), want in zip(points, expected):
+            got = _cells_of_or_error(part, [lat], [lon])
+            assert got == (want if isinstance(want, str) else [want])
+        # All at once: the first out-of-region point in input order is
+        # the one reported.
+        lat_arr, lon_arr = np.array(points).T
+        first_error = next((e for e in expected if isinstance(e, str)), None)
+        assert _cells_of_or_error(part, lat_arr, lon_arr) == (first_error or expected)
+        inside = [i for i, e in enumerate(expected) if not isinstance(e, str)]
+        got = part.cells_of(lat_arr[inside], lon_arr[inside])
+        assert got.dtype == np.int64
+        assert got.tolist() == [expected[i] for i in inside]
+
+    def test_north_and_east_edges_close_the_last_row_and_column(self):
+        part = partition(GeoBounds(0.0, 0.0, 2.0, 2.0), 2)
+        got = part.cells_of([2.0, 2.0, 0.0, 1.0, 0.0], [2.0, 0.0, 2.0, 1.0, 0.0])
+        assert got.tolist() == [3, 2, 1, 3, 0]
+
+    def test_out_of_region_message_names_the_first_outside_point(self):
+        part = partition(GeoBounds(0.0, 0.0, 2.0, 2.0), 2)
+        with pytest.raises(OutOfRegionError) as exc:
+            part.cells_of([1.0, 2.5, -1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(OutOfRegionError) as ref:
+            part.cell_of(GeoPoint(2.5, 1.0))
+        assert str(exc.value) == str(ref.value)
+        assert str(exc.value).startswith("point (2.5, 1.0) outside region")
+
+    def test_nan_is_outside(self):
+        part = partition(GeoBounds(0.0, 0.0, 2.0, 2.0), 2)
+        with pytest.raises(OutOfRegionError):
+            part.cells_of([float("nan")], [1.0])
+
+    def test_no_points(self):
+        got = partition(GeoBounds(0.0, 0.0, 2.0, 2.0), 3).cells_of([], [])
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 class TestCellCenters:
