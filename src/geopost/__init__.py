@@ -7,7 +7,6 @@ the cell maximizing a geo-smoothed Bayesian posterior.
 
 from .errors import (
     DataError,
-    EstimationError,
     GeopostError,
     OutOfRegionError,
     UndefinedContextError,
@@ -76,7 +75,6 @@ __all__ = [
     "Discounts",
     "ErrorReport",
     "Estimate",
-    "EstimationError",
     "GeoBounds",
     "GeoEnsemble",
     "GeoPoint",

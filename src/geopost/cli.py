@@ -126,6 +126,14 @@ def _parse_post(line: str, lineno: int) -> RawPost:
     text = obj.get("text")
     if not isinstance(post_id, str) or not isinstance(text, str):
         raise DataError(f"line {lineno}: 'id' and 'text' must be strings")
+    # A \udXXX escape decodes to a lone surrogate, which no output file
+    # can encode; cleanup already drops one from the text.
+    if not post_id.isascii():
+        try:
+            post_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            char = ord(post_id[exc.start])
+            raise DataError(f"line {lineno}: 'id' is not valid UTF-8 (U+{char:04X})") from None
     has_lat = "lat" in obj
     has_lon = "lon" in obj
     if has_lat != has_lon:
@@ -199,12 +207,9 @@ def cmd_estimate(args) -> int:
     estimates = estimate_batch(ens, tokenized)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         f.write(estimates_csv(tokenized, estimates))
-    n_failed = sum(1 for e in estimates if e is None)
-    if n_failed:
-        print(f"{n_failed} posts could not be estimated", file=sys.stderr)
     if skipped:
         print(f"skipped {skipped} malformed lines", file=sys.stderr)
-    print(f"estimated {len(estimates) - n_failed} posts -> {args.out}")
+    print(f"estimated {len(estimates)} posts -> {args.out}")
     return EXIT_OK
 
 

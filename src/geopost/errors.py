@@ -17,9 +17,5 @@ class UndefinedContextError(GeopostError):
     """A language-model context word was never observed in training."""
 
 
-class EstimationError(GeopostError):
-    """The ensemble is degenerate and cannot produce a posterior."""
-
-
 class DataError(GeopostError):
     """A corpus file or model directory is malformed or incompatible."""

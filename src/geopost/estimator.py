@@ -12,30 +12,26 @@ the cell. ``posterior_matrix`` scores a batch of posts into a (posts,
 g**2) matrix whose rows equal the one-post vectors bit for bit.
 ``smoothing_terms`` maps a vector or such a matrix to its per-ring terms
 in one broadcast matmul against the ring stack ``_ring_matrices(g)``.
-``estimate`` runs this on one post's vector; ``estimate_batch`` and
-``estimate_all`` run it on a block of posts at a time, as a (posts,
-g**2) matrix, with the same bits. ``dict[CellId, float]`` appears only
-in the API-edge wrappers ``posterior_field`` and ``geo_smooth``.
+``estimate`` runs this on one post's vector; ``estimate_batch`` runs it
+on a block of posts at a time, as a (posts, g**2) matrix, with the same
+bits. ``dict[CellId, float]`` appears only in the API-edge wrappers
+``posterior_field`` and ``geo_smooth``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import logging
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from math import inf
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import ValidationError
 from .grid import CellId, GeoPoint, GridPartition
 from .lm import BaselineInterpolation, CellModels, EnsembleTables, count_tables
 from .pipeline import PipelineArtifacts, TokenizedPost
-
-logger = logging.getLogger(__name__)
 
 # The batch path takes posts in blocks whose ring stack, (g-1) x posts x
 # g**2 floats, has at most this many entries (8 MiB), unless one post
@@ -160,15 +156,13 @@ def cell_log_scores(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
 
 def normalize_log_scores(scores: Sequence[float]) -> np.ndarray:
     """Max-shifted exponential normalization of log scores into a
-    probability vector, or of each row of a 2-D array into one. A row of
-    all -inf means a degenerate ensemble."""
+    probability vector, or of each row of a 2-D array into one. Every
+    ensemble has a cell with positive prior, so no row is all -inf."""
     arr = np.asarray(scores, dtype=np.float64)
-    # A 1-D input keeps a scalar maximum and sum: (1,) arrays and .any()
-    # would add microseconds to every post ``estimate`` scores.
+    # A 1-D input keeps a scalar maximum and sum: (1,) arrays would add
+    # microseconds to every post ``estimate`` scores.
     rows = arr.ndim > 1
     m = arr.max(axis=-1, keepdims=rows)
-    if (-inf in m) if rows else m == -inf:
-        raise EstimationError("no cell has positive prior mass")
     q = np.exp(arr - m)
     return q / q.sum(axis=-1, keepdims=rows)
 
@@ -288,27 +282,14 @@ def _estimate_block(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Es
     return _pick_cells(part, vecs, scores)
 
 
-def estimate_all(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Estimate]:
+def estimate_batch(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Estimate]:
     """``estimate`` of every post, in order and bit for bit, computed in
     consecutive blocks of at least one post and at most ``_SMOOTH_BLOCK``
-    ring-stack entries. Raises EstimationError for an ensemble with no
-    prior mass."""
+    ring-stack entries."""
     g = ens.partition.g
     step = max(_SMOOTH_BLOCK // max((g - 1) * g * g, 1), 1)
     blocks = (posts[lo : lo + step] for lo in range(0, len(posts), step))
     return [est for block in blocks for est in _estimate_block(ens, block)]
-
-
-def estimate_batch(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Optional[Estimate]]:
-    """``estimate_all`` that does not raise. Log-likelihoods are floored,
-    so only an ensemble with no prior mass fails, and then it fails every
-    post: each yields None in its slot, with one warning per post."""
-    try:
-        return estimate_all(ens, posts)
-    except EstimationError as exc:
-        for post in posts:
-            logger.warning("estimate failed for post %r: %s", post.id, exc)
-        return [None] * len(posts)
 
 
 ESTIMATES_CSV_FIELDS = (
@@ -322,8 +303,8 @@ ESTIMATES_CSV_FIELDS = (
 )
 
 
-def estimates_csv(posts: Sequence[TokenizedPost], estimates: Sequence[Optional[Estimate]]) -> str:
-    """Render estimates as CSV text, one row per successful estimate.
+def estimates_csv(posts: Sequence[TokenizedPost], estimates: Sequence[Estimate]) -> str:
+    """Render estimates as CSV text, one row per post.
 
     Floats are written with repr so identical estimates always produce
     byte-identical output.
@@ -332,8 +313,6 @@ def estimates_csv(posts: Sequence[TokenizedPost], estimates: Sequence[Optional[E
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ESTIMATES_CSV_FIELDS)
     for post, est in zip(posts, estimates):
-        if est is None:
-            continue
         writer.writerow(
             [
                 post.id,

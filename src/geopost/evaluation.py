@@ -16,7 +16,7 @@ from math import floor, isfinite
 from typing import Sequence
 
 from .errors import ValidationError
-from .estimator import Estimate, GeoEnsemble, estimate_all
+from .estimator import Estimate, GeoEnsemble, estimate_batch
 from .grid import GeoBounds, GeoPoint, geo_distance_km, partition
 from .pipeline import RawPost, TokenizedPost
 
@@ -171,8 +171,7 @@ def evaluate(
 
     The bin width and every post's truth location are checked before
     anything is scored; the posts are then estimated a block at a time by
-    ``estimate_all``, which raises EstimationError for a degenerate
-    ensemble."""
+    ``estimate_batch``."""
     if not posts:
         raise ValidationError("cannot evaluate an empty test set")
     _check_bin_width(bin_width_km)
@@ -181,7 +180,7 @@ def evaluate(
             raise ValidationError(f"test post {post.id!r} has no truth location")
     per_post = [
         (post.id, estimation_error_km(post.location, est))
-        for post, est in zip(posts, estimate_all(ens, posts))
+        for post, est in zip(posts, estimate_batch(ens, posts))
     ]
     return error_report(per_post, bin_width_km)
 

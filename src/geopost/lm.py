@@ -563,7 +563,8 @@ def compile_tables(
     1, ... too. Word entries are keyed ``word * n_cells + cell`` and pair
     entries ``(v * (len(vocab) + 1) + w) * n_cells + cell``, each in
     increasing key order, and each key is decoded once. Raises ValueError
-    if a post count is below 0 or another count below 1, if a key repeats
+    if a post count is below 0 or another count below 1, if the post
+    counts are all zero (no cell could have a prior), if a key repeats
     or is out of order, if a key names a word id outside the vocabulary,
     if a pair's v or w has no word entry in the pair's cell, or if a
     vocabulary word has no entry at all. Every formula mirrors
@@ -572,6 +573,8 @@ def compile_tables(
     post_counts = np.asarray(post_counts, dtype=np.int64)
     if post_counts.min(initial=0) < 0:
         raise ValueError(f"post_counts must be >= 0, found {post_counts.min()}")
+    if not post_counts.any():
+        raise ValueError("post_counts are all zero: no training posts")
     for name, counts in (("word_count", word_count), ("pair_count", pair_count)):
         if counts.min(initial=1) < 1:
             raise ValueError(f"{name} must be >= 1, found {counts.min()}")

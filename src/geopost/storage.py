@@ -39,10 +39,10 @@ size, and stored n1..n4/d1..d3 that differ from the values recomputed
 from the pair counts. ``PipelineArtifacts`` refuses a stopword not
 lowercase and a token other than ``<misc>`` that is both a stopword and
 in the vocabulary. ``compile_tables`` refuses every flaw of the count
-arrays: a post count below 0 or another count below 1, keys that repeat
-or are out of order, a key naming a word id outside the vocabulary, a
-pair whose words have no entry in its cell, and a vocabulary token never
-counted.
+arrays: a post count below 0 or another count below 1, post counts that
+are all zero, keys that repeat or are out of order, a key naming a word
+id outside the vocabulary, a pair whose words have no entry in its
+cell, and a vocabulary token never counted.
 
 Saving writes into a fresh sibling directory and renames it into place,
 so a reader sees the old model, the new one or (for the moment between
@@ -201,8 +201,8 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
         total_posts = manifest["training_posts"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {_MANIFEST} in {root}: missing or bad field {exc}") from None
-    if not isinstance(total_posts, int) or total_posts < 1:
-        raise DataError(f"{_MANIFEST} training_posts must be a positive integer")
+    if not isinstance(total_posts, int):
+        raise DataError(f"{_MANIFEST} training_posts must be an integer")
 
     n_cells = part.g * part.g
     a = _read_tables(root / _TABLES, n_cells)

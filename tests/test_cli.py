@@ -200,6 +200,9 @@ def _reference_parse_post(line, lineno):
     text = obj.get("text")
     if not isinstance(post_id, str) or not isinstance(text, str):
         raise DataError(f"line {lineno}: 'id' and 'text' must be strings")
+    for char in post_id:
+        if 0xD800 <= ord(char) <= 0xDFFF:
+            raise DataError(f"line {lineno}: 'id' is not valid UTF-8 (U+{ord(char):04X})")
     has_lat = "lat" in obj
     has_lon = "lon" in obj
     if has_lat != has_lon:
@@ -272,6 +275,8 @@ class TestReader:
             '{"id": "a", "text": ["t"]}\n',
             '{"id": "a", "text": "\\ud800 \\udfff"}\n',
             '{"id": "\\udc80", "text": "t"}\n',
+            '{"id": "q\\ud83d\\ude00", "text": "t"}\n',
+            '{"id": "q\\udfff\\ud800", "text": "t"}\n',
             '{"id": "a", "text": "t", "lat": 1.0}\n',
             '{"id": "a", "text": "t", "lon": 1.0}\n',
             '[{"id": "a", "text": "t"}]\n',
@@ -355,6 +360,17 @@ def _tables(edit):
     return lambda model: edit_tables(model, edit)
 
 
+def _no_training_posts(total):
+    """All-zero post counts, with ``total`` as the manifest's training-set
+    size: compile_tables refuses them whether or not the sizes agree."""
+
+    def corrupt(model):
+        edit_tables(model, lambda m: m.update(post_counts=m["post_counts"] * 0))
+        _set_manifest("training_posts", total)(model)
+
+    return corrupt
+
+
 # The model is 2 x 2, so every key holds its cell modulo 4.
 CORRUPTIONS = {
     "unequal-member-lengths": _tables(lambda m: m.update(word_count=m["word_count"][:-1])),
@@ -371,6 +387,8 @@ CORRUPTIONS = {
     "diameter-not-integer": _set_manifest("diameter", 2.5),
     "diameter-bool": _set_manifest("diameter", True),
     "alpha-bool": _set_manifest("alpha", True),
+    "zero-post-counts": _no_training_posts(1),
+    "zero-post-counts-and-total": _no_training_posts(0),
     "grid-size-bool": _set_manifest("grid_size", True),
 }
 
@@ -572,6 +590,70 @@ class TestEstimate:
                      "--alpha", "0.0", "--out", str(b)]) == 0
         assert a.read_text() != b.read_text()
 
+    def test_console_output(self, tmp_path, capsys):
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        out = tmp_path / "est.csv"
+        capsys.readouterr()
+        assert main(["estimate", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"estimated 120 posts -> {out}\n", "")
+
+    def test_console_output_under_skip_bad(self, tmp_path, capsys):
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        lines = corpus.read_text().splitlines()
+        lines.insert(2, "{not json")
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "est.csv"
+        capsys.readouterr()
+        assert main(["estimate", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(out), "--skip-bad"]) == 0
+        assert capsys.readouterr() == (
+            f"estimated 120 posts -> {out}\n",
+            "warning: skipping line 3: invalid JSON"
+            " (Expecting property name enclosed in double quotes)\n"
+            "skipped 1 malformed lines\n",
+        )
+
+    def test_unpaired_surrogate_in_id_is_data_error(self, tmp_path, capsys):
+        # The id could not be written to the CSV: an internal error (exit
+        # 3) that left an empty file, with or without --skip-bad.
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        query = _with_surrogate_id(tmp_path, corpus, located=False)
+        out = tmp_path / "est.csv"
+        capsys.readouterr()
+        assert main(["estimate", "--model", str(model), "--corpus", str(query),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {SURROGATE_ID_ERROR}\n"
+        assert not out.exists()
+        assert main(["estimate", "--model", str(model), "--corpus", str(query),
+                     "--out", str(out), "--skip-bad"]) == 0
+        assert capsys.readouterr() == (
+            f"estimated 2 posts -> {out}\n",
+            f"warning: skipping {SURROGATE_ID_ERROR}\nskipped 1 malformed lines\n",
+        )
+        ids = [row.split(",")[0] for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert ids == ["synth-r0c0-0", "synth-r0c0-2"]
+
+
+SURROGATE_ID_ERROR = "line 2: 'id' is not valid UTF-8 (U+DC80)"
+
+
+def _with_surrogate_id(tmp_path, corpus, located):
+    """A copy of the corpus's first three posts whose second post has the
+    id "q\\udc80", written as a JSON escape; without truth coordinates
+    unless ``located``."""
+    posts = [json.loads(line) for line in corpus.read_text().splitlines()[:3]]
+    posts[1]["id"] = "q\udc80"
+    if not located:
+        for post in posts:
+            del post["lat"], post["lon"]
+    path = tmp_path / "query.jsonl"
+    path.write_text("".join(json.dumps(post) + "\n" for post in posts), encoding="ascii")
+    return path
+
 
 class TestEvaluate:
     def test_report_files_and_summary_line(self, tmp_path, capsys):
@@ -604,7 +686,7 @@ class TestEvaluate:
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)
         capsys.readouterr()
-        monkeypatch.setattr(evaluation, "estimate_all", lambda *args: pytest.fail("scored"))
+        monkeypatch.setattr(evaluation, "estimate_batch", lambda *args: pytest.fail("scored"))
         assert main(["evaluate", "--model", str(model), "--corpus", str(corpus),
                      "--out", str(tmp_path / "rep"), "--bin-width", width]) == 1
         err = capsys.readouterr().err
@@ -630,6 +712,25 @@ class TestEvaluate:
         bare.write_text(json.dumps({"id": "a", "text": "hello"}) + "\n")
         assert main(["evaluate", "--model", str(model), "--corpus", str(bare),
                      "--out", str(tmp_path / "rep")]) == 2
+
+    def test_unpaired_surrogate_in_id_is_data_error(self, tmp_path, capsys):
+        # errors.csv could not be written: an internal error (exit 3) that
+        # left a header-only file.
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        query = _with_surrogate_id(tmp_path, corpus, located=True)
+        report = tmp_path / "rep"
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--corpus", str(query),
+                     "--out", str(report)]) == 2
+        assert capsys.readouterr().err == f"error: {SURROGATE_ID_ERROR}\n"
+        assert not report.exists()
+        assert main(["evaluate", "--model", str(model), "--corpus", str(query),
+                     "--out", str(report), "--skip-bad"]) == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: skipping {SURROGATE_ID_ERROR}\nskipped 1 malformed lines\n"
+        rows = (report / "errors.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["synth-r0c0-0", "synth-r0c0-2"]
 
 
 class TestTune:

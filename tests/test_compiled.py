@@ -172,6 +172,7 @@ def _drop_word_entry(index):
     "edit, message",
     [
         (_set("post_counts", 0, -1), "post_counts must be >= 0, found -1"),
+        (_set("post_counts", slice(None), 0), "post_counts are all zero: no training posts"),
         (_set("word_count", 0, 0), "word_count must be >= 1, found 0"),
         (_set("pair_count", 2, 0), "pair_count must be >= 1, found 0"),
         (_set("word_keys", 5, 4 * 4 + 2), "a key names a word id outside the vocabulary"),
@@ -184,9 +185,9 @@ def _drop_word_entry(index):
         (_drop_word_entry(3), "a bigram token is missing from its cell's unigram counts"),
     ],
     ids=[
-        "negative-post-count", "zero-word-count", "zero-pair-count", "word-outside",
-        "negative-word-key", "v-outside", "w-outside", "uncounted-word", "unigrams-out-of-order",
-        "bigram-repeated", "context-missing-from-cell",
+        "negative-post-count", "all-zero-post-counts", "zero-word-count", "zero-pair-count",
+        "word-outside", "negative-word-key", "v-outside", "w-outside", "uncounted-word",
+        "unigrams-out-of-order", "bigram-repeated", "context-missing-from-cell",
     ],
 )
 def test_compile_tables_refuses_broken_counts(edit, message):
