@@ -44,6 +44,9 @@ class GeoBounds:
     east: float
 
     def __post_init__(self):
+        edges = (self.south, self.west, self.north, self.east)
+        if any(isinstance(edge, bool) for edge in edges):
+            raise ValidationError(f"bounds must be numbers, not booleans: {edges}")
         GeoPoint(self.south, self.west)
         GeoPoint(self.north, self.east)
         if not self.south < self.north:

@@ -201,17 +201,18 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
         total_posts = manifest["training_posts"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {_MANIFEST} in {root}: missing or bad field {exc}") from None
-    if not isinstance(total_posts, int):
+    if isinstance(total_posts, bool) or not isinstance(total_posts, int):
         raise DataError(f"{_MANIFEST} training_posts must be an integer")
 
     n_cells = part.g * part.g
     a = _read_tables(root / _TABLES, n_cells)
     vocab = _words(a.pop("vocab"), "vocab")
-    if not all(map(str.__lt__, vocab[:-1], vocab[1:])):
+    vocab_set = frozenset(vocab)
+    if len(vocab_set) != len(vocab) or vocab != sorted(vocab):
         raise DataError(f"{_TABLES}: the vocabulary is not strictly increasing")
     try:
         artifacts = PipelineArtifacts(
-            stopwords=frozenset(_words(a.pop("stopwords"), "stopwords")), vocab=frozenset(vocab)
+            stopwords=frozenset(_words(a.pop("stopwords"), "stopwords")), vocab=vocab_set
         )
     except ValidationError as exc:
         raise DataError(f"bad stopword list in {_TABLES}: {exc}") from None

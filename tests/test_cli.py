@@ -371,6 +371,26 @@ def _no_training_posts(total):
     return corrupt
 
 
+def _set_bound(edge, value):
+    def corrupt(model):
+        manifest = json.loads((model / "manifest.json").read_text())
+        manifest["bounds"][edge] = value
+        (model / "manifest.json").write_text(json.dumps(manifest))
+
+    return corrupt
+
+
+def _one_training_post(total):
+    """One training post, in cell 0, with ``total`` as the manifest's
+    training-set size."""
+
+    def corrupt(model):
+        edit_tables(model, at("post_counts", slice(None), lambda _: [1, 0, 0, 0]))
+        _set_manifest("training_posts", total)(model)
+
+    return corrupt
+
+
 # The model is 2 x 2, so every key holds its cell modulo 4.
 CORRUPTIONS = {
     "unequal-member-lengths": _tables(lambda m: m.update(word_count=m["word_count"][:-1])),
@@ -390,6 +410,11 @@ CORRUPTIONS = {
     "zero-post-counts": _no_training_posts(1),
     "zero-post-counts-and-total": _no_training_posts(0),
     "grid-size-bool": _set_manifest("grid_size", True),
+    # True passes every range check as 1.0: east = true loaded a model
+    # whose cells end at longitude 1.
+    "bounds-bool": _set_bound("east", True),
+    # True is an int to isinstance, and loaded a one-post model.
+    "training-posts-bool": _one_training_post(True),
 }
 
 

@@ -139,6 +139,35 @@ def test_count_arrays_compile_back_to_the_tables(built):
             assert x == y, field.name
 
 
+def test_tables_past_65536_word_entries_equal_reference():
+    # 256 cells of 300 words each: the word entries outgrow 16-bit
+    # indices, so a lookup that wraps or truncates them shows here.
+    g, n_words, per_cell = 16, 400, 300
+    rng = np.random.default_rng(5)
+    words = [f"w{i:03d}" for i in range(n_words)]
+    token_lists, cells = [], []
+    for cell in range(g * g):
+        own = rng.choice(n_words, per_cell, replace=False)
+        # Every word of the cell once, then 900 draws from 20 of them, so
+        # pairs fall in every count tier.
+        ids = np.concatenate((own, rng.choice(own[:20], 900)))
+        for post in np.split(ids, 120):
+            token_lists.append([words[i] for i in post])
+            cells.append(cell)
+    tables = lm.count_tables(token_lists, cells, g * g)
+    assert len(tables.word_cell) == g * g * per_cell > 65_536
+    part = partition(BOUNDS, g)
+    for i in (0, 1, 137, g * g - 1):
+        posts = [
+            TokenizedPost(f"p{k}", tuple(t)) for k, t in enumerate(token_lists) if cells[k] == i
+        ]
+        model = train_cell(posts, part.cells()[i])
+        ent = np.flatnonzero(tables.word_cell == i)
+        cell_words = [tables.vocab[t] for t in np.searchsorted(tables.word_ptr, ent, "right") - 1]
+        assert tables.word_gamma[ent].tolist() == [model.backoff_mass(t) for t in cell_words]
+        assert tables.word_pcont[ent].tolist() == [model.continuation_prob(t) for t in cell_words]
+
+
 def _counted():
     """The count arrays of a 2 x 2 ensemble over the words a, b, c, d,
     where d occurs only in a one-token post of cell 2."""
@@ -183,11 +212,14 @@ def _drop_word_entry(index):
         (_set("word_keys", 0, 2), "unigram rows repeat or are out of order"),
         (_set("pair_keys", 1, 4), "bigram rows repeat or are out of order"),
         (_drop_word_entry(3), "a bigram token is missing from its cell's unigram counts"),
+        # (a, cell 1) completes the pair (b, a) of cell 1.
+        (_drop_word_entry(1), "a bigram token is missing from its cell's unigram counts"),
     ],
     ids=[
         "negative-post-count", "all-zero-post-counts", "zero-word-count", "zero-pair-count",
         "word-outside", "negative-word-key", "v-outside", "w-outside", "uncounted-word",
         "unigrams-out-of-order", "bigram-repeated", "context-missing-from-cell",
+        "completion-missing-from-cell",
     ],
 )
 def test_compile_tables_refuses_broken_counts(edit, message):

@@ -53,6 +53,15 @@ class TestPartition:
         with pytest.raises(ValidationError):
             GeoBounds(-95.0, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("edge", range(4))
+    def test_bool_bound_rejected(self, edge):
+        # True passes the range checks as 1.0, and east = true once loaded
+        # a model as a region ending at longitude 1.
+        edges = [0.0, 0.0, 2.0, 2.0]
+        edges[edge] = edge >= 2
+        with pytest.raises(ValidationError, match="not booleans"):
+            GeoBounds(*edges)
+
     def test_zero_grid_rejected(self):
         with pytest.raises(ValidationError):
             partition(GeoBounds(0.0, 0.0, 1.0, 1.0), 0)

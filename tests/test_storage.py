@@ -181,6 +181,18 @@ class TestValidation:
         with pytest.raises(DataError, match=f"malformed manifest.json.*{key} must"):
             load_model(model)
 
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_training_posts_must_be_an_integer(self, model, value):
+        # One training post, so only the type of the total is wrong; True
+        # is an int to isinstance and loaded.
+        edit_tables(model, at("post_counts", slice(None), lambda _: [1, 0, 0, 0]))
+        manifest_path = model / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["training_posts"] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="training_posts must be an integer"):
+            load_model(model)
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(DataError, match="manifest"):
@@ -221,6 +233,22 @@ class TestValidation:
                 members[name] = members[name][keep]
 
         edit_tables(model, drop_context)
+        with pytest.raises(DataError, match="missing from its cell"):
+            load_model(model)
+
+    def test_bigram_completion_missing_from_cell_unigrams(self, model):
+        # Drop the word entry of a pair's completion in its cell, one that
+        # is no pair's context there, so only the completion side misses it.
+        def drop_completion(members):
+            vocab_size, n_cells = len(words(members["vocab"])), len(members["post_counts"])
+            pair, cell = np.divmod(members["pair_keys"], n_cells)
+            v, w = np.divmod(pair, vocab_size + 1)
+            key = np.setdiff1d(w * n_cells + cell, v * n_cells + cell)[0]
+            keep = members["word_keys"] != key
+            for name in ("word_keys", "word_count"):
+                members[name] = members[name][keep]
+
+        edit_tables(model, drop_completion)
         with pytest.raises(DataError, match="missing from its cell"):
             load_model(model)
 
