@@ -71,7 +71,7 @@ def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[list[RawPost]
         # bad line is caught by _parse_post instead of ending the read.
         with open(path, encoding="utf-8", errors="surrogateescape") as f:
             for lineno, line in enumerate(f, start=1):
-                if not line.strip():
+                if not line.strip(_JSON_SPACE):
                     continue
                 try:
                     posts.append(_parse_post(line, lineno))

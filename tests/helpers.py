@@ -8,6 +8,7 @@ no code with the package internals they check.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from math import acos, cos, radians, sin
@@ -20,18 +21,30 @@ from geopost import TokenizedPost
 MIN_PROB = 1e-12
 EARTH_RADIUS_KM = 6371.0088
 # The files of a saved model directory, sorted.
-MODEL_FILES = ["manifest.json", "tables.npz"]
+MODEL_FILES = ["model.npz"]
 
 
 def edit_tables(model, edit):
-    """Rewrite a saved model's tables.npz with ``edit`` applied in place to
+    """Rewrite a saved model's model.npz with ``edit`` applied in place to
     the dict of its member arrays. ``np.savez`` writes fresh CRC-32s, so
     only the loader's own checks stand between the edit and a model."""
-    path = Path(model) / "tables.npz"
+    path = Path(model) / "model.npz"
     with np.load(path, allow_pickle=False) as archive:
         members = {name: archive[name] for name in archive.files}
     edit(members)
     np.savez(path, **members)
+
+
+def edit_manifest(model, edit):
+    """Rewrite a saved model's manifest member with ``edit`` applied in
+    place to the manifest's dict."""
+
+    def edit_member(members):
+        manifest = json.loads(members["manifest"].tobytes())
+        edit(manifest)
+        members["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+
+    edit_tables(model, edit_member)
 
 
 def at(name, index, change):

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from helpers import (
     MODEL_FILES,
     at,
     completion_outside_vocabulary,
+    edit_manifest,
     edit_tables,
     vocabulary_token_into_stopwords,
 )
@@ -173,6 +175,16 @@ class TestTrain:
         assert "skipped 1 malformed lines" in err
         assert load_model(skipped).artifacts == load_model(clean).artifacts
 
+    def test_out_onto_a_regular_file_exits_2(self, tmp_path, capsys):
+        corpus = _synth(tmp_path)
+        target = tmp_path / "notes"
+        target.write_bytes(b"keep me\n")
+        code = main(["train", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
+                     "--out", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {target} exists and is not a directory\n"
+        assert target.read_bytes() == b"keep me\n"
+
     def test_unlocated_posts_dropped_with_note(self, tmp_path, capsys):
         corpus = _synth(tmp_path)
         with open(corpus, "a", encoding="utf-8") as f:
@@ -321,6 +333,24 @@ class TestReader:
                 line = line[:i] + char + line[i + 1:]
         _assert_reads_as_reference(line + newline)
 
+    @pytest.mark.parametrize("space", ["\x0c", "\x1c", "\x1f", "\x0b", "\xa0", " \x0c\t"])
+    def test_line_of_other_whitespace_is_malformed(self, tmp_path, space):
+        # json.loads refuses a line of whitespace other than JSON's, so
+        # the reader does not drop it as blank.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(f"{RECORD}\n{space}\n{RECORD}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^line 2: invalid JSON \\(Expecting value\\)$"):
+            cli.read_corpus(corpus)
+        posts, skipped = cli.read_corpus(corpus, skip_bad=True)
+        assert (len(posts), skipped) == (2, 1)
+
+    def test_line_of_json_whitespace_is_blank(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(f"{RECORD}\n \t \r\n\n\t\r\n{RECORD}\n", encoding="utf-8")
+        posts, skipped = cli.read_corpus(corpus)
+        assert (len(posts), skipped) == (2, 0)
+        assert cli.read_corpus(corpus, skip_bad=True) == (posts, 0)
+
     @pytest.mark.parametrize("bad, message", CRASHING_LINES)
     def test_crashing_lines_exit_2_or_are_skipped(self, tmp_path, capsys, bad, message):
         corpus = _synth(tmp_path)
@@ -338,22 +368,24 @@ class TestReader:
         err = capsys.readouterr().err
         assert f"warning: skipping line 4: {message}" in err
         assert "skipped 1 malformed lines" in err
-        assert (skipped / "tables.npz").read_bytes() == (clean / "tables.npz").read_bytes()
+        assert _tables_and_manifest(skipped) == _tables_and_manifest(clean)
+
+
+def _tables_and_manifest(model):
+    """A saved model's members, the manifest without its creation time."""
+    with np.load(model / "model.npz", allow_pickle=False) as archive:
+        members = {name: archive[name].tobytes() for name in archive.files}
+    manifest = json.loads(members.pop("manifest"))
+    del manifest["created_utc"]
+    return members, manifest
 
 
 def _drop_manifest_key(model):
-    manifest = json.loads((model / "manifest.json").read_text())
-    del manifest["grid_size"]
-    (model / "manifest.json").write_text(json.dumps(manifest))
+    edit_manifest(model, lambda m: m.pop("grid_size"))
 
 
 def _set_manifest(key, value):
-    def corrupt(model):
-        manifest = json.loads((model / "manifest.json").read_text())
-        manifest[key] = value
-        (model / "manifest.json").write_text(json.dumps(manifest))
-
-    return corrupt
+    return lambda model: edit_manifest(model, lambda m: m.update({key: value}))
 
 
 def _tables(edit):
@@ -372,12 +404,7 @@ def _no_training_posts(total):
 
 
 def _set_bound(edge, value):
-    def corrupt(model):
-        manifest = json.loads((model / "manifest.json").read_text())
-        manifest["bounds"][edge] = value
-        (model / "manifest.json").write_text(json.dumps(manifest))
-
-    return corrupt
+    return lambda model: edit_manifest(model, lambda m: m["bounds"].update({edge: value}))
 
 
 def _one_training_post(total):
@@ -472,9 +499,9 @@ class TestCorruptModel:
         byte=st.integers(0, 255),
     )
     def test_damaged_model_is_estimate_or_data_error(self, saved_model, kind, name, at, byte):
-        # A damaged manifest may still hold a valid model (another alpha,
-        # say); a damaged archive must give the undamaged model's estimates
-        # or a data error, never other estimates.
+        # Every member, the manifest included, is under a CRC-32, so a
+        # damaged model must give the undamaged model's estimates or a data
+        # error, never other estimates.
         model, corpus, undamaged = saved_model
         with tempfile.TemporaryDirectory(dir=model.parent) as work:
             damaged = shutil.copytree(model, Path(work) / "model")
@@ -487,7 +514,7 @@ class TestCorruptModel:
         assert code in (0, 2), err.getvalue()
         if code == 2:
             assert err.getvalue().startswith("error: ")
-        elif name == "tables.npz":
+        else:
             assert estimates == undamaged
         assert "Traceback" not in err.getvalue()
 
@@ -535,28 +562,26 @@ class TestEstimate:
         assert out.read_text() == "post_id,est_lat,est_lon,cell_row,cell_col,posterior,smoothed_score\n"
 
     def test_version_mismatch_refused(self, tmp_path, capsys):
-        # Any other version is refused, format 2 (which also held
-        # hapax.txt) and format 4 (whose manifest also held the stopword
-        # count) included: such a model must be retrained.
+        # Any other version is refused, format 4 (whose manifest also held
+        # the stopword count) and format 5 included: such a model must be
+        # retrained.
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)
-        (model / "hapax.txt").write_text("")
-        manifest = json.loads((model / "manifest.json").read_text())
-        manifest["stopword_count"] = 0
-        for version in (99, 2, 4):
-            manifest["format_version"] = version
-            (model / "manifest.json").write_text(json.dumps(manifest))
+        edit_manifest(model, lambda m: m.update(stopword_count=0))
+        for version in (99, 2, 4, 5):
+            edit_manifest(model, lambda m: m.update(format_version=version))
             capsys.readouterr()
             code = main(["estimate", "--model", str(model), "--corpus", str(corpus),
                          "--out", str(tmp_path / "est.csv")])
             err = capsys.readouterr().err
             assert code == 2
             assert err == (
-                f"error: unsupported model format version {version} (this build reads 5)\n"
+                f"error: unsupported model format version {version} (this build reads 6)\n"
             )
 
     def test_format_3_directory_refused(self, tmp_path, capsys):
-        # The six text files of format 3 have no reader: retrain.
+        # The six text files of format 3 have no reader: retrain. Formats
+        # 1 to 5 all kept a manifest.json, and none has a model.npz.
         model = tmp_path / "model"
         model.mkdir()
         manifest = {
@@ -577,7 +602,7 @@ class TestEstimate:
                      "--out", str(tmp_path / "est.csv")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: unsupported model format version 3 (this build reads 5)\n"
+        assert err == f"error: {model} holds a model of format 5 or earlier; train it again\n"
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         corpus = _synth(tmp_path)

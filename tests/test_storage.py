@@ -1,11 +1,9 @@
-"""Model directory round trips, validation, and the atomic replace."""
+"""Model file round trips, validation, and the atomic replace."""
 
 import dataclasses
 import io
-import json
 import os
 import zipfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +31,7 @@ from helpers import (
     MODEL_FILES,
     at,
     completion_outside_vocabulary,
+    edit_manifest,
     edit_tables,
     text,
     vocabulary_token_into_stopwords,
@@ -150,23 +149,26 @@ def _renumber(members, vocab):
 
 class TestValidation:
     def test_version_mismatch_refused(self, model):
-        # A directory in the per-cell layout of format 1, in format 2
-        # (which also listed the training hapax in hapax.txt), in the text
-        # tables of format 3 or in format 4 (whose manifest also held the
-        # stopword count) must be retrained.
-        manifest_path = model / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 1
-        manifest_path.write_text(json.dumps(manifest))
+        # An archive of any other version is refused by its version, before
+        # its member list: format 4's manifest also held the stopword count,
+        # and a future format may add or drop members.
+        edit_manifest(model, lambda m: m.update(format_version=1))
         with pytest.raises(DataError, match="format version 1"):
             load_model(model)
-        (model / "hapax.txt").write_text(f"{HAPAX}\n")
-        manifest["stopword_count"] = 3
-        for version in (2, 3, 4):
-            manifest["format_version"] = version
-            manifest_path.write_text(json.dumps(manifest))
-            with pytest.raises(DataError, match=f"format version {version} .*reads 5"):
+        edit_tables(model, lambda m: m.update(hapax=text([HAPAX])))
+        edit_manifest(model, lambda m: m.update(stopword_count=3))
+        for version in (2, 3, 4, 5, 7):
+            edit_manifest(model, lambda m: m.update(format_version=version))
+            with pytest.raises(DataError, match=f"format version {version} .*reads 6"):
                 load_model(model)
+
+    def test_format_5_directory_refused(self, model):
+        # Format 5 and older kept manifest.json beside the tables, with no
+        # model.npz: such a model must be trained again.
+        (model / "model.npz").rename(model / "tables.npz")
+        (model / "manifest.json").write_text('{"format_version": 5}\n')
+        with pytest.raises(DataError, match="format 5 or earlier; train it again"):
+            load_model(model)
 
     @pytest.mark.parametrize(
         "key, value", [("diameter", 2.5), ("diameter", True), ("diameter", "3"), ("alpha", True)]
@@ -174,11 +176,8 @@ class TestValidation:
     def test_smoothing_field_types_checked(self, model, key, value):
         # A float diameter failed at g >= 8 and ran as d = 2 at g = 3; a
         # bool diameter or alpha ran silently as 1.
-        manifest_path = model / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest[key] = value
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match=f"malformed manifest.json.*{key} must"):
+        edit_manifest(model, lambda m: m.update({key: value}))
+        with pytest.raises(DataError, match=f"malformed manifest in .*model.npz.*{key} must"):
             load_model(model)
 
     @pytest.mark.parametrize("value", [True, 1.0])
@@ -186,22 +185,35 @@ class TestValidation:
         # One training post, so only the type of the total is wrong; True
         # is an int to isinstance and loaded.
         edit_tables(model, at("post_counts", slice(None), lambda _: [1, 0, 0, 0]))
-        manifest_path = model / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["training_posts"] = value
-        manifest_path.write_text(json.dumps(manifest))
+        edit_manifest(model, lambda m: m.update(training_posts=value))
         with pytest.raises(DataError, match="training_posts must be an integer"):
             load_model(model)
 
-    def test_missing_manifest(self, tmp_path):
-        (tmp_path / "empty").mkdir()
-        with pytest.raises(DataError, match="manifest"):
-            load_model(tmp_path / "empty")
+    def test_missing_manifest(self, model):
+        edit_tables(model, lambda m: m.pop("manifest"))
+        with pytest.raises(DataError, match="unreadable manifest: .*no item named 'manifest.npy'"):
+            load_model(model)
 
-    def test_missing_cell_file(self, model):
-        # The cell table lives in tables.npz with the count tables.
-        (model / "tables.npz").unlink()
-        with pytest.raises(DataError, match="missing tables.npz"):
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[1, 2]", "manifest does not hold a JSON object"),
+            (b"{not json", "unreadable manifest: Expecting property name"),
+            (b'{"format_version": 6, "a": "\xe9"}', "unreadable manifest: .*utf-8"),
+        ],
+    )
+    def test_manifest_not_a_json_object(self, model, content, message):
+        edit_tables(model, lambda m: m.update(manifest=np.frombuffer(content, dtype=np.uint8)))
+        with pytest.raises(DataError, match=message):
+            load_model(model)
+
+    def test_missing_model_file(self, tmp_path, model):
+        # An empty directory, and a model directory whose model.npz is gone.
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(DataError, match="not a model directory \\(no model.npz\\)"):
+            load_model(tmp_path / "empty")
+        (model / "model.npz").unlink()
+        with pytest.raises(DataError, match="not a model directory \\(no model.npz\\)"):
             load_model(model)
 
     def test_tampered_counts_detected(self, model):
@@ -296,7 +308,7 @@ class TestValidation:
         with pytest.raises(DataError) as err:
             load_model(model)
         assert str(err.value) == (
-            "bad stopword list in tables.npz: stopword not lowercase: 'UPPER'"
+            "bad stopword list in model.npz: stopword not lowercase: 'UPPER'"
         )
 
     @pytest.mark.parametrize(
@@ -304,7 +316,7 @@ class TestValidation:
         [
             pytest.param(
                 lambda m: m.update(vocab=np.array(words(m["vocab"]), dtype=object)),
-                "unreadable tables.npz: .*allow_pickle",
+                "unreadable model.npz: .*allow_pickle",
                 id="pickled-object-array",
             ),
             pytest.param(lambda m: m.pop("discounts"), "holds .*expected", id="missing-member"),
@@ -382,15 +394,15 @@ class TestValidation:
             load_model(model)
 
     def test_compressed_member_refused(self, model):
-        with np.load(model / "tables.npz", allow_pickle=False) as archive:
+        with np.load(model / "model.npz", allow_pickle=False) as archive:
             members = {name: archive[name] for name in archive.files}
-        np.savez_compressed(model / "tables.npz", **members)
+        np.savez_compressed(model / "model.npz", **members)
         with pytest.raises(DataError, match="compressed member"):
             load_model(model)
 
     def test_member_that_is_an_archive_refused(self, model):
         # np.load would open such a member as an archive of its own.
-        path = model / "tables.npz"
+        path = model / "model.npz"
         inner = io.BytesIO()
         np.savez(inner, vocab=np.zeros(3, dtype=np.uint8))
         with zipfile.ZipFile(path) as archive:
@@ -411,7 +423,7 @@ class TestValidation:
         # whole instead.
         edit_tables(model, lambda m: m.update(stopwords=text(f"stop{i:05}" for i in range(1000))))
         load_model(model)
-        path = model / "tables.npz"
+        path = model / "model.npz"
         data = path.read_bytes()
         start = data.index(b"'shape': (", data.index(b"stopwords.npy")) + 10
         assert data[start : start + 6] == b"9999,)"
@@ -420,14 +432,14 @@ class TestValidation:
             load_model(model)
 
     def test_flipped_and_truncated_archive(self, model):
-        path = model / "tables.npz"
+        path = model / "model.npz"
         data = path.read_bytes()
         middle = data.index(b"pair_keys.npy") + 200
         path.write_bytes(data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1 :])
-        with pytest.raises(DataError, match="unreadable tables.npz: Bad CRC-32"):
+        with pytest.raises(DataError, match="unreadable model.npz: Bad CRC-32"):
             load_model(model)
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(DataError, match="unreadable tables.npz"):
+        with pytest.raises(DataError, match="unreadable model.npz"):
             load_model(model)
 
     def test_literal_misc_in_corpus_round_trips(self, tmp_path):
@@ -467,16 +479,11 @@ class TestReplace:
 
             monkeypatch.setattr(np.lib.format, "write_array", failing_write)
         else:
-            rename, refused = Path.rename, []
 
-            def failing_rename(self, target):
-                # Refuse the new directory's move into place, not the rollback.
-                if Path(target).name == "model" and not refused:
-                    refused.append(self)
-                    raise OSError("rename refused")
-                return rename(self, target)
+            def failing_replace(src, dst):
+                raise OSError("rename refused")
 
-            monkeypatch.setattr(Path, "rename", failing_rename)
+            monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError):
             save_model(ens, model)
         monkeypatch.undo()
@@ -487,24 +494,64 @@ class TestReplace:
             queries, estimate_batch(ens, queries)
         )
 
+    def test_overlapping_saves(self, trained, model, monkeypatch):
+        # A second save to the same directory runs after the first has
+        # written its archive and before the first's rename: both finish,
+        # and the model is the one whose rename ran last.
+        ens, _ = trained
+        other = dataclasses.replace(ens, smoothing=SmoothingConfig(alpha=0.5, diameter=1))
+        replace, calls, inner = os.replace, [], []
+
+        def interleaved(src, dst):
+            calls.append(src)
+            if len(calls) == 1:
+                inner.append(save_model(other, model))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        assert save_model(ens, model) == model
+        monkeypatch.undo()
+        assert inner == [model] and len(calls) == 2
+        assert os.listdir(model) == MODEL_FILES
+        assert os.listdir(model.parent) == ["model"]
+        assert load_model(model).smoothing == ens.smoothing != other.smoothing
+
     def test_leftovers_of_a_killed_writer_do_not_block(self, trained, model):
+        # A writer killed mid-save leaves its hidden temporary file, which
+        # nothing removes and no later save reads.
         ens, _ = trained
         (model / ".lock").touch()
-        leftover = model.parent / ".model.1-0badc0de.new"
-        leftover.mkdir()
-        (leftover / "tables.npz").write_bytes(b"PK\x03\x04partial")
+        leftover = model / ".model.npz.1-0badc0de"
+        leftover.write_bytes(b"PK\x03\x04partial")
         save_model(ens, model)
-        assert sorted(os.listdir(model)) == MODEL_FILES
+        assert sorted(os.listdir(model)) == sorted([".lock", leftover.name, *MODEL_FILES])
+        assert leftover.read_bytes() == b"PK\x03\x04partial"
         assert load_model(model).priors == ens.priors
 
-    def test_refuses_directory_without_model(self, trained, tmp_path):
+    def test_other_files_in_the_directory_are_left_alone(self, trained, tmp_path):
+        # Only model.npz and the save's own temporary file are written,
+        # renamed or removed: a note, and the files of a format 5 model,
+        # stay as they were.
         ens, _ = trained
         target = tmp_path / "notes"
         target.mkdir()
-        (target / "todo.txt").write_text("keep me\n")
-        with pytest.raises(DataError, match="something other than a model"):
+        kept = {"todo.txt": b"keep me\n", "manifest.json": b"{}\n", "tables.npz": b"PK"}
+        for name, data in kept.items():
+            (target / name).write_bytes(data)
+        save_model(ens, target)
+        snapshot = _snapshot(target)
+        assert sorted(snapshot) == sorted([*kept, *MODEL_FILES])
+        assert {name: snapshot[name] for name in kept} == kept
+        assert os.listdir(tmp_path) == ["notes"]
+        assert load_model(target).priors == ens.priors
+
+    def test_refuses_a_regular_file(self, trained, tmp_path):
+        ens, _ = trained
+        target = tmp_path / "notes"
+        target.write_bytes(b"keep me\n")
+        with pytest.raises(DataError, match="exists and is not a directory"):
             save_model(ens, target)
-        assert _snapshot(target) == {"todo.txt": b"keep me\n"}
+        assert target.read_bytes() == b"keep me\n"
         assert os.listdir(tmp_path) == ["notes"]
 
     def test_refuses_vocabulary_the_tables_do_not_count(self, trained, tmp_path):
