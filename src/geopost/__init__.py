@@ -57,8 +57,6 @@ from .pipeline import (
     TokenizedPost,
     build_training_corpus,
     clean_and_tokenize,
-    fold_hapax,
-    induce_stopwords,
     preprocess,
 )
 from .storage import load_model, save_model
@@ -104,12 +102,10 @@ __all__ = [
     "evaluate",
     "error_report",
     "error_vs_d",
-    "fold_hapax",
     "generate_synthetic",
     "geo_distance_km",
     "geo_smooth",
     "grid_search",
-    "induce_stopwords",
     "load_model",
     "partition",
     "posterior_field",

@@ -43,8 +43,9 @@ _SMOOTH_BLOCK = 1 << 20
 class SmoothingConfig:
     """Geo-smoothing knobs: blend weight ``alpha`` and ring diameter ``d``.
 
-    ``diameter=None`` means "use the grid dimension". Rings beyond g-1 are
-    empty, so any diameter >= g-1 produces identical scores.
+    ``diameter=None`` means every ring, as d = g does: rings beyond g-1
+    are empty, so any diameter >= g-1 produces identical scores. A saved
+    model keeps ``None`` as it is.
     """
 
     alpha: float = 0.9
@@ -59,9 +60,6 @@ class SmoothingConfig:
             raise ValidationError(f"diameter must be an integer, got {self.diameter!r}")
         if self.diameter < 1:
             raise ValidationError(f"diameter must be >= 1, got {self.diameter}")
-
-    def diameter_for(self, g: int) -> int:
-        return self.diameter if self.diameter is not None else g
 
 
 @dataclass(frozen=True)
@@ -223,14 +221,15 @@ def blend_smoothed(field_vec: np.ndarray, neighbor_acc: np.ndarray, alpha: float
 
 
 def smooth_from_terms(
-    field_vec: np.ndarray, terms: np.ndarray, alpha: float, diameter: int
+    field_vec: np.ndarray, terms: np.ndarray, alpha: float, diameter: Optional[int]
 ) -> np.ndarray:
-    # Summing over axis 0 adds the rings one by one in increasing k.
+    # Summing over axis 0 adds the rings one by one in increasing k; a
+    # diameter of None slices every ring.
     return blend_smoothed(field_vec, terms[:diameter].sum(axis=0), alpha)
 
 
 def smooth_vector(
-    part: GridPartition, field_vec: np.ndarray, alpha: float, diameter: int
+    part: GridPartition, field_vec: np.ndarray, alpha: float, diameter: Optional[int]
 ) -> np.ndarray:
     return smooth_from_terms(field_vec, smoothing_terms(part, field_vec), alpha, diameter)
 
@@ -244,9 +243,7 @@ def geo_smooth(ens: GeoEnsemble, field: PosteriorField) -> dict[CellId, float]:
     """
     cells = ens.partition.cells()
     vec = np.array([field.values[cell] for cell in cells], dtype=np.float64)
-    smoothed = smooth_vector(
-        ens.partition, vec, ens.smoothing.alpha, ens.smoothing.diameter_for(ens.partition.g)
-    )
+    smoothed = smooth_vector(ens.partition, vec, ens.smoothing.alpha, ens.smoothing.diameter)
     return {cell: float(s) for cell, s in zip(cells, smoothed)}
 
 
@@ -266,7 +263,7 @@ def estimate(ens: GeoEnsemble, post: TokenizedPost) -> Estimate:
     by lowest row then lowest column."""
     part = ens.partition
     vec = posterior_vector(ens, post.tokens)
-    scores = smooth_vector(part, vec, ens.smoothing.alpha, ens.smoothing.diameter_for(part.g))
+    scores = smooth_vector(part, vec, ens.smoothing.alpha, ens.smoothing.diameter)
     return _pick_cells(part, vec[None], scores[None])[0]
 
 
@@ -277,7 +274,7 @@ def _estimate_block(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Es
     part = ens.partition
     vecs = posterior_matrix(ens, [post.tokens for post in posts])
     scores = smooth_from_terms(
-        vecs, smoothing_terms(part, vecs), ens.smoothing.alpha, ens.smoothing.diameter_for(part.g)
+        vecs, smoothing_terms(part, vecs), ens.smoothing.alpha, ens.smoothing.diameter
     )
     return _pick_cells(part, vecs, scores)
 

@@ -215,39 +215,35 @@ def _write_csv(path, header, rows) -> None:
 def generate_synthetic(spec: SyntheticSpec, bounds: GeoBounds) -> list[RawPost]:
     """Emit ``posts_per_cell`` posts per cell with locations uniform inside
     the cell and tokens drawn per ``spec.leakage`` and
-    ``spec.neighbor_overlap``. Byte-identical output for given arguments."""
+    ``spec.neighbor_overlap``. Byte-identical output for given arguments.
+
+    Cells are row-major indices. ``rng.choice(seq)`` is
+    ``seq[rng.randrange(len(seq))]``, so an index drawn into the other
+    cells, or into the cell's words then the shared ones, gives the posts
+    that choosing from those lists would, and neither list is built."""
     part = partition(bounds, spec.g)
     rng = random.Random(spec.seed)
     cells = part.cells()
-    vocab = {
-        cell: [f"c{cell.row}x{cell.col}w{i}" for i in range(spec.vocab_per_cell)]
-        for cell in cells
-    }
+    n_cells, n_words = len(cells), spec.vocab_per_cell
+    vocab = [[f"c{c.row}x{c.col}w{i}" for i in range(n_words)] for c in cells]
     shared = [f"shared{i}" for i in range(spec.shared_vocab)]
-    own_pool = {cell: vocab[cell] + shared for cell in cells}
-    others = {cell: [c for c in cells if c != cell] for cell in cells}
-    ring1 = {cell: sorted(part.ring_neighbors(cell, 1), key=lambda c: (c.row, c.col)) for cell in cells} if spec.g > 1 else {}
+    ring1 = [sorted(c.row * spec.g + c.col for c in part.ring_neighbors(x, 1)) for x in cells]
 
     posts = []
-    for cell in cells:
+    for index, cell in enumerate(cells):
         lat_lo, lat_hi, lon_lo, lon_hi = part.cell_rect(cell)
         for i in range(spec.posts_per_cell):
             point = GeoPoint(rng.uniform(lat_lo, lat_hi), rng.uniform(lon_lo, lon_hi))
             tokens = []
             for _ in range(spec.tokens_per_post):
-                u = rng.random()
-                v = rng.random()
-                if u < spec.leakage and others[cell]:
-                    tokens.append(rng.choice(vocab[rng.choice(others[cell])]))
-                elif v < spec.neighbor_overlap and ring1.get(cell):
-                    tokens.append(rng.choice(vocab[rng.choice(ring1[cell])]))
+                u, v = rng.random(), rng.random()
+                if u < spec.leakage and n_cells > 1:
+                    j = rng.randrange(n_cells - 1)
+                    tokens.append(rng.choice(vocab[j + (j >= index)]))
+                elif v < spec.neighbor_overlap and ring1[index]:
+                    tokens.append(rng.choice(vocab[rng.choice(ring1[index])]))
                 else:
-                    tokens.append(rng.choice(own_pool[cell]))
-            posts.append(
-                RawPost(
-                    id=f"synth-r{cell.row}c{cell.col}-{i}",
-                    text=" ".join(tokens),
-                    location=point,
-                )
-            )
+                    j = rng.randrange(n_words + len(shared))
+                    tokens.append(vocab[index][j] if j < n_words else shared[j - n_words])
+            posts.append(RawPost(f"synth-r{cell.row}c{cell.col}-{i}", " ".join(tokens), point))
     return posts

@@ -155,10 +155,6 @@ class CellLanguageModel:
         self.discounts = discounts
         self.post_count = post_count
 
-    @property
-    def vocab(self) -> set[str]:
-        return set(self.counts.unigram)
-
     def continuation_prob(self, w: str) -> float:
         """Fraction of distinct bigram types that ``w`` completes."""
         total = self.counts.total_distinct_bigrams

@@ -12,8 +12,6 @@ it is; every other token is filtered character by character (see
 ``clean_and_tokenize``). Training counts the cleaned tokens once; the
 stopwords, the hapax and the vocabulary all come from that one count,
 and each post is stripped and folded in a single pass.
-``induce_stopwords``, ``remove_stopwords`` and ``fold_hapax`` are the
-step-by-step definitions that result must equal.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .grid import GeoPoint
@@ -114,50 +112,6 @@ def clean_and_tokenize(raw: RawPost) -> list[str]:
     return out
 
 
-def induce_stopwords(corpus: Iterable[Sequence[str]], k: int) -> list[str]:
-    """The k most frequent tokens across ``corpus`` (cleaned token
-    sequences), ties broken lexicographically ascending. Returns the whole
-    vocabulary when k exceeds it."""
-    return _top_k(Counter(chain.from_iterable(corpus)), k)
-
-
-def _top_k(counts: Counter[str], k: int) -> list[str]:
-    if k < 0:
-        raise ValidationError(f"stopword count must be >= 0, got {k}")
-    # Ascending tokens, then a stable sort by descending count: the
-    # order of the key (-count, token), with no key tuple per token.
-    return sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:k]
-
-
-def remove_stopwords(tokens: Sequence[str], stopwords: frozenset[str]) -> list[str]:
-    return [t for t in tokens if t not in stopwords]
-
-
-def fold_hapax(corpus: Sequence[TokenizedPost]) -> tuple[list[TokenizedPost], frozenset[str]]:
-    """Replace every token whose total corpus count is 1 with ``<misc>``.
-
-    Returns the folded corpus and the set of folded surface forms. None
-    of them but ``<misc>`` is left in the corpus, so the vocabulary alone
-    folds them at query time. Expects stopwords to have been removed
-    already.
-    """
-    counts: Counter[str] = Counter()
-    for post in corpus:
-        counts.update(post.tokens)
-    hapax = frozenset(tok for tok, n in counts.items() if n == 1)
-    if not hapax:
-        return list(corpus), hapax
-    folded = [
-        TokenizedPost(
-            id=post.id,
-            tokens=tuple(MISC if t in hapax else t for t in post.tokens),
-            location=post.location,
-        )
-        for post in corpus
-    ]
-    return folded, hapax
-
-
 def preprocess(
     raw: RawPost, stopwords: frozenset[str], vocab: frozenset[str]
 ) -> TokenizedPost:
@@ -167,7 +121,7 @@ def preprocess(
     it lacks every training hapax; ``<misc>`` folds to itself. A post
     whose tokens all vanish is kept with an empty sequence.
     """
-    folded = [t if t in vocab else MISC for t in remove_stopwords(clean_and_tokenize(raw), stopwords)]
+    folded = [t if t in vocab else MISC for t in clean_and_tokenize(raw) if t not in stopwords]
     return TokenizedPost(id=raw.id, tokens=tuple(folded), location=raw.location)
 
 
@@ -176,7 +130,8 @@ def build_training_corpus(
 ) -> tuple[list[TokenizedPost], PipelineArtifacts]:
     """Run the training-side pipeline over a corpus.
 
-    Cleans every post, induces the stopword set from the cleaned corpus,
+    Cleans every post, induces the stopword set (the ``stopword_count``
+    most frequent cleaned tokens, ties broken by ascending token),
     removes stopwords, folds hapax tokens, and collects the resulting
     global vocabulary. Returns the folded posts plus the artifacts needed
     to preprocess queries identically.
@@ -184,13 +139,15 @@ def build_training_corpus(
     One count of the cleaned tokens serves every step: dropping stopwords
     leaves the other tokens' counts unchanged, so the hapax are the
     non-stopwords counted once, and the vocabulary is the non-stopwords
-    counted more than once, plus ``<misc>`` if anything folded. The
-    result equals ``induce_stopwords`` -> ``remove_stopwords`` ->
-    ``fold_hapax`` applied in turn.
+    counted more than once, plus ``<misc>`` if anything folded.
     """
+    if stopword_count < 0:
+        raise ValidationError(f"stopword count must be >= 0, got {stopword_count}")
     cleaned = [clean_and_tokenize(p) for p in posts]
     counts = Counter(chain.from_iterable(cleaned))
-    stop = frozenset(_top_k(counts, stopword_count))
+    # Ascending tokens, then a stable sort by descending count: the
+    # order of the key (-count, token), with no key tuple per token.
+    stop = frozenset(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:stopword_count])
     hapax = frozenset(t for t, n in counts.items() if n == 1 and t not in stop)
     folded = [
         TokenizedPost(

@@ -5,8 +5,9 @@ uncompressed ``np.savez`` archive with one array per member, with V
 words and ``cell`` the row-major cell index:
 
     manifest      uint8    (bytes,)   JSON object, UTF-8: format version,
-                                      bounds, g, alpha, d, training-set
-                                      size, seed, creation time
+                                      bounds, g, alpha, d (null: every
+                                      ring), training-set size, seed,
+                                      creation time
     vocab         uint8    (bytes,)   sorted vocabulary, newline-joined UTF-8
     stopwords     uint8    (bytes,)   sorted stopwords, newline-joined UTF-8
     discounts     float64  (g*g, 7)   n1 n2 n3 n4 d1 d2 d3 per cell
@@ -139,7 +140,7 @@ def _write_archive(ens: GeoEnsemble, f, seed: Optional[int]) -> None:
         },
         "grid_size": part.g,
         "alpha": ens.smoothing.alpha,
-        "diameter": ens.smoothing.diameter_for(part.g),
+        "diameter": ens.smoothing.diameter,
         "training_posts": ens.total_posts,
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),

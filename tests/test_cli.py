@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -65,6 +67,14 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out.lower()
 
+    def test_module_entry_point(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "geopost.cli", "--help"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: geopost")
+
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
 
@@ -78,9 +88,14 @@ class TestExitCodes:
 
     def test_bad_bounds_is_usage_error(self, tmp_path, capsys):
         corpus = _synth(tmp_path)
-        code = main(["train", "--corpus", str(corpus), "--bounds", "1,2,3",
-                     "--out", str(tmp_path / "m")])
-        assert code == 1
+        for bounds, message in [
+            ("1,2,3", "--bounds wants south,west,north,east; got '1,2,3'"),
+            ("1,2,x,4", "--bounds values must be numeric; got '1,2,x,4'"),
+        ]:
+            code = main(["train", "--corpus", str(corpus), "--bounds", bounds,
+                         "--out", str(tmp_path / "m")])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_leakage_is_usage_error(self, tmp_path):
         code = main(["synth", "--bounds", BOUNDS_FLAG, "--grid", "2",
@@ -189,8 +204,36 @@ class TestTrain:
         corpus = _synth(tmp_path)
         with open(corpus, "a", encoding="utf-8") as f:
             f.write(json.dumps({"id": "x", "text": "no location"}) + "\n")
+            f.write(json.dumps({"id": "y", "text": "far away", "lat": 0.0, "lon": 0.0}) + "\n")
+        capsys.readouterr()
         _train(tmp_path, corpus)
-        assert "without coordinates" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "dropped 1 posts without coordinates\ndropped 1 posts outside the region\n"
+        )
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            # Nothing usable: one post unlocated, one outside the region.
+            (
+                [{"id": "x", "text": "a"}, {"id": "y", "text": "b", "lat": 0.0, "lon": 0.0}],
+                "no located posts inside the region; nothing to train on",
+            ),
+            # One usable post: the 70% training split rounds down to none.
+            (
+                [{"id": "z", "text": "a", "lat": 40.71, "lon": -74.0}],
+                "training split is empty; corpus too small",
+            ),
+        ],
+    )
+    def test_too_few_usable_posts_is_data_error(self, tmp_path, capsys, records, message):
+        corpus = tmp_path / "small.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code = main(["train", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
+                     "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not (tmp_path / "m").exists()
 
 
 def _reference_parse_post(line, lineno):
@@ -794,6 +837,44 @@ class TestTune:
         assert lines[0] == "g,alpha,d,mean_error_km"
         assert len(lines) == 3  # d in {1, 2}
         assert "best: g=2" in capsys.readouterr().out
+
+    def test_dropped_posts_and_skipped_lines_reported(self, tmp_path, capsys):
+        corpus = _synth(tmp_path, posts=40)
+        with open(corpus, "a", encoding="utf-8") as f:
+            f.write(json.dumps({"id": "x", "text": "no location"}) + "\n")
+            f.write(json.dumps({"id": "y", "text": "far away", "lat": 0.0, "lon": 0.0}) + "\n")
+            f.write("{not json\n")
+        capsys.readouterr()
+        assert main(["tune", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
+                     "--g-values", "2", "--alpha-values", "0.5", "--stopwords-k", "0",
+                     "--skip-bad", "--out", str(tmp_path / "tuning.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "dropped 1 unlocated and 1 out-of-region posts\n" in err
+        assert err.endswith("skipped 1 malformed lines\n")
+
+    def test_corpus_too_small_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "small.jsonl"
+        corpus.write_text(json.dumps({"id": "z", "text": "a", "lat": 40.71, "lon": -74.0}) + "\n")
+        out = tmp_path / "tuning.csv"
+        assert main(["tune", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: corpus too small to form train and holdout splits\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--g-values", "4,x", "expected comma-separated integers, got '4,x'"),
+            ("--alpha-values", "0.5,", "expected comma-separated numbers, got '0.5,'"),
+        ],
+    )
+    def test_bad_search_values_are_usage_errors(self, tmp_path, capsys, flag, value, message):
+        corpus = _synth(tmp_path, posts=40)
+        capsys.readouterr()
+        assert main(["tune", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG, flag, value,
+                     "--out", str(tmp_path / "tuning.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_planted_grid_selected(self, tmp_path, capsys):
         corpus = _synth(tmp_path, grid=4, posts=150, vocab_per_cell=20, seed=13)

@@ -79,10 +79,20 @@ class TestBuildEnsemble:
         assert ens.priors[CellId(1, 1)] == 0.0
 
     def test_default_smoothing_matches_fitted_values(self):
-        # alpha 0.9 and diameter = g are the stock configuration.
-        cfg = SmoothingConfig()
-        assert cfg.alpha == 0.9
-        assert cfg.diameter_for(8) == 8
+        # alpha 0.9 and diameter = g are the stock configuration: None
+        # smooths over every ring, as d = g does.
+        assert SmoothingConfig() == SmoothingConfig(alpha=0.9, diameter=None)
+        spec = SyntheticSpec(g=4, vocab_per_cell=6, posts_per_cell=20, leakage=0.3, seed=12)
+        tr, _, te = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=2))
+        tok, arts = build_training_corpus(tr, stopword_count=2)
+        ens = build_ensemble(tok, partition(BOUNDS, 4), SmoothingConfig(), arts)
+        queries = [arts.preprocess(p) for p in te]
+        by_g = ens.with_smoothing(SmoothingConfig(diameter=4))
+        assert estimate_batch(ens, queries) == estimate_batch(by_g, queries)
+        assert [estimate(ens, q) for q in queries] == [estimate(by_g, q) for q in queries]
+        assert geo_smooth(ens, posterior_field(ens, queries[0])) == geo_smooth(
+            by_g, posterior_field(by_g, queries[0])
+        )
 
     def test_empty_training_set_rejected(self):
         part = partition(BOUNDS, 2)

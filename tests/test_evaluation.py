@@ -1,5 +1,6 @@
 """Splitting, error aggregation, and the synthetic corpus generator."""
 
+import hashlib
 import random
 
 import pytest
@@ -189,6 +190,65 @@ class TestSynthetic:
             SyntheticSpec(g=2, leakage=1.5)
         with pytest.raises(ValidationError):
             SyntheticSpec(g=2, tokens_per_post=0)
+        with pytest.raises(ValidationError, match="shared_vocab must be >= 0, got -1"):
+            SyntheticSpec(g=2, shared_vocab=-1)
+
+
+def _corpus_digest(posts) -> str:
+    h = hashlib.sha256()
+    for p in posts:
+        h.update(f"{p.id}\t{p.text}\t{p.location.lat!r}\t{p.location.lon!r}\n".encode())
+    return h.hexdigest()
+
+
+# The first three are the corpora of the workloads in perfbench/bench.py
+# WORKLOADS (g and the ``corpus`` fields copied from there), whose
+# recorded reference cells are computed on exactly these posts.
+_PINNED_SPECS = {
+    "city-g8": dict(
+        g=8, vocab_per_cell=200, shared_vocab=500, posts_per_cell=300,
+        leakage=0.2, neighbor_overlap=0.1,
+    ),
+    "fine-g12": dict(
+        g=12, vocab_per_cell=20, shared_vocab=200, posts_per_cell=30,
+        leakage=0.1, neighbor_overlap=0.1,
+    ),
+    "tune": dict(
+        g=8, vocab_per_cell=40, shared_vocab=150, posts_per_cell=60,
+        leakage=0.1, neighbor_overlap=0.2,
+    ),
+    # One cell: no other cell to leak to and no ring to overlap with.
+    "g1": dict(
+        g=1, vocab_per_cell=3, shared_vocab=2, posts_per_cell=20,
+        leakage=1.0, neighbor_overlap=1.0,
+    ),
+    "g2": dict(
+        g=2, vocab_per_cell=1, shared_vocab=0, posts_per_cell=10,
+        leakage=0.3, neighbor_overlap=0.5,
+    ),
+}
+
+
+class TestPinnedCorpora:
+    """SHA-256 of id, text and ``repr`` of lat/lon of every post: a change
+    to the generator that alters one byte of these corpora fails here."""
+
+    @pytest.mark.parametrize(
+        "name, seed, digest",
+        [
+            ("city-g8", 1, "238186e2a69f83696920ed1a8385bcae34513d2f26e5ade7750acd4b85378348"),
+            ("city-g8", 2, "3bf16bc3f0fcfca8a7c61f17d0bf30337064f62c42cd39abacdc3dfd189e3530"),
+            ("fine-g12", 1, "7490a424f6d4b85422d7fffa4bac64a9f2e3a59c0f7f27b4f51d32b090e207b5"),
+            ("fine-g12", 2, "e2fb58e5f91b64651f5f7dc768d34a1f005756a3551c95fa6c21eaaedf3f3669"),
+            ("tune", 1, "98f641900fba98be5d8da65a0e70f984ebbcdd9f2ef42b85b206df16811830c6"),
+            ("tune", 2, "6aa6ccd2b13a5ca767b2a058903fbb4253c866d3afe2eb76c4f2f21491fdb60c"),
+            ("g1", 3, "9397dc9db03e0116f3a06e4025048c4e28ba60f638ba739541eabb4e0f5ec4d7"),
+            ("g2", 4, "4bacadb5c70949f0445bbece4821caf3ce0958f4d0d3cb2829543774bcef7031"),
+        ],
+    )
+    def test_digest(self, name, seed, digest):
+        spec = SyntheticSpec(seed=seed, **_PINNED_SPECS[name])
+        assert _corpus_digest(generate_synthetic(spec, BOUNDS)) == digest
 
 
 class TestEstimationErrorKm:
@@ -204,6 +264,16 @@ class TestEstimationErrorKm:
         est = estimate(ens, post)
         center = part.center_of(part.cell_of(post.location))
         assert estimation_error_km(center, est) == 0.0
+
+    def test_evaluate_refuses_no_posts_and_unlocated_posts(self):
+        spec = SyntheticSpec(g=2, vocab_per_cell=5, posts_per_cell=10, seed=8)
+        tok, arts = build_training_corpus(generate_synthetic(spec, BOUNDS), stopword_count=0)
+        ens = build_ensemble(tok, partition(BOUNDS, 2), SmoothingConfig(), arts)
+        with pytest.raises(ValidationError, match="cannot evaluate an empty test set"):
+            evaluate(ens, [])
+        unlocated = [tok[0], arts.preprocess(RawPost("u", "c0x0w1"))]
+        with pytest.raises(ValidationError, match="test post 'u' has no truth location"):
+            evaluate(ens, unlocated)
 
 
 class TestLeakageDegradation:

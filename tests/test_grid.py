@@ -219,6 +219,11 @@ class TestRingNeighbors:
         part = partition(GeoBounds(0.0, 0.0, 5.0, 5.0), 5)
         assert len(part.ring_neighbors(CellId(2, 2), 2)) == 16
 
+    def test_ring_distance_below_one_rejected(self):
+        part = partition(GeoBounds(0.0, 0.0, 5.0, 5.0), 5)
+        with pytest.raises(ValidationError, match="ring distance must be >= 1, got 0"):
+            part.ring_neighbors(CellId(2, 2), 0)
+
     def test_rings_partition_the_grid(self):
         # Rings k = 1..g-1 are pairwise disjoint, exclude the center, and
         # together with it cover all g*g cells.

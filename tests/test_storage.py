@@ -127,6 +127,18 @@ class TestRoundTrip:
             empty_cells += int(np.sum(ens.tables.post_counts == 0))
         assert empty_cells > 0
 
+    def test_default_diameter_survives(self, trained, tmp_path):
+        # A default (None) diameter was saved as g, so the loaded model's
+        # smoothing differed from the saved one's.
+        ens, queries = trained
+        ens = ens.with_smoothing(SmoothingConfig())
+        save_model(ens, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        assert loaded.smoothing == ens.smoothing == SmoothingConfig(alpha=0.9, diameter=None)
+        assert estimates_csv(queries, estimate_batch(loaded, queries)) == estimates_csv(
+            queries, estimate_batch(ens, queries)
+        )
+
     def test_save_twice_overwrites(self, trained, model):
         ens, _ = trained
         save_model(ens, model)
@@ -171,7 +183,8 @@ class TestValidation:
             load_model(model)
 
     @pytest.mark.parametrize(
-        "key, value", [("diameter", 2.5), ("diameter", True), ("diameter", "3"), ("alpha", True)]
+        "key, value",
+        [("diameter", 2.5), ("diameter", True), ("diameter", "3"), ("diameter", 0), ("alpha", True)],
     )
     def test_smoothing_field_types_checked(self, model, key, value):
         # A float diameter failed at g >= 8 and ran as d = 2 at g = 3; a

@@ -145,6 +145,9 @@ class TestGridSearch:
             grid_search([], ho, space, BOUNDS)
         with pytest.raises(ValidationError):
             grid_search(tr, [], space, BOUNDS)
+        unlocated = [*ho, RawPost("u", "c0x0w1")]
+        with pytest.raises(ValidationError, match="holdout post 'u' has no truth location"):
+            grid_search(tr, unlocated, space, BOUNDS)
 
 
 def _edge_case_search():
