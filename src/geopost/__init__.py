@@ -9,7 +9,6 @@ from .errors import (
     DataError,
     GeopostError,
     OutOfRegionError,
-    UndefinedContextError,
     ValidationError,
 )
 from .estimator import (
@@ -44,11 +43,10 @@ from .grid import (
 )
 from .lm import (
     BaselineInterpolation,
-    CellLanguageModel,
+    CellCounts,
     CountTables,
     Discounts,
     compute_discounts,
-    train_cell,
 )
 from .pipeline import (
     MISC,
@@ -66,8 +64,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineInterpolation",
+    "CellCounts",
     "CellId",
-    "CellLanguageModel",
     "CountTables",
     "DataError",
     "Discounts",
@@ -89,7 +87,6 @@ __all__ = [
     "SyntheticSpec",
     "TokenizedPost",
     "TuneResult",
-    "UndefinedContextError",
     "ValidationError",
     "build_ensemble",
     "build_training_corpus",
@@ -112,5 +109,4 @@ __all__ = [
     "preprocess",
     "save_model",
     "split",
-    "train_cell",
 ]

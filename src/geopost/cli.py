@@ -250,8 +250,10 @@ def cmd_tune(args) -> int:
         raise DataError("corpus too small to form train and holdout splits")
 
     space = SearchSpace(
-        g_values=_parse_ints(args.g_values) if args.g_values else DEFAULT_G_VALUES,
-        alpha_values=_parse_floats(args.alpha_values) if args.alpha_values else DEFAULT_ALPHA_VALUES,
+        g_values=DEFAULT_G_VALUES if args.g_values is None else _parse_ints(args.g_values),
+        alpha_values=(
+            DEFAULT_ALPHA_VALUES if args.alpha_values is None else _parse_floats(args.alpha_values)
+        ),
     )
     result = grid_search(train_raw, holdout_raw, space, bounds, stopword_count=args.stopwords_k)
     write_surface_csv(result, args.out)

@@ -13,9 +13,5 @@ class OutOfRegionError(GeopostError):
     """A point falls outside the partitioned region."""
 
 
-class UndefinedContextError(GeopostError):
-    """A language-model context word was never observed in training."""
-
-
 class DataError(GeopostError):
     """A corpus file or model directory is malformed or incompatible."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -45,7 +46,9 @@ class SmoothingConfig:
 
     ``diameter=None`` means every ring, as d = g does: rings beyond g-1
     are empty, so any diameter >= g-1 produces identical scores. A saved
-    model keeps ``None`` as it is.
+    model keeps ``None`` as it is. A valid value is stored as a Python
+    ``float`` alpha and ``int`` diameter, so a numpy scalar reaches the
+    manifest and the surface CSV as the plain number.
     """
 
     alpha: float = 0.9
@@ -54,12 +57,14 @@ class SmoothingConfig:
     def __post_init__(self):
         if isinstance(self.alpha, bool) or not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         if self.diameter is None:
             return
         if isinstance(self.diameter, bool) or not hasattr(self.diameter, "__index__"):
             raise ValidationError(f"diameter must be an integer, got {self.diameter!r}")
         if self.diameter < 1:
             raise ValidationError(f"diameter must be >= 1, got {self.diameter}")
+        object.__setattr__(self, "diameter", operator.index(self.diameter))
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,9 @@ class GeoEnsemble:
 
     @property
     def models(self) -> CellModels:
-        """Per-cell reference models, rebuilt from the tables on lookup."""
+        """Per-cell counts and discounts (``CellCounts``), rebuilt from the
+        tables on lookup. Probabilities come from ``tables``; the per-cell
+        reference model they are tested against is in ``tests/reference.py``."""
         return CellModels(self.tables, self.partition.cells())
 
     def with_smoothing(self, smoothing: SmoothingConfig) -> "GeoEnsemble":
@@ -120,12 +127,12 @@ def build_ensemble(
     part: GridPartition,
     smoothing: SmoothingConfig,
     artifacts: PipelineArtifacts,
-    baseline: Optional[BaselineInterpolation] = None,
 ) -> GeoEnsemble:
     """Assign posts to cells and count every cell's model into one set of
     compiled tables; priors are the per-cell share of training posts.
     Cells with no posts get prior 0 and empty counts; they can never be
-    selected."""
+    selected. Scoring is Kneser-Ney; ``GeoEnsemble.with_baseline`` switches
+    it to the interpolation baseline."""
     if not posts:
         raise ValidationError("cannot build an ensemble from an empty training set")
     n = next((i for i, post in enumerate(posts) if post.location is None), len(posts))
@@ -142,7 +149,6 @@ def build_ensemble(
         tables=tables,
         smoothing=smoothing,
         artifacts=artifacts,
-        baseline=baseline,
     )
 
 

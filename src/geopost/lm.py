@@ -21,9 +21,10 @@ as its block summed over the pair rows in order; ``log_likelihoods``
 scores a batch of posts a bounded block at a time and sums each post's
 rows in the same order, so its rows equal the one-post results bit for
 bit.
-``CellLanguageModel`` and ``train_cell`` are the per-cell reference the
-tables are tested against, and ``EnsembleTables.cell_model`` rebuilds one
-cell's model from the tables on demand.
+The tables are tested against a per-cell reference model,
+``CellLanguageModel`` in ``tests/reference.py``, which computes the same
+floats in the same order. ``EnsembleTables.cell_model`` rebuilds one
+cell's counts and discounts from the tables on demand.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import UndefinedContextError, ValidationError
+from .errors import ValidationError
 from .grid import CellId
 
 # Floor applied to every returned probability so log-space scoring never
@@ -94,14 +95,16 @@ class Discounts:
     n3: int = 0
     n4: int = 0
 
-    def for_count(self, count: int) -> float:
-        if count >= 3:
-            return self.d3
-        if count == 2:
-            return self.d2
-        if count == 1:
-            return self.d1
-        return 0.0
+
+@dataclass(frozen=True)
+class CellCounts:
+    """One cell's counts, discounts and training post count, rebuilt from
+    an ensemble's tables; probabilities come from the tables themselves."""
+
+    cell: CellId
+    counts: CountTables
+    discounts: Discounts
+    post_count: int
 
 
 @dataclass(frozen=True)
@@ -141,120 +144,6 @@ def compute_discounts(n1: int, n2: int, n3: int, n4: int) -> Discounts:
     else:
         d3 = FALLBACK_DISCOUNT
     return Discounts(d1, d2, d3, n1, n2, n3, n4)
-
-
-class CellLanguageModel:
-    """Trained counts, discounts, and probability queries for one cell.
-
-    Immutable after construction; every query method is pure.
-    """
-
-    def __init__(self, cell: CellId, counts: CountTables, discounts: Discounts, post_count: int):
-        self.cell = cell
-        self.counts = counts
-        self.discounts = discounts
-        self.post_count = post_count
-
-    def continuation_prob(self, w: str) -> float:
-        """Fraction of distinct bigram types that ``w`` completes."""
-        total = self.counts.total_distinct_bigrams
-        if total == 0:
-            return 0.0
-        return self.counts.distinct_left.get(w, 0) / total
-
-    def backoff_mass(self, v: str) -> float:
-        """Probability mass freed by discounting every bigram with left
-        context ``v``: d1*|once| + d2*|twice| + d3*|three or more|, over
-        c(v). The tier-count form keeps the result independent of table
-        iteration order, so trained and reloaded models agree exactly."""
-        cv = self.counts.unigram.get(v, 0)
-        if cv == 0:
-            raise UndefinedContextError(f"context {v!r} unseen in training")
-        tiers = [0, 0, 0]
-        for count in self.counts.bigram.get(v, {}).values():
-            tiers[min(count, 3) - 1] += 1
-        d = self.discounts
-        return (d.d1 * tiers[0] + d.d2 * tiers[1] + d.d3 * tiers[2]) / cv
-
-    def _bigram_prob_raw(self, v: str, w: str) -> float:
-        # Unfloored value; the sum of this over the vocabulary is exactly 1
-        # for any context that is never sequence-final.
-        cv = self.counts.unigram.get(v, 0)
-        pc = self.continuation_prob(w)
-        if cv == 0:
-            return pc
-        cvw = self.counts.bigram.get(v, {}).get(w, 0)
-        discounted = max(cvw - self.discounts.for_count(cvw), 0.0) / cv
-        return discounted + self.backoff_mass(v) * pc
-
-    def bigram_prob(self, v: str, w: str) -> float:
-        """Smoothed probability of seeing ``w`` after ``v``, floored at
-        MIN_PROB so callers can take logs unconditionally."""
-        return max(self._bigram_prob_raw(v, w), MIN_PROB)
-
-    def baseline_bigram_prob(self, v: str, w: str, interp: BaselineInterpolation) -> float:
-        """Plain interpolation of the MLE bigram with the unigram that
-        completes it. An unseen context falls back to the unigram estimate
-        alone so the result stays a probability."""
-        total = self.counts.total_tokens
-        if total == 0:
-            return MIN_PROB
-        p_uni = self.counts.unigram.get(w, 0) / total
-        cv = self.counts.unigram.get(v, 0)
-        if cv == 0:
-            return max(p_uni, MIN_PROB)
-        p_bi = self.counts.bigram.get(v, {}).get(w, 0) / cv
-        return max(interp.lambda1 * p_bi + interp.lambda2 * p_uni, MIN_PROB)
-
-    def sequence_log_prob(
-        self, tokens: Sequence[str], baseline: Optional[BaselineInterpolation] = None
-    ) -> float:
-        """Log-probability of a token sequence as the product of its
-        consecutive-pair probabilities. Fewer than two tokens is an empty
-        product, so the result is 0 (log 1)."""
-        lp = 0.0
-        for v, w in zip(tokens, tokens[1:]):
-            if baseline is not None:
-                lp += log(self.baseline_bigram_prob(v, w, baseline))
-            else:
-                lp += log(self.bigram_prob(v, w))
-        return lp
-
-
-def train_cell(posts: Sequence, cell: CellId) -> CellLanguageModel:
-    """Build count tables and discounts from the posts assigned to one cell.
-
-    ``posts`` are TokenizedPost instances (only ``.tokens`` is read). An
-    empty post list yields a valid model with empty tables.
-    """
-    tables = CountTables()
-    for post in posts:
-        toks = post.tokens
-        for t in toks:
-            tables.unigram[t] = tables.unigram.get(t, 0) + 1
-            tables.total_tokens += 1
-        for v, w in zip(toks, toks[1:]):
-            row = tables.bigram.setdefault(v, {})
-            if w not in row:
-                row[w] = 0
-                tables.distinct_left[w] = tables.distinct_left.get(w, 0) + 1
-                tables.total_distinct_bigrams += 1
-            row[w] += 1
-    return CellLanguageModel(
-        cell=cell,
-        counts=tables,
-        discounts=compute_discounts(*_counts_of_counts(tables)),
-        post_count=len(posts),
-    )
-
-
-def _counts_of_counts(tables: CountTables) -> tuple[int, int, int, int]:
-    n = [0, 0, 0, 0]
-    for row in tables.bigram.values():
-        for count in row.values():
-            if count <= 4:
-                n[count - 1] += 1
-    return n[0], n[1], n[2], n[3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,8 +286,8 @@ class EnsembleTables:
             p = np.where(seen, baseline.lambda1 * p_bi + baseline.lambda2 * p_uni, p_uni)
         return _floored_logs(p)
 
-    def cell_model(self, i: int, cell: CellId) -> CellLanguageModel:
-        """The reference model of cell i, rebuilt from the tables."""
+    def cell_model(self, i: int, cell: CellId) -> CellCounts:
+        """The counts and discounts of cell i, rebuilt from the tables."""
         vocab = self.vocab
         ent = np.flatnonzero(self.word_cell == i)
         words = np.searchsorted(self.word_ptr, ent, "right") - 1
@@ -412,7 +301,7 @@ class EnsembleTables:
             counts.bigram.setdefault(vocab[a], {})[vocab[b]] = n
             counts.distinct_left[vocab[b]] = counts.distinct_left.get(vocab[b], 0) + 1
         counts.total_distinct_bigrams = len(ent)
-        return CellLanguageModel(cell, counts, self.discounts[i], int(self.post_counts[i]))
+        return CellCounts(cell, counts, self.discounts[i], int(self.post_counts[i]))
 
     def count_arrays(self) -> dict[str, np.ndarray]:
         """The keyed integer counts: ``compile_tables(self.vocab,
@@ -429,14 +318,14 @@ class EnsembleTables:
 
 
 class CellModels(Mapping):
-    """Read-only ``{cell: CellLanguageModel}`` view of an ensemble's
-    tables; each model is rebuilt when it is looked up."""
+    """Read-only ``{cell: CellCounts}`` view of an ensemble's tables;
+    each cell's counts are rebuilt when it is looked up."""
 
     def __init__(self, tables: EnsembleTables, cells: Sequence[CellId]):
         self._tables = tables
         self._index = {cell: i for i, cell in enumerate(cells)}
 
-    def __getitem__(self, cell: CellId) -> CellLanguageModel:
+    def __getitem__(self, cell: CellId) -> CellCounts:
         return self._tables.cell_model(self._index[cell], cell)
 
     def __iter__(self):
@@ -572,8 +461,9 @@ def compile_tables(
     counts are all zero (no cell could have a prior), if a key repeats
     or is out of order, if a key names a word id outside the vocabulary,
     if a pair's v or w has no word entry in the pair's cell, or if a
-    vocabulary word has no entry at all. Every formula mirrors
-    ``CellLanguageModel`` operation for operation.
+    vocabulary word has no entry at all. Every formula mirrors the
+    reference ``CellLanguageModel`` of ``tests/reference.py`` operation for
+    operation.
 
     The word entry of each pair's context (v, cell) and completion
     (w, cell) is read from a dense table with one slot per word key,

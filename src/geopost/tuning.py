@@ -50,10 +50,11 @@ class SearchSpace:
         for g in self.g_values:
             if isinstance(g, bool) or not isinstance(g, int) or g < 1:
                 raise ValidationError(f"grid dimensions must be positive integers, got {g!r}")
-        for alpha in self.alpha_values:
-            SmoothingConfig(alpha=alpha)  # raises ValidationError for a bad alpha
+        # SmoothingConfig raises ValidationError for a bad alpha, and its
+        # float is the one the direct path smooths with.
+        alphas = (SmoothingConfig(alpha=alpha).alpha for alpha in self.alpha_values)
         object.__setattr__(self, "g_values", tuple(dict.fromkeys(self.g_values)))
-        object.__setattr__(self, "alpha_values", tuple(dict.fromkeys(self.alpha_values)))
+        object.__setattr__(self, "alpha_values", tuple(dict.fromkeys(alphas)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""Independent reference implementations used as test oracles, and the
-model directory layout the storage and CLI tests share.
+"""Independent reference implementations used as test oracles, the
+model directory layout the storage and CLI tests share, and a one-cell
+ensemble whose tables the language-model tests query.
 
-Everything here recounts from scratch with its own data structures — flat
+The oracles recount from scratch with their own data structures — flat
 pair lists, Counters, explicit set comprehensions — so these paths share
 no code with the package internals they check.
 """
@@ -11,12 +12,20 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from math import acos, cos, radians, sin
+from math import acos, cos, exp, radians, sin
 from pathlib import Path
 
 import numpy as np
 
-from geopost import TokenizedPost
+from geopost import (
+    CellId,
+    GeoBounds,
+    PipelineArtifacts,
+    SmoothingConfig,
+    TokenizedPost,
+    build_ensemble,
+    partition,
+)
 
 MIN_PROB = 1e-12
 EARTH_RADIUS_KM = 6371.0088
@@ -171,3 +180,20 @@ def as_tokenized(token_lists, location=None):
         TokenizedPost(id=str(i), tokens=tuple(toks), location=location)
         for i, toks in enumerate(token_lists)
     ]
+
+
+def one_cell_tables(token_lists):
+    """The compiled tables of a g = 1 ensemble trained on ``token_lists``:
+    every word has one entry, at ``word_ptr[index[word]]``."""
+    part = partition(GeoBounds(0.0, 0.0, 1.0, 1.0), 1)
+    posts = as_tokenized(token_lists, part.center_of(CellId(0, 0)))
+    artifacts = PipelineArtifacts(frozenset(), frozenset(t for ts in token_lists for t in ts))
+    return build_ensemble(posts, part, SmoothingConfig(), artifacts).tables
+
+
+def pair_probs(tables, pairs, baseline=None):
+    """P(w | v) of every (v, w) of ``pairs`` in a one-cell ensemble's
+    ``tables``: exp of each pair's row of ``log_likelihoods``, so floored
+    at MIN_PROB."""
+    rows = tables.log_likelihoods([[v, w] for v, w in pairs], baseline)
+    return [exp(x) for x in rows[:, 0].tolist()]

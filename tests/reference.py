@@ -1,16 +1,33 @@
-"""Step-by-step definitions of the training pipeline, used as test
-oracles for ``build_training_corpus`` and ``preprocess``.
+"""Step-by-step definitions used as test oracles: the training pipeline
+for ``build_training_corpus`` and ``preprocess``, and the per-cell
+language model for the compiled ``EnsembleTables``.
 
-Each step recounts from scratch and sorts by its own key, so these share
-no code with the single-pass pipeline they check.
+Each pipeline step recounts from scratch and sorts by its own key, so
+these share no code with the single-pass pipeline they check.
+``CellLanguageModel`` counts one cell into dict-of-dict tables with
+``train_cell`` and answers each query from them one word at a time; the
+tables compute the same floats in the same order, so their scores match
+it bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from math import log
+from typing import Iterable, Optional, Sequence
 
-from geopost import MISC, TokenizedPost, ValidationError
+from geopost import (
+    MISC,
+    BaselineInterpolation,
+    CellId,
+    CountTables,
+    Discounts,
+    GeopostError,
+    TokenizedPost,
+    ValidationError,
+    compute_discounts,
+)
+from geopost.lm import MIN_PROB
 
 
 def induce_stopwords(corpus: Iterable[Sequence[str]], k: int) -> list[str]:
@@ -46,3 +63,132 @@ def fold_hapax(corpus: Sequence[TokenizedPost]) -> tuple[list[TokenizedPost], fr
         for post in corpus
     ]
     return folded, hapax
+
+
+class UndefinedContextError(GeopostError):
+    """A language-model context word was never observed in training."""
+
+
+def discount_for_count(discounts: Discounts, count: int) -> float:
+    """The tier discount D(c) of a bigram seen ``count`` times."""
+    if count >= 3:
+        return discounts.d3
+    if count == 2:
+        return discounts.d2
+    if count == 1:
+        return discounts.d1
+    return 0.0
+
+
+class CellLanguageModel:
+    """Trained counts, discounts, and probability queries for one cell.
+
+    Immutable after construction; every query method is pure.
+    """
+
+    def __init__(self, cell: CellId, counts: CountTables, discounts: Discounts, post_count: int):
+        self.cell = cell
+        self.counts = counts
+        self.discounts = discounts
+        self.post_count = post_count
+
+    def continuation_prob(self, w: str) -> float:
+        """Fraction of distinct bigram types that ``w`` completes."""
+        total = self.counts.total_distinct_bigrams
+        if total == 0:
+            return 0.0
+        return self.counts.distinct_left.get(w, 0) / total
+
+    def backoff_mass(self, v: str) -> float:
+        """Probability mass freed by discounting every bigram with left
+        context ``v``: d1*|once| + d2*|twice| + d3*|three or more|, over
+        c(v). The tier-count form keeps the result independent of table
+        iteration order, so trained and reloaded models agree exactly."""
+        cv = self.counts.unigram.get(v, 0)
+        if cv == 0:
+            raise UndefinedContextError(f"context {v!r} unseen in training")
+        tiers = [0, 0, 0]
+        for count in self.counts.bigram.get(v, {}).values():
+            tiers[min(count, 3) - 1] += 1
+        d = self.discounts
+        return (d.d1 * tiers[0] + d.d2 * tiers[1] + d.d3 * tiers[2]) / cv
+
+    def _bigram_prob_raw(self, v: str, w: str) -> float:
+        # Unfloored value; the sum of this over the vocabulary is exactly 1
+        # for any context that is never sequence-final.
+        cv = self.counts.unigram.get(v, 0)
+        pc = self.continuation_prob(w)
+        if cv == 0:
+            return pc
+        cvw = self.counts.bigram.get(v, {}).get(w, 0)
+        discounted = max(cvw - discount_for_count(self.discounts, cvw), 0.0) / cv
+        return discounted + self.backoff_mass(v) * pc
+
+    def bigram_prob(self, v: str, w: str) -> float:
+        """Smoothed probability of seeing ``w`` after ``v``, floored at
+        MIN_PROB so callers can take logs unconditionally."""
+        return max(self._bigram_prob_raw(v, w), MIN_PROB)
+
+    def baseline_bigram_prob(self, v: str, w: str, interp: BaselineInterpolation) -> float:
+        """Plain interpolation of the MLE bigram with the unigram that
+        completes it. An unseen context falls back to the unigram estimate
+        alone so the result stays a probability."""
+        total = self.counts.total_tokens
+        if total == 0:
+            return MIN_PROB
+        p_uni = self.counts.unigram.get(w, 0) / total
+        cv = self.counts.unigram.get(v, 0)
+        if cv == 0:
+            return max(p_uni, MIN_PROB)
+        p_bi = self.counts.bigram.get(v, {}).get(w, 0) / cv
+        return max(interp.lambda1 * p_bi + interp.lambda2 * p_uni, MIN_PROB)
+
+    def sequence_log_prob(
+        self, tokens: Sequence[str], baseline: Optional[BaselineInterpolation] = None
+    ) -> float:
+        """Log-probability of a token sequence as the product of its
+        consecutive-pair probabilities. Fewer than two tokens is an empty
+        product, so the result is 0 (log 1)."""
+        lp = 0.0
+        for v, w in zip(tokens, tokens[1:]):
+            if baseline is not None:
+                lp += log(self.baseline_bigram_prob(v, w, baseline))
+            else:
+                lp += log(self.bigram_prob(v, w))
+        return lp
+
+
+def train_cell(posts: Sequence, cell: CellId) -> CellLanguageModel:
+    """Build count tables and discounts from the posts assigned to one cell.
+
+    ``posts`` are TokenizedPost instances (only ``.tokens`` is read). An
+    empty post list yields a valid model with empty tables.
+    """
+    tables = CountTables()
+    for post in posts:
+        toks = post.tokens
+        for t in toks:
+            tables.unigram[t] = tables.unigram.get(t, 0) + 1
+            tables.total_tokens += 1
+        for v, w in zip(toks, toks[1:]):
+            row = tables.bigram.setdefault(v, {})
+            if w not in row:
+                row[w] = 0
+                tables.distinct_left[w] = tables.distinct_left.get(w, 0) + 1
+                tables.total_distinct_bigrams += 1
+            row[w] += 1
+    return CellLanguageModel(
+        cell=cell,
+        counts=tables,
+        discounts=compute_discounts(*_counts_of_counts(tables)),
+        post_count=len(posts),
+    )
+
+
+def _counts_of_counts(tables: CountTables) -> tuple[int, int, int, int]:
+    n = [0, 0, 0, 0]
+    for row in tables.bigram.values():
+        for count in row.values():
+            if count <= 4:
+                n[count - 1] += 1
+    return n[0], n[1], n[2], n[3]

@@ -32,11 +32,10 @@ from geopost import (
     partition,
     save_model,
     split,
-    train_cell,
 )
 from geopost.estimator import smooth_vector
 from geopost.tuning import error_vs_d
-from helpers import as_tokenized, random_token_corpus, reference_bigram_prob
+from helpers import one_cell_tables, pair_probs, random_token_corpus, reference_bigram_prob
 
 import numpy as np
 
@@ -62,38 +61,39 @@ def _planted(spec, split_seed, stopword_count=0):
 
 def test_mkn_oracle_equivalence():
     # 50 randomized corpora of <= 30 tokens: the smoothed bigram
-    # probability matches an independent brute-force evaluator to 1e-12,
+    # probability of the compiled tables (exp of a one-cell ensemble's
+    # pair scores) matches an independent brute-force evaluator to 1e-12,
     # in under 5 seconds.
     with criterion("mkn-oracle-equivalence"):
         started = time.perf_counter()
         rng = random.Random(1301)
         for _ in range(50):
             corpus = random_token_corpus(rng, max_tokens=30)
-            model = train_cell(as_tokenized(corpus), CellId(0, 0))
-            vocab = sorted(model.counts.unigram) + ["unseen"]
-            for v in vocab:
-                for w in vocab:
-                    got = model.bigram_prob(v, w)
-                    want = reference_bigram_prob(corpus, v, w)
-                    assert abs(got - want) <= 1e-12, (corpus, v, w, got, want)
+            tables = one_cell_tables(corpus)
+            vocab = list(tables.vocab) + ["unseen"]
+            pairs = [(v, w) for v in vocab for w in vocab]
+            for (v, w), got in zip(pairs, pair_probs(tables, pairs)):
+                want = reference_bigram_prob(corpus, v, w)
+                assert abs(got - want) <= 1e-12, (corpus, v, w, got, want)
         assert time.perf_counter() - started < 5.0
 
 
 def test_bigram_normalization():
-    # For every context that never ends a post, unfloored probabilities
-    # over the vocabulary sum to 1 +/- 1e-9, across 20 random models.
+    # For every context that never ends a post, the compiled tables'
+    # probabilities over the vocabulary sum to 1 +/- 1e-9, across 20
+    # random models; the floor adds at most 1e-12 per word of <= 8.
     with criterion("bigram-normalization"):
         rng = random.Random(1302)
         models = 0
         while models < 20:
             corpus = random_token_corpus(rng, max_tokens=40)
-            model = train_cell(as_tokenized(corpus), CellId(0, 0))
+            tables = one_cell_tables(corpus)
             finals = {post[-1] for post in corpus}
-            contexts = [v for v in model.counts.unigram if v not in finals]
+            contexts = [v for v in tables.vocab if v not in finals]
             if not contexts:
                 continue
             for v in contexts:
-                total = sum(model._bigram_prob_raw(v, w) for w in model.counts.unigram)
+                total = sum(pair_probs(tables, [(v, w) for w in tables.vocab]))
                 assert abs(total - 1.0) <= 1e-9
             models += 1
 

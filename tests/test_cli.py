@@ -867,6 +867,8 @@ class TestTune:
         [
             ("--g-values", "4,x", "expected comma-separated integers, got '4,x'"),
             ("--alpha-values", "0.5,", "expected comma-separated numbers, got '0.5,'"),
+            ("--g-values", "", "expected comma-separated integers, got ''"),
+            ("--alpha-values", "", "expected comma-separated numbers, got ''"),
         ],
     )
     def test_bad_search_values_are_usage_errors(self, tmp_path, capsys, flag, value, message):

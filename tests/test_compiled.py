@@ -1,8 +1,9 @@
-"""The compiled ensemble tables against the per-cell reference models,
-and the batched scorer against the one-post path.
+"""The compiled ensemble tables against the per-cell reference model,
+``CellLanguageModel`` in ``tests/reference.py``, and the batched scorer
+against the one-post path.
 
 Scores must agree bit for bit, not to a tolerance: the tables compute the
-same floats in the same order as ``CellLanguageModel``, and a batch adds
+same floats in the same order as the reference model, and a batch adds
 each post's pair logs in the order one post's scoring adds them.
 """
 
@@ -32,10 +33,10 @@ from geopost import (
     partition,
     posterior_field,
     split,
-    train_cell,
 )
 from geopost import lm
 from geopost.estimator import cell_log_scores, posterior_matrix, posterior_vector
+from reference import train_cell
 
 BOUNDS = GeoBounds(0.0, 0.0, 4.0, 4.0)
 WORDS = ("a", "b", "c", "d", "e")
@@ -55,8 +56,8 @@ def _ensemble(g, cell_posts, alpha=0.9, baseline=None):
             by_cell[cell].append(post)
     vocab = frozenset(t for post in posts for t in post.tokens)
     artifacts = PipelineArtifacts(frozenset(), vocab)
-    ens = build_ensemble(posts, part, SmoothingConfig(alpha=alpha), artifacts, baseline)
-    return ens, by_cell
+    ens = build_ensemble(posts, part, SmoothingConfig(alpha=alpha), artifacts)
+    return ens.with_baseline(baseline), by_cell
 
 
 def _reference_scores(ens, by_cell, tokens):
@@ -115,6 +116,17 @@ def test_estimate_matches_dict_path(built, tokens):
     assert est.posterior == field.values[best]
 
 
+def _assert_view_matches_tables(ens):
+    """The per-cell view covers every cell in row-major order, and its
+    distinct bigrams add up to the pair entries of the tables."""
+    g = ens.partition.g
+    models = ens.models
+    assert len(models) == g * g
+    assert list(models) == ens.partition.cells()
+    total = sum(m.counts.total_distinct_bigrams for m in models.values())
+    assert total == len(ens.tables.pair_key)
+
+
 @settings(max_examples=100, deadline=None)
 @given(ensembles())
 def test_model_view_equals_train_cell(built):
@@ -124,6 +136,8 @@ def test_model_view_equals_train_cell(built):
         assert got.counts == want.counts
         assert got.discounts == want.discounts
         assert got.post_count == want.post_count
+        assert got.cell == cell
+    _assert_view_matches_tables(ens)
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,6 +280,10 @@ def _planted():
         by_cell[part.cell_of(post.location)].append(post)
     queries = [arts.preprocess(p).tokens for p in te]
     return ens, by_cell, [q + q[::-1] for q in queries]
+
+
+def test_planted_model_view_covers_the_tables():
+    _assert_view_matches_tables(_planted()[0])
 
 
 def test_planted_corpus_equals_reference_bit_for_bit():

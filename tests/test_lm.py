@@ -1,26 +1,55 @@
-"""Count tables, discounts, smoothed probabilities, and their invariants."""
+"""Count tables, discounts, smoothed probabilities, and their invariants.
+
+The hand values are checked on the compiled tables of a one-cell
+ensemble: gamma through ``word_gamma``, p_cont through ``word_pcont``,
+P(w | v) and the baseline through ``log_likelihood``. ``TestTrainCell``
+and the unseen-context case describe the reference model of
+``tests/reference.py`` and run on it.
+"""
 
 import random
 from math import exp, log
 
 import pytest
 
-from geopost import (
-    BaselineInterpolation,
-    CellId,
-    UndefinedContextError,
-    ValidationError,
-    compute_discounts,
-    train_cell,
-)
+from geopost import BaselineInterpolation, CellId, ValidationError, compute_discounts
 from geopost.lm import MIN_PROB
-from helpers import as_tokenized, random_token_corpus, reference_bigram_prob
+from helpers import (
+    as_tokenized,
+    one_cell_tables,
+    pair_probs,
+    random_token_corpus,
+    reference_bigram_prob,
+)
+from reference import UndefinedContextError, train_cell
 
 CELL = CellId(0, 0)
 
 
 def _model(token_lists):
     return train_cell(as_tokenized(token_lists), CELL)
+
+
+def _entry(tables, column, word):
+    """``word``'s value in ``column`` of a one-cell ensemble."""
+    return column[tables.word_ptr[tables.index[word]]]
+
+
+def _gamma(tables, v):
+    return _entry(tables, tables.word_gamma, v)
+
+
+def _pcont(tables, w):
+    return _entry(tables, tables.word_pcont, w)
+
+
+def _prob(tables, v, w, baseline=None):
+    return pair_probs(tables, [(v, w)], baseline)[0]
+
+
+def _log_prob(tables, tokens, baseline=None):
+    (lp,) = tables.log_likelihood(tokens, baseline).tolist()
+    return lp
 
 
 class TestTrainCell:
@@ -80,43 +109,46 @@ class TestComputeDiscounts:
     def test_bounds_on_trained_models(self):
         rng = random.Random(6)
         for _ in range(50):
-            m = _model(random_token_corpus(rng))
-            assert 0.0 <= m.discounts.d1 <= 1.0
-            assert 0.0 <= m.discounts.d2 <= 2.0
-            assert 0.0 <= m.discounts.d3 <= 3.0
+            (d,) = one_cell_tables(random_token_corpus(rng)).discounts
+            assert 0.0 <= d.d1 <= 1.0
+            assert 0.0 <= d.d2 <= 2.0
+            assert 0.0 <= d.d3 <= 3.0
 
 
 class TestContinuationProb:
     def test_word_completing_every_pair(self):
-        m = _model([["a", "b"], ["c", "b"]])
-        assert m.continuation_prob("b") == 1.0
+        t = one_cell_tables([["a", "b"], ["c", "b"]])
+        assert _pcont(t, "b") == 1.0
 
     def test_word_completing_nothing(self):
-        m = _model([["a", "b"], ["c", "b"]])
-        assert m.continuation_prob("a") == 0.0
+        t = one_cell_tables([["a", "b"], ["c", "b"]])
+        assert _pcont(t, "a") == 0.0
 
     def test_half_of_pair_types(self):
-        m = _model([["a", "b"], ["a", "c"]])
-        assert m.continuation_prob("b") == 0.5
+        t = one_cell_tables([["a", "b"], ["a", "c"]])
+        assert _pcont(t, "b") == 0.5
 
     def test_no_pairs_at_all(self):
-        m = _model([["x"]])
-        assert m.continuation_prob("x") == 0.0
+        t = one_cell_tables([["x"]])
+        assert _pcont(t, "x") == 0.0
 
 
 class TestBackoffMass:
     def test_two_singleton_pairs(self):
-        m = _model([["a", "b"], ["a", "c"]])
-        assert m.backoff_mass("a") == pytest.approx(m.discounts.d1, abs=1e-12)
+        t = one_cell_tables([["a", "b"], ["a", "c"]])
+        assert _gamma(t, "a") == pytest.approx(t.discounts[0].d1, abs=1e-12)
 
     def test_sequence_final_only_context(self):
-        m = _model([["a", "b"]])
-        assert m.backoff_mass("b") == 0.0
+        # "b" is seen but never starts a pair: no mass is freed, so P(w | b)
+        # is the discounted direct term alone, 0 for every w.
+        t = one_cell_tables([["a", "b"]])
+        assert _gamma(t, "b") == 0.0
+        assert _log_prob(t, ["b", "a"]) == log(MIN_PROB)
 
     def test_mixed_tiers(self):
-        m = _model([["a", "b"], ["a", "b"], ["a", "c"]])
-        d = m.discounts
-        assert m.backoff_mass("a") == pytest.approx((d.d2 + d.d1) / 3.0, abs=1e-12)
+        t = one_cell_tables([["a", "b"], ["a", "b"], ["a", "c"]])
+        d = t.discounts[0]
+        assert _gamma(t, "a") == pytest.approx((d.d2 + d.d1) / 3.0, abs=1e-12)
 
     def test_unseen_context_raises(self):
         m = _model([["a", "b"]])
@@ -128,31 +160,31 @@ class TestBigramProb:
     def test_hand_value_on_two_pair_corpus(self):
         # (1 - d1)/2 + d1 * P_c(b) with P_c(b) = 1/2 evaluates to 0.5 for
         # any d1, so the assertion pins the whole expression.
-        m = _model([["a", "b"], ["a", "c"]])
-        assert m.bigram_prob("a", "b") == pytest.approx(0.5, abs=1e-12)
+        t = one_cell_tables([["a", "b"], ["a", "c"]])
+        assert _prob(t, "a", "b") == pytest.approx(0.5, abs=1e-12)
 
     def test_unknown_completion_hits_floor(self):
-        m = _model([["a", "b"], ["a", "c"]])
-        assert m.bigram_prob("a", "z") == MIN_PROB
-        assert m.bigram_prob("z", "z") == MIN_PROB
+        t = one_cell_tables([["a", "b"], ["a", "c"]])
+        assert _log_prob(t, ["a", "z"]) == log(MIN_PROB)
+        assert _log_prob(t, ["z", "z"]) == log(MIN_PROB)
 
     def test_unseen_context_backs_off_to_continuation(self):
-        m = _model([["a", "b"], ["c", "b"]])
-        assert m.bigram_prob("z", "b") == pytest.approx(m.continuation_prob("b"), abs=1e-12)
+        t = one_cell_tables([["a", "b"], ["c", "b"]])
+        assert _prob(t, "z", "b") == pytest.approx(_pcont(t, "b"), abs=1e-12)
 
     def test_normalizes_over_vocabulary(self):
-        # Unfloored probabilities over the full vocabulary sum to 1 for any
-        # context that never ends a post.
+        # Probabilities over the full vocabulary sum to 1 for any context
+        # that never ends a post; the floor adds at most 1e-12 per word.
         rng = random.Random(12)
         checked = 0
         while checked < 20:
             corpus = random_token_corpus(rng)
-            m = _model(corpus)
+            t = one_cell_tables(corpus)
             finals = {post[-1] for post in corpus}
-            for v in m.counts.unigram:
+            for v in t.vocab:
                 if v in finals:
                     continue
-                total = sum(m._bigram_prob_raw(v, w) for w in m.counts.unigram)
+                total = sum(pair_probs(t, [(v, w) for w in t.vocab]))
                 assert total == pytest.approx(1.0, abs=1e-9)
                 checked += 1
 
@@ -160,35 +192,33 @@ class TestBigramProb:
         rng = random.Random(13)
         for _ in range(20):
             corpus = random_token_corpus(rng)
-            m = _model(corpus)
-            vocab = sorted(m.counts.unigram) + ["zz"]
-            for v in vocab:
-                for w in vocab:
-                    assert m.bigram_prob(v, w) == pytest.approx(
-                        reference_bigram_prob(corpus, v, w), abs=1e-12
-                    )
+            t = one_cell_tables(corpus)
+            vocab = list(t.vocab) + ["zz"]
+            pairs = [(v, w) for v in vocab for w in vocab]
+            for (v, w), p in zip(pairs, pair_probs(t, pairs)):
+                assert p == pytest.approx(reference_bigram_prob(corpus, v, w), abs=1e-12)
 
 
 class TestBaseline:
     def test_pure_mle_at_lambda1_one(self):
-        m = _model([["a", "b"], ["a", "c"]])
+        t = one_cell_tables([["a", "b"], ["a", "c"]])
         interp = BaselineInterpolation(1.0)
-        assert m.baseline_bigram_prob("a", "b", interp) == pytest.approx(0.5, abs=1e-12)
+        assert _prob(t, "a", "b", interp) == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_unigram_at_lambda1_zero(self):
-        m = _model([["a", "b"], ["a", "c"]])
+        t = one_cell_tables([["a", "b"], ["a", "c"]])
         interp = BaselineInterpolation(0.0)
-        assert m.baseline_bigram_prob("a", "b", interp) == pytest.approx(0.25, abs=1e-12)
+        assert _prob(t, "a", "b", interp) == pytest.approx(0.25, abs=1e-12)
 
     def test_even_interpolation(self):
-        m = _model([["a", "b"], ["a", "c"]])
+        t = one_cell_tables([["a", "b"], ["a", "c"]])
         interp = BaselineInterpolation(0.5)
-        assert m.baseline_bigram_prob("a", "b", interp) == pytest.approx(0.375, abs=1e-12)
+        assert _prob(t, "a", "b", interp) == pytest.approx(0.375, abs=1e-12)
 
     def test_unseen_context_uses_unigram_alone(self):
-        m = _model([["a", "b"], ["a", "c"]])
+        t = one_cell_tables([["a", "b"], ["a", "c"]])
         interp = BaselineInterpolation(0.7)
-        assert m.baseline_bigram_prob("z", "a", interp) == pytest.approx(0.5, abs=1e-12)
+        assert _prob(t, "z", "a", interp) == pytest.approx(0.5, abs=1e-12)
 
     def test_weights_validated(self):
         with pytest.raises(ValidationError):
@@ -209,56 +239,51 @@ class TestBaseline:
 
 class TestSequenceLogProb:
     def test_empty_sequence(self):
-        m = _model([["a", "b"]])
-        assert m.sequence_log_prob(()) == 0.0
+        t = one_cell_tables([["a", "b"]])
+        assert _log_prob(t, ()) == 0.0
 
     def test_single_token(self):
-        m = _model([["a", "b"]])
-        assert m.sequence_log_prob(("a",)) == 0.0
+        t = one_cell_tables([["a", "b"]])
+        assert _log_prob(t, ("a",)) == 0.0
 
     def test_composes_from_pair_probs(self):
-        m = _model([["a", "b", "c"], ["a", "b"]])
-        want = log(m.bigram_prob("a", "b")) + log(m.bigram_prob("b", "c"))
-        assert m.sequence_log_prob(("a", "b", "c")) == pytest.approx(want, abs=1e-12)
+        t = one_cell_tables([["a", "b", "c"], ["a", "b"]])
+        want = _log_prob(t, ("a", "b")) + _log_prob(t, ("b", "c"))
+        assert _log_prob(t, ("a", "b", "c")) == pytest.approx(want, abs=1e-12)
 
     def test_exp_matches_direct_product(self):
         rng = random.Random(14)
         for _ in range(40):
-            corpus = random_token_corpus(rng)
-            m = _model(corpus)
-            vocab = sorted(m.counts.unigram)
-            seq = [rng.choice(vocab) for _ in range(rng.randint(2, 10))]
+            t = one_cell_tables(random_token_corpus(rng))
+            seq = [rng.choice(t.vocab) for _ in range(rng.randint(2, 10))]
             product = 1.0
-            for v, w in zip(seq, seq[1:]):
-                product *= m.bigram_prob(v, w)
-            assert exp(m.sequence_log_prob(seq)) == pytest.approx(product, rel=1e-9)
+            for p in pair_probs(t, zip(seq, seq[1:])):
+                product *= p
+            assert exp(_log_prob(t, seq)) == pytest.approx(product, rel=1e-9)
 
     def test_baseline_scoring_composes_from_baseline_pairs(self):
-        m = _model([["a", "b", "c"], ["a", "b"]])
+        t = one_cell_tables([["a", "b", "c"], ["a", "b"]])
         interp = BaselineInterpolation(0.6)
-        want = log(m.baseline_bigram_prob("a", "b", interp)) + log(
-            m.baseline_bigram_prob("b", "c", interp)
-        )
-        assert m.sequence_log_prob(("a", "b", "c"), baseline=interp) == pytest.approx(
-            want, abs=1e-12
-        )
+        want = _log_prob(t, ("a", "b"), interp) + _log_prob(t, ("b", "c"), interp)
+        assert _log_prob(t, ("a", "b", "c"), interp) == pytest.approx(want, abs=1e-12)
 
 
 class TestEvidenceMonotonicity:
     def test_mle_evidence_is_monotone(self):
         # The un-smoothed estimate (baseline with lambda1 = 1) can only
         # grow when (v, w) is observed once more: (c+1)/(cv+1) >= c/cv.
+        # Not for v == w: the post [v, v] adds 2 to c(v), and 3/5 falls to
+        # 4/7.
         rng = random.Random(15)
         interp = BaselineInterpolation(1.0)
         for _ in range(100):
             corpus = random_token_corpus(rng)
-            m = _model(corpus)
-            pairs = [(v, w) for v, ws in m.counts.bigram.items() for w in ws]
+            pairs = sorted({(a, b) for p in corpus for a, b in zip(p, p[1:]) if a != b})
             if not pairs:
                 continue
             v, w = rng.choice(pairs)
-            before = m.baseline_bigram_prob(v, w, interp)
-            after = _model(corpus + [[v, w]]).baseline_bigram_prob(v, w, interp)
+            before = _prob(one_cell_tables(corpus), v, w, interp)
+            after = _prob(one_cell_tables(corpus + [[v, w]]), v, w, interp)
             assert after >= before - 1e-12
 
     def test_discount_tier_jump_can_reduce_smoothed_probability(self):
@@ -276,6 +301,6 @@ class TestEvidenceMonotonicity:
             ["t2", "t3", "t2", "t3", "t2", "t0"],
             ["t2", "t1"],
         ]
-        before = _model(corpus).bigram_prob("t2", "t1")
-        after = _model(corpus + [["t2", "t1"]]).bigram_prob("t2", "t1")
+        before = _log_prob(one_cell_tables(corpus), ["t2", "t1"])
+        after = _log_prob(one_cell_tables(corpus + [["t2", "t1"]]), ["t2", "t1"])
         assert after < before

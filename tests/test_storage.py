@@ -100,6 +100,15 @@ class TestRoundTrip:
             assert a.discounts == b.discounts
             assert a.post_count == b.post_count
 
+    def test_numpy_scalar_smoothing_round_trips(self, trained, tmp_path):
+        # A numpy alpha or diameter passes validation, so the manifest must
+        # get the plain number: json.dumps refuses an np.int64.
+        smoothing = SmoothingConfig(alpha=np.float32(0.5), diameter=np.int64(1))
+        save_model(trained[0].with_smoothing(smoothing), tmp_path / "model", seed=1)
+        loaded = load_model(tmp_path / "model").smoothing
+        assert loaded == SmoothingConfig(alpha=0.5, diameter=1)
+        assert (type(loaded.alpha), type(loaded.diameter)) == (float, int)
+
     def test_estimates_identical_after_reload(self, trained, model):
         ens, queries = trained
         loaded = load_model(model)

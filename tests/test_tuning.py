@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from geopost import (
@@ -25,7 +26,7 @@ from geopost import (
 )
 from geopost import estimator, tuning
 from geopost.grid import geo_distance_km
-from geopost.tuning import DEFAULT_ALPHA_VALUES, DEFAULT_G_VALUES, select_best
+from geopost.tuning import DEFAULT_ALPHA_VALUES, DEFAULT_G_VALUES, select_best, write_surface_csv
 
 BOUNDS = GeoBounds(40.70, -74.02, 40.77, -73.93)
 
@@ -111,6 +112,17 @@ class TestGridSearch:
         b = grid_search(tr, ho, space, BOUNDS, stopword_count=0)
         assert a.best == b.best
         assert a.surface == b.surface
+
+    def test_numpy_alphas_reach_the_surface_csv_as_plain_numbers(self, tmp_path):
+        tr, ho, _ = _splits(SyntheticSpec(g=2, posts_per_cell=40, seed=1))
+        space = SearchSpace(g_values=(2,), alpha_values=tuple(np.linspace(0.5, 1, 2)))
+        assert [type(a) for a in space.alpha_values] == [float, float]
+        result = grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+        write_surface_csv(result, tmp_path / "tuning.csv")
+        rows = (tmp_path / "tuning.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[:3] for row in rows[1:]] == [
+            ["2", "0.5", "1"], ["2", "0.5", "2"], ["2", "1.0", "1"], ["2", "1.0", "2"]
+        ]
 
     def test_best_is_brute_force_argmin_of_surface(self):
         tr, ho, _ = _splits(SyntheticSpec(g=3, posts_per_cell=30, leakage=0.4, seed=3))
