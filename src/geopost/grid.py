@@ -7,9 +7,10 @@ row 0 at the southern edge and col 0 at the western edge.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import atan2, cos, floor, radians, sin, sqrt
+from math import atan2, cos, radians, sin, sqrt
 
 import numpy as np
 
@@ -66,6 +67,17 @@ class CellId:
     col: int
 
 
+def grid_dimension(g) -> int:
+    """``g`` as a grid dimension: an integer of at least 1, not a bool,
+    returned as a Python ``int`` so a numpy scalar reaches the manifest as
+    the plain number. Raises ValidationError otherwise."""
+    if isinstance(g, bool) or not hasattr(g, "__index__"):
+        raise ValidationError(f"grid dimension must be an integer, got {g!r}")
+    if g < 1:
+        raise ValidationError(f"grid dimension must be >= 1, got {g!r}")
+    return operator.index(g)
+
+
 @dataclass(frozen=True)
 class GridPartition:
     """A g x g tiling of ``bounds`` into equal-degree, non-overlapping cells."""
@@ -74,8 +86,7 @@ class GridPartition:
     g: int
 
     def __post_init__(self):
-        if isinstance(self.g, bool) or not isinstance(self.g, int) or self.g < 1:
-            raise ValidationError(f"grid dimension must be a positive integer, got {self.g}")
+        object.__setattr__(self, "g", grid_dimension(self.g))
 
     @property
     def dlat(self) -> float:
@@ -94,24 +105,20 @@ class GridPartition:
             raise ValidationError(f"cell {cell} outside {self.g}x{self.g} grid")
 
     def cell_of(self, p: GeoPoint) -> CellId:
-        """Map an in-bounds point to the unique cell covering it.
+        """The unique cell covering an in-bounds point: ``cells_of`` for
+        one point."""
+        return CellId(*divmod(int(self.cells_of([p.lat], [p.lon])[0]), self.g))
+
+    def cells_of(self, lats, lons) -> np.ndarray:
+        """Row-major index (row * g + col) of the cell covering every point
+        (lats[i], lons[i]), as int64, in one pass over the arrays.
 
         Cell (r, c) covers the half-open band [south + r*dlat, south +
         (r+1)*dlat) and likewise for longitude, so a point on an interior
         boundary resolves to the higher index. The outermost north/east
-        edges close the last row/column.
+        edges close the last row/column. The first point outside the
+        region, in input order, raises OutOfRegionError.
         """
-        if not self.bounds.contains(p):
-            raise OutOfRegionError(f"point ({p.lat}, {p.lon}) outside region {self.bounds}")
-        row = min(floor((p.lat - self.bounds.south) / self.dlat), self.g - 1)
-        col = min(floor((p.lon - self.bounds.west) / self.dlon), self.g - 1)
-        return CellId(row, col)
-
-    def cells_of(self, lats, lons) -> np.ndarray:
-        """Row-major index (row * g + col) of ``cell_of`` every point
-        (lats[i], lons[i]), as int64, in one pass over the arrays: the same
-        arithmetic, bands and closed north/east edges. The first point
-        outside the region, in input order, raises ``cell_of``'s error."""
         b = self.bounds
         lats = np.asarray(lats, dtype=np.float64)
         lons = np.asarray(lons, dtype=np.float64)

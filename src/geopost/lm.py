@@ -18,9 +18,10 @@ w in one pass and fills each column only for the half that uses it
 log, and a block with more than ``_DISTINCT_MIN`` live entries takes
 one ``math.log`` per distinct value. ``log_likelihood`` scores one post
 as its block summed over the pair rows in order; ``log_likelihoods``
-scores a batch of posts a bounded block at a time and sums each post's
-rows in the same order, so its rows equal the one-post results bit for
-bit.
+scores a batch in fixed-size blocks of pairs, which may split a post,
+and scatter-adds each block's rows into the rows of their posts with
+``np.add.at``. That adds a post's rows in order too, so the batch rows
+equal the one-post results bit for bit.
 The tables are tested against a per-cell reference model,
 ``CellLanguageModel`` in ``tests/reference.py``, which computes the same
 floats in the same order. ``EnsembleTables.cell_model`` rebuilds one
@@ -46,7 +47,8 @@ MIN_PROB = 1e-12
 _LOG_MIN_PROB = log(MIN_PROB)
 
 # Most (pair, cell) entries ``log_likelihoods`` holds at once, for a bounded
-# peak memory whatever the number of posts scored.
+# peak memory whatever the number of posts scored or their lengths: a block
+# is max(_BLOCK // cells, 1) pairs, wherever the posts begin and end.
 _BLOCK = 1 << 15
 
 # ``_floored_logs`` logs only the distinct values of a block with more live
@@ -198,29 +200,23 @@ class EnsembleTables:
         baseline: Optional[BaselineInterpolation] = None,
     ) -> np.ndarray:
         """``log_likelihood`` of every post of ``token_lists`` as the rows
-        of one (posts, cells) array. The pair logs are built for a block of
-        posts at a time, with at most ``_BLOCK`` (pair, cell) entries per
-        block unless one post alone has more, and each post's rows are
-        added in the order ``log_likelihood`` adds them, so the rows agree
+        of one (posts, cells) array. The batch's pairs are scored in blocks
+        of ``max(_BLOCK // cells, 1)`` pairs, regardless of where posts
+        begin and end, and ``np.add.at`` adds each block's rows into the
+        rows of their posts. It adds repeated indices in index order, the
+        order ``log_likelihood`` adds a post's rows in, so the rows agree
         bit for bit."""
         n_cells = len(self.post_counts)
         out = np.zeros((len(token_lists), n_cells))
         ids = self._ids([t for tokens in token_lists for t in tokens])
         lens = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
-        n_pairs = np.maximum(lens - 1, 0)
         left = _pair_starts(lens)
         v, w = ids[left], ids[left + 1]
-        pair_end = np.cumsum(n_pairs)
-        first = pair_end - n_pairs
+        post_of_pair = np.repeat(np.arange(len(token_lists)), np.maximum(lens - 1, 0))
         per_block = max(_BLOCK // n_cells, 1)
-        lo = 0
-        while lo < len(token_lists):
-            hi = max(int(np.searchsorted(pair_end, first[lo] + per_block, "right")), lo + 1)
-            r0, r1 = first[lo], pair_end[hi - 1]
-            if r1 > r0:
-                logs = self._pair_logs(v[r0:r1], w[r0:r1], baseline)
-                out[lo:hi] = _row_sums(logs, first[lo:hi] - r0, n_pairs[lo:hi])
-            lo = hi
+        for lo in range(0, len(left), per_block):
+            block = slice(lo, lo + per_block)
+            np.add.at(out, post_of_pair[block], self._pair_logs(v[block], w[block], baseline))
         return out
 
     def _ids(self, tokens: Sequence[str]) -> np.ndarray:
@@ -370,18 +366,6 @@ def _pair_starts(lens: np.ndarray) -> np.ndarray:
     starts = np.ones(int(lens.sum()), dtype=bool)
     starts[np.cumsum(lens)[lens > 0] - 1] = False
     return np.flatnonzero(starts)
-
-
-def _row_sums(logs: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Per post i, the sum of the rows ``logs[first[i] : first[i] + lens[i]]``,
-    added in order k = 0, 1, ... exactly as ``log_likelihood`` adds the rows
-    of one post's block (``np.add.reduceat`` does not: it can differ in the
-    last place)."""
-    out = np.zeros((len(first), logs.shape[1]))
-    for k in range(int(lens.max(initial=0))):
-        live = np.flatnonzero(lens > k)
-        out[live] += logs[first[live] + k]
-    return out
 
 
 def _word_entries(word_keys: np.ndarray, n_keys: int, *queries: np.ndarray) -> list[np.ndarray]:

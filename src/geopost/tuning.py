@@ -28,7 +28,7 @@ from .estimator import (
     posterior_matrix,
     smoothing_terms,
 )
-from .grid import GeoBounds, geo_distance_km, partition
+from .grid import GeoBounds, geo_distance_km, grid_dimension, partition
 from .pipeline import RawPost, TokenizedPost, build_training_corpus
 
 DEFAULT_G_VALUES = tuple(range(5, 16))
@@ -47,13 +47,11 @@ class SearchSpace:
         if not self.g_values or not self.alpha_values:
             raise ValidationError("search space must be non-empty")
         # Checked before repeats are dropped: True == 1 would hide behind a 1.
-        for g in self.g_values:
-            if isinstance(g, bool) or not isinstance(g, int) or g < 1:
-                raise ValidationError(f"grid dimensions must be positive integers, got {g!r}")
+        g_values = [grid_dimension(g) for g in self.g_values]
         # SmoothingConfig raises ValidationError for a bad alpha, and its
         # float is the one the direct path smooths with.
         alphas = (SmoothingConfig(alpha=alpha).alpha for alpha in self.alpha_values)
-        object.__setattr__(self, "g_values", tuple(dict.fromkeys(self.g_values)))
+        object.__setattr__(self, "g_values", tuple(dict.fromkeys(g_values)))
         object.__setattr__(self, "alpha_values", tuple(dict.fromkeys(alphas)))
 
 

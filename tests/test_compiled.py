@@ -313,7 +313,7 @@ batch_posts = st.lists(st.sampled_from(WORDS + (UNSEEN, MISC)), max_size=8)
 @given(ensembles(), st.lists(batch_posts, max_size=12), st.sampled_from((1, 7, 40, lm._BLOCK)))
 def test_posterior_matrix_rows_equal_posterior_vector(built, token_lists, block):
     # Small blocks put block boundaries between and inside the posts'
-    # pair rows; a block smaller than a post's rows holds that post alone.
+    # pair rows, so a post's rows can be added over several blocks.
     ens, _ = built
     with mock.patch.object(lm, "_BLOCK", block):
         _assert_rows_equal_posterior_vector(ens, token_lists)
@@ -342,19 +342,73 @@ def test_posterior_matrix_edge_cases_across_blocks():
         _assert_rows_equal_posterior_vector(ens, batch)
 
 
-def test_row_sums_add_pair_rows_in_order():
-    # Each post's pair rows must be added one after another, as sum(axis=0)
-    # adds the rows of a one-post block; np.add.reduceat, for one, does not.
+def _random_ensembles(g):
+    """KN and baseline ensembles at g over random posts in most cells."""
+    rng = np.random.default_rng(g)
+    cells = partition(BOUNDS, g).cells()
+    cell_posts = [
+        (cell, [rng.choice(WORDS, size=rng.integers(0, 7)).tolist() for _ in range(4)])
+        for cell in cells[: max(len(cells) - 2, 1)]
+    ]
+    for baseline in (None, BaselineInterpolation(0.6)):
+        yield _ensemble(g, cell_posts, baseline=baseline)[0]
+
+
+SPLIT_POSTS = [list("abcdeabcdeabc"), [], ["a"], ["b", UNSEEN, "c"], list("edcbaedc"), ["c", "c"]]
+
+
+@pytest.mark.parametrize("g", (1, 2, 8))
+def test_posts_split_across_blocks_equal_one_post_scores(g):
+    # Blocks of 1-3 pairs cut the 13-token post, and most others, into
+    # pieces that land in several blocks.
+    for ens in _random_ensembles(g):
+        tables, n_cells = ens.tables, g * g
+        for per_block in (1, 2, 3):
+            with mock.patch.object(lm, "_BLOCK", per_block * n_cells):
+                for batch in (SPLIT_POSTS[:1], SPLIT_POSTS * 3):
+                    got = tables.log_likelihoods(batch, ens.baseline)
+                    want = np.array([tables.log_likelihood(t, ens.baseline) for t in batch])
+                    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("block", (1, 7, 5 * 64, lm._BLOCK))
+def test_no_block_exceeds_its_pair_count(block):
+    # One post has more pairs than a block of the default size holds, so
+    # the bound must hold inside a post as well as between posts.
+    ens = next(_random_ensembles(8))
+    tables = ens.tables
+    per_block = max(block // 64, 1)
+    long_post = list(WORDS * 260)
+    assert len(long_post) - 1 > lm._BLOCK // 64
+    batch = SPLIT_POSTS + [long_post] + SPLIT_POSTS
+    core = lm.EnsembleTables._pair_logs
+    with mock.patch.object(lm, "_BLOCK", block), mock.patch.object(
+        lm.EnsembleTables, "_pair_logs", autospec=True, side_effect=core
+    ) as spy:
+        got = tables.log_likelihoods(batch, ens.baseline)
+    sizes = [len(call.args[1]) for call in spy.call_args_list]
+    assert max(sizes) <= per_block
+    assert sum(sizes) == sum(max(len(t) - 1, 0) for t in batch)
+    want = np.array([tables.log_likelihood(t, ens.baseline) for t in batch])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n_cols", (1, 4, 64, 144))
+def test_add_at_adds_repeated_rows_in_index_order(n_cols):
+    # log_likelihoods relies on np.add.at adding the rows of a repeated
+    # index one after another, as log_likelihood adds a post's rows;
+    # np.add.reduceat, for one, does not. A numpy release that changes
+    # the order fails here.
     rng = np.random.default_rng(5)
-    for n_cells in (4, 9, 64, 144):
-        lens = rng.integers(2, 14, size=50)
-        logs = np.log(rng.random((lens.sum(), n_cells)))
-        first = np.cumsum(lens) - lens
-        got = lm._row_sums(logs, first, lens)
-        for i, (lo, n) in enumerate(zip(first, lens)):
-            assert got[i].view(np.int64).tolist() == (
-                logs[lo : lo + n].sum(axis=0).view(np.int64).tolist()
-            )
+    for _ in range(20):
+        rows = np.log(rng.random((300, n_cols)))
+        index = np.sort(rng.integers(0, 40, size=len(rows)))
+        got = np.zeros((40, n_cols))
+        np.add.at(got, index, rows)
+        want = np.zeros((40, n_cols))
+        for i, row in zip(index.tolist(), rows):
+            want[i] += row
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def _scoring_peak(ens, batch):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from geopost import (
@@ -192,6 +193,18 @@ class TestSynthetic:
             SyntheticSpec(g=2, tokens_per_post=0)
         with pytest.raises(ValidationError, match="shared_vocab must be >= 0, got -1"):
             SyntheticSpec(g=2, shared_vocab=-1)
+
+    @pytest.mark.parametrize("g", [True, 2.5, 0, "3", np.int64(-2)])
+    def test_grid_dimension_checked_as_partition_does(self, g):
+        with pytest.raises(ValidationError, match="grid dimension must be") as exc:
+            SyntheticSpec(g=g)
+        assert str(exc.value).endswith(f"got {g!r}")
+
+    def test_numpy_grid_dimension_gives_the_int_corpus(self):
+        spec = SyntheticSpec(g=np.int64(2), vocab_per_cell=5, posts_per_cell=4, seed=3)
+        assert type(spec.g) is int
+        want = SyntheticSpec(g=2, vocab_per_cell=5, posts_per_cell=4, seed=3)
+        assert generate_synthetic(spec, BOUNDS) == generate_synthetic(want, BOUNDS)
 
 
 def _corpus_digest(posts) -> str:

@@ -66,10 +66,17 @@ class TestPartition:
         with pytest.raises(ValidationError):
             partition(GeoBounds(0.0, 0.0, 1.0, 1.0), 0)
 
-    @pytest.mark.parametrize("g", [True, False, 2.0])
+    @pytest.mark.parametrize("g", [True, False, 2.0, 2.5, 0, -1, "3", np.int64(0)])
     def test_non_integer_grid_rejected(self, g):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="grid dimension must be") as exc:
             partition(GeoBounds(0.0, 0.0, 1.0, 1.0), g)
+        assert str(exc.value).endswith(f"got {g!r}")
+
+    @pytest.mark.parametrize("g", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_grid_is_stored_as_int(self, g):
+        part = partition(STUDY_BOUNDS, g)
+        assert type(part.g) is int
+        assert part == partition(STUDY_BOUNDS, 3)
 
 
 class TestCellAssignment:
@@ -174,6 +181,13 @@ class TestCellsOf:
             part.cell_of(GeoPoint(2.5, 1.0))
         assert str(exc.value) == str(ref.value)
         assert str(exc.value).startswith("point (2.5, 1.0) outside region")
+
+    def test_cell_of_reports_coordinates_as_floats(self):
+        # cell_of bins through cells_of, which holds the coordinates as
+        # float64, so an int coordinate prints as a float.
+        part = partition(GeoBounds(0.0, 0.0, 2.0, 2.0), 2)
+        with pytest.raises(OutOfRegionError, match=r"^point \(5\.0, 1\.0\) outside region"):
+            part.cell_of(GeoPoint(5, 1))
 
     def test_nan_is_outside(self):
         part = partition(GeoBounds(0.0, 0.0, 2.0, 2.0), 2)

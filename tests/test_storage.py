@@ -109,6 +109,25 @@ class TestRoundTrip:
         assert loaded == SmoothingConfig(alpha=0.5, diameter=1)
         assert (type(loaded.alpha), type(loaded.diameter)) == (float, int)
 
+    def test_numpy_grid_size_round_trips(self, tmp_path):
+        # partition stores a numpy grid size as the int, which the manifest
+        # needs: json.dumps refuses an np.int64.
+        spec = SyntheticSpec(g=2, vocab_per_cell=8, posts_per_cell=25, leakage=0.2, seed=31)
+        tr, _, te = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
+        tok, arts = build_training_corpus(tr, stopword_count=3)
+        queries = [arts.preprocess(p) for p in te]
+        ens, want = (
+            build_ensemble(tok, partition(BOUNDS, g), SmoothingConfig(alpha=0.9), arts)
+            for g in (np.int64(2), 2)
+        )
+        save_model(ens, tmp_path / "model")
+        loaded = load_model(tmp_path / "model")
+        assert loaded.partition == want.partition and type(loaded.partition.g) is int
+        _assert_tables_equal(loaded.tables, want.tables)
+        assert estimates_csv(queries, estimate_batch(loaded, queries)) == estimates_csv(
+            queries, estimate_batch(want, queries)
+        )
+
     def test_estimates_identical_after_reload(self, trained, model):
         ens, queries = trained
         loaded = load_model(model)

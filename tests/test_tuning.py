@@ -51,8 +51,15 @@ class TestSearchSpace:
 
     @pytest.mark.parametrize("g_values", [(True,), (1, True), (2, False), (2.0,), ("3",), (-1,)])
     def test_g_must_be_a_positive_int(self, g_values):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="grid dimension must be") as exc:
             SearchSpace(g_values=g_values)
+        bad = next(g for g in g_values if isinstance(g, (bool, float, str)) or g < 1)
+        assert str(exc.value).endswith(f"got {bad!r}")
+
+    def test_numpy_g_values_are_the_ints(self):
+        space = SearchSpace(g_values=tuple(np.arange(2, 4)) + (2,))
+        assert space.g_values == (2, 3)
+        assert all(type(g) is int for g in space.g_values)
 
     @pytest.mark.parametrize("alpha_values", [(True, 0.5), (1.0, True), (0.5, False), (-0.1,), (1.5,)])
     def test_alpha_validated_as_smoothing_config_does(self, alpha_values):
