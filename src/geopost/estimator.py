@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -30,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .grid import CellId, GeoPoint, GridPartition
+from .grid import CellId, GeoPoint, GridPartition, positive_index
 from .lm import BaselineInterpolation, CellModels, EnsembleTables, count_tables
 from .pipeline import PipelineArtifacts, TokenizedPost
 
@@ -60,11 +59,7 @@ class SmoothingConfig:
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.diameter is None:
             return
-        if isinstance(self.diameter, bool) or not hasattr(self.diameter, "__index__"):
-            raise ValidationError(f"diameter must be an integer, got {self.diameter!r}")
-        if self.diameter < 1:
-            raise ValidationError(f"diameter must be >= 1, got {self.diameter}")
-        object.__setattr__(self, "diameter", operator.index(self.diameter))
+        object.__setattr__(self, "diameter", positive_index("diameter", self.diameter))
 
 
 @dataclass(frozen=True)

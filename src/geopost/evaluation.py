@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .estimator import Estimate, GeoEnsemble, estimate_batch
-from .grid import GeoBounds, GeoPoint, geo_distance_km, grid_dimension, partition
+from .grid import GeoBounds, GeoPoint, geo_distance_km, partition, positive_index
 from .pipeline import RawPost, TokenizedPost
 
 # Most bins an error histogram may have: 12 times the 80,061 that the
@@ -81,7 +81,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "g", grid_dimension(self.g))
+        object.__setattr__(self, "g", positive_index("grid dimension", self.g))
         for name, value in (
             ("vocab_per_cell", self.vocab_per_cell),
             ("posts_per_cell", self.posts_per_cell),

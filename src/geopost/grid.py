@@ -67,15 +67,15 @@ class CellId:
     col: int
 
 
-def grid_dimension(g) -> int:
-    """``g`` as a grid dimension: an integer of at least 1, not a bool,
-    returned as a Python ``int`` so a numpy scalar reaches the manifest as
-    the plain number. Raises ValidationError otherwise."""
-    if isinstance(g, bool) or not hasattr(g, "__index__"):
-        raise ValidationError(f"grid dimension must be an integer, got {g!r}")
-    if g < 1:
-        raise ValidationError(f"grid dimension must be >= 1, got {g!r}")
-    return operator.index(g)
+def positive_index(name: str, value) -> int:
+    """``value`` as an integer of at least 1, not a bool, returned as a
+    Python ``int`` so a numpy scalar reaches the manifest as the plain
+    number. Raises ValidationError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class GridPartition:
     g: int
 
     def __post_init__(self):
-        object.__setattr__(self, "g", grid_dimension(self.g))
+        object.__setattr__(self, "g", positive_index("grid dimension", self.g))
 
     @property
     def dlat(self) -> float:

@@ -28,7 +28,7 @@ from .estimator import (
     posterior_matrix,
     smoothing_terms,
 )
-from .grid import GeoBounds, geo_distance_km, grid_dimension, partition
+from .grid import GeoBounds, geo_distance_km, partition, positive_index
 from .pipeline import RawPost, TokenizedPost, build_training_corpus
 
 DEFAULT_G_VALUES = tuple(range(5, 16))
@@ -47,7 +47,7 @@ class SearchSpace:
         if not self.g_values or not self.alpha_values:
             raise ValidationError("search space must be non-empty")
         # Checked before repeats are dropped: True == 1 would hide behind a 1.
-        g_values = [grid_dimension(g) for g in self.g_values]
+        g_values = [positive_index("grid dimension", g) for g in self.g_values]
         # SmoothingConfig raises ValidationError for a bad alpha, and its
         # float is the one the direct path smooths with.
         alphas = (SmoothingConfig(alpha=alpha).alpha for alpha in self.alpha_values)

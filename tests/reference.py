@@ -1,6 +1,7 @@
-"""Step-by-step definitions used as test oracles: the training pipeline
-for ``build_training_corpus`` and ``preprocess``, and the per-cell
-language model for the compiled ``EnsembleTables``.
+"""Step-by-step definitions used as test oracles: scalar binning for
+``GridPartition.cells_of``, the training pipeline for
+``build_training_corpus`` and ``preprocess``, and the per-cell language
+model for the compiled ``EnsembleTables``.
 
 Each pipeline step recounts from scratch and sorts by its own key, so
 these share no code with the single-pass pipeline they check.
@@ -13,7 +14,7 @@ it bit for bit.
 from __future__ import annotations
 
 from collections import Counter
-from math import log
+from math import floor, log
 from typing import Iterable, Optional, Sequence
 
 from geopost import (
@@ -23,11 +24,30 @@ from geopost import (
     CountTables,
     Discounts,
     GeopostError,
+    GeoPoint,
+    GridPartition,
+    OutOfRegionError,
     TokenizedPost,
     ValidationError,
     compute_discounts,
 )
 from geopost.lm import MIN_PROB
+
+
+def cell_of(part: GridPartition, p: GeoPoint) -> CellId:
+    """Map an in-bounds point to the unique cell covering it, one point
+    at a time with ``math.floor``.
+
+    Cell (r, c) covers the half-open band [south + r*dlat, south +
+    (r+1)*dlat) and likewise for longitude, so a point on an interior
+    boundary resolves to the higher index. The outermost north/east
+    edges close the last row/column.
+    """
+    if not part.bounds.contains(p):
+        raise OutOfRegionError(f"point ({p.lat}, {p.lon}) outside region {part.bounds}")
+    row = min(floor((p.lat - part.bounds.south) / part.dlat), part.g - 1)
+    col = min(floor((p.lon - part.bounds.west) / part.dlon), part.g - 1)
+    return CellId(row, col)
 
 
 def induce_stopwords(corpus: Iterable[Sequence[str]], k: int) -> list[str]:

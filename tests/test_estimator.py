@@ -94,6 +94,13 @@ class TestBuildEnsemble:
             by_g, posterior_field(by_g, queries[0])
         )
 
+    @pytest.mark.parametrize("d", [True, 2.5, 0, -1, "3", np.int64(0)])
+    def test_bad_diameter_rejected_with_its_repr(self, d):
+        # The grid dimension's rule and message, naming the diameter.
+        with pytest.raises(ValidationError, match="^diameter must be") as exc:
+            SmoothingConfig(diameter=d)
+        assert str(exc.value).endswith(f"got {d!r}")
+
     def test_empty_training_set_rejected(self):
         part = partition(BOUNDS, 2)
         with pytest.raises(ValidationError):

@@ -17,6 +17,7 @@ from geopost import (
     partition,
 )
 from helpers import law_of_cosines_km
+import reference
 
 # Midtown-scale square region of ~51.44 km^2 centered near 40.75N.
 STUDY_BOUNDS = GeoBounds(40.717752, -74.042557, 40.782254, -73.957415)
@@ -125,7 +126,7 @@ def _boundary_values(lo, hi, g):
 
 def _cell_of_or_error(part, lat, lon):
     try:
-        cell = part.cell_of(GeoPoint(lat, lon))
+        cell = reference.cell_of(part, GeoPoint(lat, lon))
     except OutOfRegionError as exc:
         return str(exc)
     return cell.row * part.g + cell.col
@@ -167,6 +168,10 @@ class TestCellsOf:
         got = part.cells_of(lat_arr[inside], lon_arr[inside])
         assert got.dtype == np.int64
         assert got.tolist() == [expected[i] for i in inside]
+        # cell_of is cells_of for one point.
+        for i in inside:
+            cell = part.cell_of(GeoPoint(*points[i]))
+            assert cell.row * g + cell.col == expected[i]
 
     def test_north_and_east_edges_close_the_last_row_and_column(self):
         part = partition(GeoBounds(0.0, 0.0, 2.0, 2.0), 2)
@@ -178,7 +183,7 @@ class TestCellsOf:
         with pytest.raises(OutOfRegionError) as exc:
             part.cells_of([1.0, 2.5, -1.0], [1.0, 1.0, 1.0])
         with pytest.raises(OutOfRegionError) as ref:
-            part.cell_of(GeoPoint(2.5, 1.0))
+            reference.cell_of(part, GeoPoint(2.5, 1.0))
         assert str(exc.value) == str(ref.value)
         assert str(exc.value).startswith("point (2.5, 1.0) outside region")
 
