@@ -53,6 +53,7 @@ from .pipeline import (
     PipelineArtifacts,
     RawPost,
     TokenizedPost,
+    TrainingCorpus,
     build_training_corpus,
     clean_and_tokenize,
     preprocess,
@@ -86,6 +87,7 @@ __all__ = [
     "SplitSpec",
     "SyntheticSpec",
     "TokenizedPost",
+    "TrainingCorpus",
     "TuneResult",
     "ValidationError",
     "build_ensemble",

@@ -186,10 +186,10 @@ def cmd_train(args) -> int:
     if not train_raw:
         raise DataError("training split is empty; corpus too small")
 
-    tokenized, artifacts = build_training_corpus(train_raw, args.stopwords_k)
+    corpus, artifacts = build_training_corpus(train_raw, args.stopwords_k)
     part = partition(bounds, args.grid)
     smoothing = SmoothingConfig(alpha=args.alpha, diameter=args.diameter)
-    ens = build_ensemble(tokenized, part, smoothing, artifacts)
+    ens = build_ensemble(corpus, part, smoothing, artifacts)
     save_model(ens, args.out, seed=args.seed)
 
     for cell, n in zip(part.cells(), ens.tables.post_counts.tolist()):

@@ -1,5 +1,10 @@
 """Bayesian cell selection over an ensemble of per-cell language models.
 
+``build_ensemble`` trains the ensemble from a columnar ``TrainingCorpus``:
+one ``cells_of`` call bins every post, and ``count_tables`` counts the
+word ids of each cell, so training on another grid re-bins and recounts
+the same corpus.
+
 A query post is scored against every cell model, the scores are combined
 with per-cell priors into a normalized posterior field, and the field is
 geo-smoothed by blending each cell with ring-averaged neighbor values.
@@ -31,7 +36,7 @@ import numpy as np
 from .errors import ValidationError
 from .grid import CellId, GeoPoint, GridPartition, positive_index
 from .lm import BaselineInterpolation, CellModels, EnsembleTables, count_tables
-from .pipeline import PipelineArtifacts, TokenizedPost
+from .pipeline import PipelineArtifacts, TokenizedPost, TrainingCorpus
 
 # The batch path takes posts in blocks whose ring stack, (g-1) x posts x
 # g**2 floats, has at most this many entries (8 MiB), unless one post
@@ -118,27 +123,28 @@ class GeoEnsemble:
 
 
 def build_ensemble(
-    posts: Sequence[TokenizedPost],
+    corpus: TrainingCorpus,
     part: GridPartition,
     smoothing: SmoothingConfig,
     artifacts: PipelineArtifacts,
 ) -> GeoEnsemble:
-    """Assign posts to cells and count every cell's model into one set of
-    compiled tables; priors are the per-cell share of training posts.
-    Cells with no posts get prior 0 and empty counts; they can never be
-    selected. Scoring is Kneser-Ney; ``GeoEnsemble.with_baseline`` switches
-    it to the interpolation baseline."""
-    if not posts:
+    """Assign the training posts to cells and count every cell's model
+    into one set of compiled tables; priors are the per-cell share of
+    training posts. Only the binning depends on ``part``, so one corpus
+    serves every grid. Cells with no posts get prior 0 and empty counts;
+    they can never be selected. Scoring is Kneser-Ney;
+    ``GeoEnsemble.with_baseline`` switches it to the interpolation
+    baseline."""
+    if not len(corpus):
         raise ValidationError("cannot build an ensemble from an empty training set")
-    n = next((i for i, post in enumerate(posts) if post.location is None), len(posts))
+    unlocated = np.isnan(corpus.lats)
+    n = int(np.argmax(unlocated)) if unlocated.any() else len(corpus)
     # The posts before the first unlocated one are binned first, so an
     # earlier out-of-region post is the one reported.
-    cells = part.cells_of(
-        [post.location.lat for post in posts[:n]], [post.location.lon for post in posts[:n]]
-    )
-    if n < len(posts):
-        raise ValidationError(f"training post {posts[n].id!r} has no location")
-    tables = count_tables([post.tokens for post in posts], cells, part.g * part.g)
+    cells = part.cells_of(corpus.lats[:n], corpus.lons[:n])
+    if n < len(corpus):
+        raise ValidationError(f"training post {corpus.ids[n]!r} has no location")
+    tables = count_tables(corpus.vocab, corpus.token_ids, corpus.lens, cells, part.g * part.g)
     return GeoEnsemble(
         partition=part,
         tables=tables,

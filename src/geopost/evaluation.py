@@ -17,7 +17,14 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .estimator import Estimate, GeoEnsemble, estimate_batch
-from .grid import GeoBounds, GeoPoint, geo_distance_km, partition, positive_index
+from .grid import (
+    GeoBounds,
+    GeoPoint,
+    geo_distance_km,
+    non_negative_index,
+    partition,
+    positive_index,
+)
 from .pipeline import RawPost, TokenizedPost
 
 # Most bins an error histogram may have: 12 times the 80,061 that the
@@ -82,15 +89,11 @@ class SyntheticSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "g", positive_index("grid dimension", self.g))
-        for name, value in (
-            ("vocab_per_cell", self.vocab_per_cell),
-            ("posts_per_cell", self.posts_per_cell),
-            ("tokens_per_post", self.tokens_per_post),
-        ):
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
-        if self.shared_vocab < 0:
-            raise ValidationError(f"shared_vocab must be >= 0, got {self.shared_vocab}")
+        for name in ("vocab_per_cell", "posts_per_cell", "tokens_per_post"):
+            object.__setattr__(self, name, positive_index(name, getattr(self, name)))
+        object.__setattr__(
+            self, "shared_vocab", non_negative_index("shared_vocab", self.shared_vocab)
+        )
         for name, value in (("leakage", self.leakage), ("neighbor_overlap", self.neighbor_overlap)):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")

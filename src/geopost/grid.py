@@ -67,15 +67,25 @@ class CellId:
     col: int
 
 
-def positive_index(name: str, value) -> int:
-    """``value`` as an integer of at least 1, not a bool, returned as a
-    Python ``int`` so a numpy scalar reaches the manifest as the plain
-    number. Raises ValidationError naming ``name`` otherwise."""
+def _index_at_least(name: str, value, minimum: int) -> int:
+    """``value`` as an integer of at least ``minimum``, not a bool,
+    returned as a Python ``int`` so a numpy scalar reaches the manifest as
+    the plain number. Raises ValidationError naming ``name`` otherwise."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
     return operator.index(value)
+
+
+def positive_index(name: str, value) -> int:
+    """``value`` as an integer >= 1 (see ``_index_at_least``)."""
+    return _index_at_least(name, value, 1)
+
+
+def non_negative_index(name: str, value) -> int:
+    """``value`` as an integer >= 0 (see ``_index_at_least``)."""
+    return _index_at_least(name, value, 0)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ scores a batch in fixed-size blocks of pairs, which may split a post,
 and scatter-adds each block's rows into the rows of their posts with
 ``np.add.at``. That adds a post's rows in order too, so the batch rows
 equal the one-post results bit for bit.
+Training counts word ids, not strings: ``count_tables`` takes the sorted
+vocabulary, the posts' word ids laid end to end and the posts' cells,
+keys every (word, cell) and (pair, cell) by integer arithmetic, and
+counts each kind of key with one ``np.unique``.
 The tables are tested against a per-cell reference model,
 ``CellLanguageModel`` in ``tests/reference.py``, which computes the same
 floats in the same order. ``EnsembleTables.cell_model`` rebuilds one
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 from math import inf, log
 from typing import Optional, Sequence
 
@@ -403,21 +406,18 @@ def _continuation_probs(entry, word_cell, distinct):
 
 
 def count_tables(
-    token_lists: Sequence[Sequence[str]], cells: Sequence[int], n_cells: int
+    vocab: Sequence[str], token_ids: np.ndarray, lens: np.ndarray, cells: np.ndarray, n_cells: int
 ) -> EnsembleTables:
-    """Count the posts ``token_lists`` (post i in row-major cell
-    ``cells[i]``) straight into tables indexed by the training tokens."""
-    words = sorted(set().union(*token_lists))
-    index = {t: i for i, t in enumerate(words)}
-    lens = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
-    tokens = chain.from_iterable(token_lists)
-    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, int(lens.sum()))
+    """Count posts straight into tables: post i holds the ``lens[i]`` word
+    ids that follow the earlier posts' in ``token_ids``, ids into the
+    sorted ``vocab``, and lies in row-major cell ``cells[i]``."""
+    ids = np.asarray(token_ids, dtype=np.int64)
     cells = np.asarray(cells, dtype=np.int64)
     token_cell = np.repeat(cells, lens)
     left = _pair_starts(lens)
-    pair_keys = (ids[left] * (len(words) + 1) + ids[left + 1]) * n_cells + token_cell[left]
+    pair_keys = (ids[left] * (len(vocab) + 1) + ids[left + 1]) * n_cells + token_cell[left]
     return compile_tables(
-        words,
+        vocab,
         np.bincount(cells, minlength=n_cells),
         *np.unique(ids * n_cells + token_cell, return_counts=True),
         *np.unique(pair_keys, return_counts=True),

@@ -10,8 +10,11 @@ words fold, in training and at query time alike.
 Cleanup keeps a lowercased ASCII token that is already alphanumeric as
 it is; every other token is filtered character by character (see
 ``clean_and_tokenize``). Training counts the cleaned tokens once; the
-stopwords, the hapax and the vocabulary all come from that one count,
-and each post is stripped and folded in a single pass.
+stopwords, the hapax and the vocabulary all come from that one count.
+The training posts then leave as a columnar ``TrainingCorpus``: every
+distinct token is mapped to its word id once, and one pass turns all
+cleaned tokens into one id array, so no per-post object outlives the
+call. ``TokenizedPost`` is the query-side type.
 """
 
 from __future__ import annotations
@@ -19,10 +22,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from math import nan
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
-from .grid import GeoPoint
+from .grid import GeoPoint, non_negative_index
 
 # Catch-all token for rare and unknown words. It cannot be produced by
 # cleanup (angle brackets are stripped), only by folding.
@@ -47,6 +53,28 @@ class TokenizedPost:
     id: str
     tokens: tuple[str, ...]
     location: Optional[GeoPoint] = None
+
+
+@dataclass(frozen=True, eq=False)
+class TrainingCorpus:
+    """The training posts after preprocessing, as columns.
+
+    ``vocab`` is the sorted vocabulary; post i holds the words
+    ``vocab[t]`` for t in ``token_ids[s:s + lens[i]]``, where s is
+    ``lens[:i].sum()``: the int32 ids of all posts lie end to end. Post i
+    has id ``ids[i]`` and lies at (``lats[i]``, ``lons[i]``), both NaN for
+    a post without a location.
+    """
+
+    ids: tuple[str, ...]
+    vocab: tuple[str, ...]
+    token_ids: np.ndarray
+    lens: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -127,37 +155,52 @@ def preprocess(
 
 def build_training_corpus(
     posts: Sequence[RawPost], stopword_count: int = 200
-) -> tuple[list[TokenizedPost], PipelineArtifacts]:
+) -> tuple[TrainingCorpus, PipelineArtifacts]:
     """Run the training-side pipeline over a corpus.
 
     Cleans every post, induces the stopword set (the ``stopword_count``
     most frequent cleaned tokens, ties broken by ascending token),
     removes stopwords, folds hapax tokens, and collects the resulting
-    global vocabulary. Returns the folded posts plus the artifacts needed
-    to preprocess queries identically.
+    global vocabulary. Returns the folded posts as a ``TrainingCorpus``
+    plus the artifacts needed to preprocess queries identically.
+    ``stopword_count`` must be an integer >= 0, not a bool.
 
     One count of the cleaned tokens serves every step: dropping stopwords
     leaves the other tokens' counts unchanged, so the hapax are the
     non-stopwords counted once, and the vocabulary is the non-stopwords
-    counted more than once, plus ``<misc>`` if anything folded.
+    counted more than once, plus ``<misc>`` if anything folded. Each
+    distinct token is then mapped once, a vocabulary word to its id and a
+    hapax to the id of ``<misc>``, and a stopword last to -1, so that a
+    literal ``<misc>`` stopword is dropped while the hapax still fold.
     """
-    if stopword_count < 0:
-        raise ValidationError(f"stopword count must be >= 0, got {stopword_count}")
+    stopword_count = non_negative_index("stopword count", stopword_count)
     cleaned = [clean_and_tokenize(p) for p in posts]
     counts = Counter(chain.from_iterable(cleaned))
     # Ascending tokens, then a stable sort by descending count: the
     # order of the key (-count, token), with no key tuple per token.
     stop = frozenset(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:stopword_count])
-    hapax = frozenset(t for t, n in counts.items() if n == 1 and t not in stop)
-    folded = [
-        TokenizedPost(
-            id=p.id,
-            tokens=tuple([MISC if t in hapax else t for t in toks if t not in stop]),
-            location=p.location,
-        )
-        for p, toks in zip(posts, cleaned)
-    ]
+    hapax = [t for t, n in counts.items() if n == 1 and t not in stop]
     vocab = frozenset(t for t, n in counts.items() if n > 1 and t not in stop)
     if hapax:
         vocab |= {MISC}
-    return folded, PipelineArtifacts(stopwords=stop, vocab=vocab)
+    words = tuple(sorted(vocab))
+    code = dict(zip(words, range(len(words))))
+    if hapax:
+        code.update(dict.fromkeys(hapax, code[MISC]))
+    code.update(dict.fromkeys(stop, -1))
+    n = len(posts)
+    raw_lens = np.fromiter(map(len, cleaned), np.int64, n)
+    tokens = chain.from_iterable(cleaned)
+    ids = np.fromiter(map(code.__getitem__, tokens), np.int32, int(raw_lens.sum()))
+    keep = ids >= 0
+    post_of_token = np.repeat(np.arange(n), raw_lens)
+    points = [p.location for p in posts]
+    corpus = TrainingCorpus(
+        ids=tuple([p.id for p in posts]),
+        vocab=words,
+        token_ids=ids[keep],
+        lens=np.bincount(post_of_token[keep], minlength=n),
+        lats=np.array([nan if q is None else q.lat for q in points], dtype=np.float64),
+        lons=np.array([nan if q is None else q.lon for q in points], dtype=np.float64),
+    )
+    return corpus, PipelineArtifacts(stopwords=stop, vocab=vocab)

@@ -1,6 +1,8 @@
 """Hyperparameter fitting by exhaustive grid search on hold-out error.
 
-For each grid dimension g the per-cell models, the hold-out posteriors
+The training corpus and its word ids are built once; for each grid
+dimension g, ``build_ensemble`` only re-bins the posts and recounts
+them. For each g the per-cell models, the hold-out posteriors
 and their per-ring neighbor terms depend only on g, so they are computed
 once, into a (posts, g**2) matrix and a (g-1, posts, g**2) stack, by one
 ``posterior_matrix`` call and one ``smoothing_terms`` call whose rows
@@ -120,20 +122,22 @@ def grid_search(
 ) -> TuneResult:
     """Exhaustive search over (g, alpha, d) minimizing mean hold-out error.
 
-    Pipeline artifacts are induced once from the training split; per-g
-    ensembles and posteriors are cached and shared across (alpha, d).
-    Ties resolve to the smaller g, then alpha, then d.
+    The training corpus and its pipeline artifacts are built once from
+    the training split; per-g ensembles and posteriors are cached and
+    shared across (alpha, d). ``stopword_count`` is checked as
+    ``build_training_corpus`` checks it. Ties resolve to the smaller g,
+    then alpha, then d.
     """
     if not train:
         raise ValidationError("grid search needs a non-empty training corpus")
     _check_holdout(holdout)
-    tokenized_train, artifacts = build_training_corpus(train, stopword_count)
+    corpus, artifacts = build_training_corpus(train, stopword_count)
     holdout_tok = [artifacts.preprocess(p) for p in holdout]
 
     surface: dict[tuple[int, float, int], float] = {}
     for g in sorted(space.g_values):
         part = partition(bounds, g)
-        ens = build_ensemble(tokenized_train, part, SmoothingConfig(), artifacts)
+        ens = build_ensemble(corpus, part, SmoothingConfig(), artifacts)
         per_ad = _sweep_alpha_d(ens, holdout_tok, sorted(space.alpha_values))
         for (alpha, d), err in per_ad.items():
             surface[(g, alpha, d)] = err

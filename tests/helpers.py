@@ -9,6 +9,7 @@ no code with the package internals they check.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -20,9 +21,11 @@ import numpy as np
 from geopost import (
     CellId,
     GeoBounds,
+    GeoPoint,
     PipelineArtifacts,
     SmoothingConfig,
     TokenizedPost,
+    TrainingCorpus,
     build_ensemble,
     partition,
 )
@@ -31,6 +34,36 @@ MIN_PROB = 1e-12
 EARTH_RADIUS_KM = 6371.0088
 # The files of a saved model directory, sorted.
 MODEL_FILES = ["model.npz"]
+
+
+# The first three are the corpora of the workloads in perfbench/bench.py
+# WORKLOADS (g and the ``corpus`` fields copied from there, and its
+# region), whose recorded reference cells are computed on exactly these
+# posts.
+PINNED_BOUNDS = GeoBounds(40.70, -74.02, 40.77, -73.93)
+PINNED_SPECS = {
+    "city-g8": dict(
+        g=8, vocab_per_cell=200, shared_vocab=500, posts_per_cell=300,
+        leakage=0.2, neighbor_overlap=0.1,
+    ),
+    "fine-g12": dict(
+        g=12, vocab_per_cell=20, shared_vocab=200, posts_per_cell=30,
+        leakage=0.1, neighbor_overlap=0.1,
+    ),
+    "tune": dict(
+        g=8, vocab_per_cell=40, shared_vocab=150, posts_per_cell=60,
+        leakage=0.1, neighbor_overlap=0.2,
+    ),
+    # One cell: no other cell to leak to and no ring to overlap with.
+    "g1": dict(
+        g=1, vocab_per_cell=3, shared_vocab=2, posts_per_cell=20,
+        leakage=1.0, neighbor_overlap=1.0,
+    ),
+    "g2": dict(
+        g=2, vocab_per_cell=1, shared_vocab=0, posts_per_cell=10,
+        leakage=0.3, neighbor_overlap=0.5,
+    ),
+}
 
 
 def edit_tables(model, edit):
@@ -182,13 +215,59 @@ def as_tokenized(token_lists, location=None):
     ]
 
 
+def as_corpus(posts):
+    """The ``TrainingCorpus`` of the TokenizedPost list ``posts``, kept as
+    they are: the vocabulary is every token they hold, and nothing is
+    dropped or folded."""
+    vocab = tuple(sorted({t for post in posts for t in post.tokens}))
+    index = {t: i for i, t in enumerate(vocab)}
+    points = [post.location for post in posts]
+    return TrainingCorpus(
+        ids=tuple(post.id for post in posts),
+        vocab=vocab,
+        token_ids=np.array([index[t] for post in posts for t in post.tokens], dtype=np.int32),
+        lens=np.array([len(post.tokens) for post in posts], dtype=np.int64),
+        lats=np.array([np.nan if p is None else p.lat for p in points], dtype=np.float64),
+        lons=np.array([np.nan if p is None else p.lon for p in points], dtype=np.float64),
+    )
+
+
+def decode(corpus):
+    """The posts of a ``TrainingCorpus`` as TokenizedPost instances: each
+    post's word ids looked up in the vocabulary, and a NaN location as
+    None."""
+    ends = np.cumsum(corpus.lens).tolist()
+    words = [corpus.vocab[t] for t in corpus.token_ids.tolist()]
+    return [
+        TokenizedPost(
+            id=post_id,
+            tokens=tuple(words[end - n : end]),
+            location=None if np.isnan(lat) else GeoPoint(lat, lon),
+        )
+        for post_id, n, end, lat, lon in zip(
+            corpus.ids, corpus.lens.tolist(), ends, corpus.lats.tolist(), corpus.lons.tolist()
+        )
+    ]
+
+
+def assert_same_tables(got, want):
+    """Every field of two ``EnsembleTables`` is equal, each array in its
+    dtype, shape and bytes."""
+    for field in dataclasses.fields(got):
+        x, y = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+        else:
+            assert x == y, field.name
+
+
 def one_cell_tables(token_lists):
     """The compiled tables of a g = 1 ensemble trained on ``token_lists``:
     every word has one entry, at ``word_ptr[index[word]]``."""
     part = partition(GeoBounds(0.0, 0.0, 1.0, 1.0), 1)
-    posts = as_tokenized(token_lists, part.center_of(CellId(0, 0)))
-    artifacts = PipelineArtifacts(frozenset(), frozenset(t for ts in token_lists for t in ts))
-    return build_ensemble(posts, part, SmoothingConfig(), artifacts).tables
+    corpus = as_corpus(as_tokenized(token_lists, part.center_of(CellId(0, 0))))
+    artifacts = PipelineArtifacts(frozenset(), frozenset(corpus.vocab))
+    return build_ensemble(corpus, part, SmoothingConfig(), artifacts).tables
 
 
 def pair_probs(tables, pairs, baseline=None):

@@ -1,7 +1,8 @@
 """Step-by-step definitions used as test oracles: scalar binning for
 ``GridPartition.cells_of``, the training pipeline for
-``build_training_corpus`` and ``preprocess``, and the per-cell language
-model for the compiled ``EnsembleTables``.
+``build_training_corpus`` and ``preprocess``, string-keyed counting for
+``lm.count_tables``, and the per-cell language model for the compiled
+``EnsembleTables``.
 
 Each pipeline step recounts from scratch and sorts by its own key, so
 these share no code with the single-pass pipeline they check.
@@ -14,8 +15,11 @@ it bit for bit.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from math import floor, log
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from geopost import (
     MISC,
@@ -31,7 +35,7 @@ from geopost import (
     ValidationError,
     compute_discounts,
 )
-from geopost.lm import MIN_PROB
+from geopost.lm import MIN_PROB, EnsembleTables, _pair_starts, compile_tables
 
 
 def cell_of(part: GridPartition, p: GeoPoint) -> CellId:
@@ -83,6 +87,28 @@ def fold_hapax(corpus: Sequence[TokenizedPost]) -> tuple[list[TokenizedPost], fr
         for post in corpus
     ]
     return folded, hapax
+
+
+def count_tables(
+    token_lists: Sequence[Sequence[str]], cells: Sequence[int], n_cells: int
+) -> EnsembleTables:
+    """Count the posts ``token_lists`` (post i in row-major cell
+    ``cells[i]``) straight into tables indexed by the training tokens."""
+    words = sorted(set().union(*token_lists))
+    index = {t: i for i, t in enumerate(words)}
+    lens = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
+    tokens = chain.from_iterable(token_lists)
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, int(lens.sum()))
+    cells = np.asarray(cells, dtype=np.int64)
+    token_cell = np.repeat(cells, lens)
+    left = _pair_starts(lens)
+    pair_keys = (ids[left] * (len(words) + 1) + ids[left + 1]) * n_cells + token_cell[left]
+    return compile_tables(
+        words,
+        np.bincount(cells, minlength=n_cells),
+        *np.unique(ids * n_cells + token_cell, return_counts=True),
+        *np.unique(pair_keys, return_counts=True),
+    )
 
 
 class UndefinedContextError(GeopostError):

@@ -8,6 +8,7 @@ each post's pair logs in the order one post's scoring adds them.
 """
 
 import dataclasses
+import hashlib
 import tracemalloc
 from math import inf, log
 from unittest import mock
@@ -36,6 +37,14 @@ from geopost import (
 )
 from geopost import lm
 from geopost.estimator import cell_log_scores, posterior_matrix, posterior_vector
+from helpers import (
+    PINNED_BOUNDS,
+    PINNED_SPECS,
+    as_corpus,
+    as_tokenized,
+    assert_same_tables,
+    decode,
+)
 from reference import train_cell
 
 BOUNDS = GeoBounds(0.0, 0.0, 4.0, 4.0)
@@ -56,7 +65,7 @@ def _ensemble(g, cell_posts, alpha=0.9, baseline=None):
             by_cell[cell].append(post)
     vocab = frozenset(t for post in posts for t in post.tokens)
     artifacts = PipelineArtifacts(frozenset(), vocab)
-    ens = build_ensemble(posts, part, SmoothingConfig(alpha=alpha), artifacts)
+    ens = build_ensemble(as_corpus(posts), part, SmoothingConfig(alpha=alpha), artifacts)
     return ens.with_baseline(baseline), by_cell
 
 
@@ -144,13 +153,7 @@ def test_model_view_equals_train_cell(built):
 @given(ensembles())
 def test_count_arrays_compile_back_to_the_tables(built):
     tables = built[0].tables
-    again = lm.compile_tables(tables.vocab, **tables.count_arrays())
-    for field in dataclasses.fields(tables):
-        x, y = getattr(tables, field.name), getattr(again, field.name)
-        if isinstance(x, np.ndarray):
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
-        else:
-            assert x == y, field.name
+    assert_same_tables(lm.compile_tables(tables.vocab, **tables.count_arrays()), tables)
 
 
 def test_tables_past_65536_word_entries_equal_reference():
@@ -168,7 +171,8 @@ def test_tables_past_65536_word_entries_equal_reference():
         for post in np.split(ids, 120):
             token_lists.append([words[i] for i in post])
             cells.append(cell)
-    tables = lm.count_tables(token_lists, cells, g * g)
+    corpus = as_corpus(as_tokenized(token_lists))
+    tables = lm.count_tables(corpus.vocab, corpus.token_ids, corpus.lens, cells, g * g)
     assert len(tables.word_cell) == g * g * per_cell > 65_536
     part = partition(BOUNDS, g)
     for i in (0, 1, 137, g * g - 1):
@@ -272,11 +276,11 @@ def _planted():
         g=4, vocab_per_cell=30, shared_vocab=60, posts_per_cell=60, leakage=0.3, seed=7
     )
     tr, _, te = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
-    tok, arts = build_training_corpus(tr, stopword_count=5)
+    corpus, arts = build_training_corpus(tr, stopword_count=5)
     part = partition(BOUNDS, 4)
-    ens = build_ensemble(tok, part, SmoothingConfig(), arts)
+    ens = build_ensemble(corpus, part, SmoothingConfig(), arts)
     by_cell = {cell: [] for cell in part.cells()}
-    for post in tok:
+    for post in decode(corpus):
         by_cell[part.cell_of(post.location)].append(post)
     queries = [arts.preprocess(p).tokens for p in te]
     return ens, by_cell, [q + q[::-1] for q in queries]
@@ -427,9 +431,9 @@ def test_posterior_matrix_memory_is_bounded_by_blocks():
         g=4, vocab_per_cell=30, shared_vocab=60, posts_per_cell=60, tokens_per_post=12, seed=7
     )
     tr, _, _ = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
-    tok, arts = build_training_corpus(tr, stopword_count=0)
-    ens = build_ensemble(tok, partition(BOUNDS, 4), SmoothingConfig(), arts)
-    posts = [post.tokens for post in tok if len(post.tokens) > 1]
+    corpus, arts = build_training_corpus(tr, stopword_count=0)
+    ens = build_ensemble(corpus, partition(BOUNDS, 4), SmoothingConfig(), arts)
+    posts = [post.tokens for post in decode(corpus) if len(post.tokens) > 1]
     batch = [posts[i % len(posts)] for i in range(4000)]
     assert sum(len(tokens) - 1 for tokens in batch[:400]) * 16 > lm._BLOCK
     assert _scoring_peak(ens, batch) < 3 * _scoring_peak(ens, batch[:400])
@@ -581,3 +585,37 @@ def test_one_cell_scores_equal_reference_bit_for_bit():
         rows = tables.log_likelihoods(queries, baseline)
         assert rows[:, 0].tolist() == [model.sequence_log_prob(q, baseline) for q in queries]
     assert pairwise_differs
+
+
+def _tables_digest(tables) -> str:
+    """SHA-256 of the vocabulary and of the dtype, shape and bytes of every
+    array of ``tables``, in field order."""
+    h = hashlib.sha256("\n".join(tables.vocab).encode())
+    for field in dataclasses.fields(tables):
+        value = getattr(tables, field.name)
+        if isinstance(value, np.ndarray):
+            h.update(f"{field.name} {value.dtype.str} {value.shape}\n".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedTables:
+    """The tables trained on the train split (seed 1) of each benchmark
+    workload's corpus at its grid size, with 200 stopwords as ``geopost
+    train`` induces: a training change that alters one byte fails here."""
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("city-g8", "4f99ccda3fb26a9c4b63ff5b71b7becd58116d66a992af81de46c33e3961e160"),
+            ("fine-g12", "e6a90a776c967b006006eec056971d4ebfe3afb60bb0eb841703a0e594dc0b6d"),
+            ("tune", "424042f67e1aa01a3cf41d11598a9d6ab315121214d444f33fc5283f8cc41774"),
+        ],
+    )
+    def test_digest(self, name, digest):
+        spec = SyntheticSpec(seed=1, **PINNED_SPECS[name])
+        train, _, _ = split(generate_synthetic(spec, PINNED_BOUNDS), SplitSpec(seed=1))
+        corpus, arts = build_training_corpus(train, stopword_count=200)
+        part = partition(PINNED_BOUNDS, spec.g)
+        ens = build_ensemble(corpus, part, SmoothingConfig(), arts)
+        assert _tables_digest(ens.tables) == digest

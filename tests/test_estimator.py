@@ -29,7 +29,7 @@ from geopost import (
     posterior_field,
     split,
 )
-from geopost import estimator, lm
+from geopost import estimator
 from geopost.estimator import (
     PosteriorField,
     _ring_matrices,
@@ -39,7 +39,8 @@ from geopost.estimator import (
     smooth_vector,
     smoothing_terms,
 )
-from helpers import reference_posterior
+from helpers import as_corpus, assert_same_tables, decode, reference_posterior
+import reference
 
 BOUNDS = GeoBounds(0.0, 0.0, 4.0, 4.0)
 
@@ -59,7 +60,7 @@ def _ensemble(cell_token_lists, g=2, alpha=0.0, diameter=None, bounds=BOUNDS):
             posts.append(TokenizedPost(f"p{r}{c}{i}", tuple(toks), center))
     vocab = {t for lists in cell_token_lists.values() for toks in lists for t in toks}
     return build_ensemble(
-        posts, part, SmoothingConfig(alpha=alpha, diameter=diameter), _artifacts(vocab)
+        as_corpus(posts), part, SmoothingConfig(alpha=alpha, diameter=diameter), _artifacts(vocab)
     )
 
 
@@ -104,13 +105,13 @@ class TestBuildEnsemble:
     def test_empty_training_set_rejected(self):
         part = partition(BOUNDS, 2)
         with pytest.raises(ValidationError):
-            build_ensemble([], part, SmoothingConfig(), _artifacts(set()))
+            build_ensemble(as_corpus([]), part, SmoothingConfig(), _artifacts(set()))
 
     def test_unlocated_post_rejected(self):
         part = partition(BOUNDS, 2)
         posts = [TokenizedPost("p", ("w",), None)]
         with pytest.raises(ValidationError):
-            build_ensemble(posts, part, SmoothingConfig(), _artifacts({"w"}))
+            build_ensemble(as_corpus(posts), part, SmoothingConfig(), _artifacts({"w"}))
 
     def test_first_bad_post_in_order_is_reported(self):
         # As a per-post loop would: whichever of an unlocated and an
@@ -119,38 +120,35 @@ class TestBuildEnsemble:
         ok = TokenizedPost("ok", ("w",), GeoPoint(1.0, 1.0))
         unlocated = TokenizedPost("nowhere", ("w",), None)
         outside = TokenizedPost("far", ("w",), GeoPoint(5.0, 1.0))
+        arts = _artifacts({"w"})
         with pytest.raises(ValidationError, match="training post 'nowhere' has no location"):
-            build_ensemble([ok, unlocated, outside], part, SmoothingConfig(), _artifacts({"w"}))
+            build_ensemble(as_corpus([ok, unlocated, outside]), part, SmoothingConfig(), arts)
         with pytest.raises(OutOfRegionError) as exc:
-            build_ensemble([ok, outside, unlocated], part, SmoothingConfig(), _artifacts({"w"}))
+            build_ensemble(as_corpus([ok, outside, unlocated]), part, SmoothingConfig(), arts)
         assert str(exc.value) == f"point (5.0, 1.0) outside region {BOUNDS}"
 
     @pytest.mark.parametrize("g", [1, 5, 8, 12])
     def test_tables_equal_a_per_post_cell_of_build(self, g):
         # A planted corpus plus copies of its posts moved onto every band
-        # edge, the closed north and east edges included.
+        # edge, the closed north and east edges included, against the
+        # string-keyed counts of the posts binned one at a time.
         spec = SyntheticSpec(g=g, vocab_per_cell=8, shared_vocab=20, posts_per_cell=6,
                              leakage=0.2, seed=g)
         train, _, _ = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
-        posts, arts = build_training_corpus(train, stopword_count=3)
         part = partition(BOUNDS, g)
         edges = [BOUNDS.south + k * part.dlat for k in range(g + 1)]
-        posts += [
+        train += [
             replace(post, id=f"{post.id}-edge", location=GeoPoint(edges[i % (g + 1)],
                                                                   edges[-1 - i % (g + 1)]))
-            for i, post in enumerate(posts[: 4 * (g + 1)])
+            for i, post in enumerate(train[: 4 * (g + 1)])
         ]
-        ens = build_ensemble(posts, part, SmoothingConfig(), arts)
-        cells = [part.cell_of(post.location) for post in posts]
-        reference = lm.count_tables(
-            [post.tokens for post in posts], [c.row * g + c.col for c in cells], g * g
+        corpus, arts = build_training_corpus(train, stopword_count=3)
+        ens = build_ensemble(corpus, part, SmoothingConfig(), arts)
+        cells = [reference.cell_of(part, post.location) for post in train]
+        want = reference.count_tables(
+            [post.tokens for post in decode(corpus)], [c.row * g + c.col for c in cells], g * g
         )
-        for name, value in vars(ens.tables).items():
-            ref = getattr(reference, name)
-            if isinstance(value, np.ndarray):
-                assert value.dtype == ref.dtype and value.tobytes() == ref.tobytes(), name
-            else:
-                assert value == ref, name
+        assert_same_tables(ens.tables, want)
 
 
 class TestPosteriorField:

@@ -23,6 +23,7 @@ from geopost import (
     split,
 )
 from geopost.evaluation import MAX_HISTOGRAM_BINS
+from helpers import PINNED_SPECS
 
 BOUNDS = GeoBounds(40.70, -74.02, 40.77, -73.93)
 
@@ -194,6 +195,32 @@ class TestSynthetic:
         with pytest.raises(ValidationError, match="shared_vocab must be >= 0, got -1"):
             SyntheticSpec(g=2, shared_vocab=-1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("vocab_per_cell", 2.5),
+            ("posts_per_cell", 2.5),
+            ("tokens_per_post", True),
+            ("tokens_per_post", 0),
+            ("vocab_per_cell", "3"),
+            ("shared_vocab", 1.5),
+            ("shared_vocab", True),
+            ("shared_vocab", np.int64(-1)),
+        ],
+    )
+    def test_counts_must_be_ints(self, name, value):
+        # Checked as the grid dimension is; shared_vocab may also be 0.
+        with pytest.raises(ValidationError, match=f"^{name} must be") as exc:
+            SyntheticSpec(g=2, **{name: value})
+        assert str(exc.value).endswith(f"got {value!r}")
+
+    def test_numpy_counts_give_the_int_corpus(self):
+        counts = dict(vocab_per_cell=3, shared_vocab=2, posts_per_cell=4, tokens_per_post=5)
+        spec = SyntheticSpec(g=2, seed=3, **{k: np.int64(v) for k, v in counts.items()})
+        assert all(type(getattr(spec, name)) is int for name in counts)
+        want = SyntheticSpec(g=2, seed=3, **counts)
+        assert generate_synthetic(spec, BOUNDS) == generate_synthetic(want, BOUNDS)
+
     @pytest.mark.parametrize("g", [True, 2.5, 0, "3", np.int64(-2)])
     def test_grid_dimension_checked_as_partition_does(self, g):
         with pytest.raises(ValidationError, match="grid dimension must be") as exc:
@@ -214,34 +241,6 @@ def _corpus_digest(posts) -> str:
     return h.hexdigest()
 
 
-# The first three are the corpora of the workloads in perfbench/bench.py
-# WORKLOADS (g and the ``corpus`` fields copied from there), whose
-# recorded reference cells are computed on exactly these posts.
-_PINNED_SPECS = {
-    "city-g8": dict(
-        g=8, vocab_per_cell=200, shared_vocab=500, posts_per_cell=300,
-        leakage=0.2, neighbor_overlap=0.1,
-    ),
-    "fine-g12": dict(
-        g=12, vocab_per_cell=20, shared_vocab=200, posts_per_cell=30,
-        leakage=0.1, neighbor_overlap=0.1,
-    ),
-    "tune": dict(
-        g=8, vocab_per_cell=40, shared_vocab=150, posts_per_cell=60,
-        leakage=0.1, neighbor_overlap=0.2,
-    ),
-    # One cell: no other cell to leak to and no ring to overlap with.
-    "g1": dict(
-        g=1, vocab_per_cell=3, shared_vocab=2, posts_per_cell=20,
-        leakage=1.0, neighbor_overlap=1.0,
-    ),
-    "g2": dict(
-        g=2, vocab_per_cell=1, shared_vocab=0, posts_per_cell=10,
-        leakage=0.3, neighbor_overlap=0.5,
-    ),
-}
-
-
 class TestPinnedCorpora:
     """SHA-256 of id, text and ``repr`` of lat/lon of every post: a change
     to the generator that alters one byte of these corpora fails here."""
@@ -260,7 +259,7 @@ class TestPinnedCorpora:
         ],
     )
     def test_digest(self, name, seed, digest):
-        spec = SyntheticSpec(seed=seed, **_PINNED_SPECS[name])
+        spec = SyntheticSpec(seed=seed, **PINNED_SPECS[name])
         assert _corpus_digest(generate_synthetic(spec, BOUNDS)) == digest
 
 
@@ -268,23 +267,24 @@ class TestEstimationErrorKm:
     def test_truth_at_center_is_zero(self):
         spec = SyntheticSpec(g=2, vocab_per_cell=5, posts_per_cell=30, seed=8)
         raw = generate_synthetic(spec, BOUNDS)
-        tok, arts = build_training_corpus(raw, stopword_count=0)
+        corpus, arts = build_training_corpus(raw, stopword_count=0)
         part = partition(BOUNDS, 2)
-        ens = build_ensemble(tok, part, SmoothingConfig(alpha=0.0, diameter=2), arts)
+        ens = build_ensemble(corpus, part, SmoothingConfig(alpha=0.0, diameter=2), arts)
         from geopost import estimate
 
-        post = tok[0]
+        post = arts.preprocess(raw[0])
         est = estimate(ens, post)
         center = part.center_of(part.cell_of(post.location))
         assert estimation_error_km(center, est) == 0.0
 
     def test_evaluate_refuses_no_posts_and_unlocated_posts(self):
         spec = SyntheticSpec(g=2, vocab_per_cell=5, posts_per_cell=10, seed=8)
-        tok, arts = build_training_corpus(generate_synthetic(spec, BOUNDS), stopword_count=0)
-        ens = build_ensemble(tok, partition(BOUNDS, 2), SmoothingConfig(), arts)
+        raw = generate_synthetic(spec, BOUNDS)
+        corpus, arts = build_training_corpus(raw, stopword_count=0)
+        ens = build_ensemble(corpus, partition(BOUNDS, 2), SmoothingConfig(), arts)
         with pytest.raises(ValidationError, match="cannot evaluate an empty test set"):
             evaluate(ens, [])
-        unlocated = [tok[0], arts.preprocess(RawPost("u", "c0x0w1"))]
+        unlocated = [arts.preprocess(raw[0]), arts.preprocess(RawPost("u", "c0x0w1"))]
         with pytest.raises(ValidationError, match="test post 'u' has no truth location"):
             evaluate(ens, unlocated)
 

@@ -3,6 +3,7 @@
 import random
 import string
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,9 @@ from geopost import (
     clean_and_tokenize,
     preprocess,
 )
-from helpers import as_tokenized
-from reference import fold_hapax, induce_stopwords, remove_stopwords
+from geopost import lm
+from helpers import as_tokenized, assert_same_tables, decode
+from reference import count_tables, fold_hapax, induce_stopwords, remove_stopwords
 
 
 def _tokens(text, **kwargs):
@@ -171,9 +173,9 @@ class TestPipelineProperties:
         # any token; the only non-alphanumeric survivor is <misc>.
         rng = random.Random(100)
         raws = [RawPost(str(i), _random_text(rng)) for i in range(150)]
-        tokenized, artifacts = build_training_corpus(raws, stopword_count=8)
+        corpus, artifacts = build_training_corpus(raws, stopword_count=8)
         stop = set(artifacts.stopwords)
-        for post in tokenized:
+        for post in decode(corpus):
             for tok in post.tokens:
                 assert tok not in stop
                 assert tok == tok.lower()
@@ -184,9 +186,9 @@ class TestPipelineProperties:
     def test_training_vocab_covers_all_folded_tokens(self):
         rng = random.Random(101)
         raws = [RawPost(str(i), _random_text(rng)) for i in range(80)]
-        tokenized, artifacts = build_training_corpus(raws, stopword_count=3)
-        seen = {t for p in tokenized for t in p.tokens}
-        assert seen == set(artifacts.vocab)
+        corpus, artifacts = build_training_corpus(raws, stopword_count=3)
+        assert corpus.vocab == tuple(sorted(artifacts.vocab))
+        assert set(corpus.token_ids.tolist()) == set(range(len(corpus.vocab)))
 
 
 def reference_clean(text):
@@ -268,6 +270,8 @@ def over_corpora(test):
         ([RawPost("0", "a a b"), RawPost("1", "b c")], 100),  # k beyond the vocabulary
         ([RawPost("0", f"{MISC} a a"), RawPost("1", "b")], 1),  # literal <misc> counted once
         ([RawPost("0", f"{MISC} {MISC} b b"), RawPost("1", "")], 0),  # literal <misc>, no hapax
+        ([RawPost("0", f"{MISC} {MISC} {MISC} b"), RawPost("1", "c")], 1),  # <misc> a stopword
+        ([RawPost("0", "a b a"), RawPost("1", "b"), RawPost("2", "")], 2),  # all stopwords
         ([], 3),
     ]
     for posts, k in cases:
@@ -278,7 +282,28 @@ def over_corpora(test):
 class TestBuildMatchesReference:
     @over_corpora
     def test_equals_step_by_step_pipeline(self, posts, k):
-        assert build_training_corpus(posts, k) == reference_build(posts, k)[:2]
+        corpus, artifacts = build_training_corpus(posts, k)
+        folded, want, _ = reference_build(posts, k)
+        assert artifacts == want
+        assert corpus.vocab == tuple(sorted(want.vocab))
+        assert decode(corpus) == folded
+        dtypes = [a.dtype for a in (corpus.token_ids, corpus.lens, corpus.lats, corpus.lons)]
+        assert dtypes == [np.int32, np.int64, np.float64, np.float64]
+
+    @over_corpora
+    def test_tables_equal_string_keyed_counts(self, posts, k):
+        # Three cells, post i in cell i % 3, counted from the word ids and
+        # from the step-by-step pipeline's token strings.
+        corpus, _ = build_training_corpus(posts, k)
+        cells = [i % 3 for i in range(len(posts))]
+        columns = (corpus.vocab, corpus.token_ids, corpus.lens, cells, 3)
+        if not posts:
+            with pytest.raises(ValueError, match="no training posts"):
+                lm.count_tables(*columns)
+            return
+        folded = reference_build(posts, k)[0]
+        want = count_tables([post.tokens for post in folded], cells, 3)
+        assert_same_tables(lm.count_tables(*columns), want)
 
     @over_corpora
     def test_query_folding_equals_step_by_step_rule(self, posts, k):
@@ -294,6 +319,14 @@ class TestBuildMatchesReference:
 
     def test_negative_k_raises(self):
         with pytest.raises(ValidationError):
-            build_training_corpus([RawPost("0", "a b")], -1)
-        with pytest.raises(ValidationError):
             induce_stopwords([["a"]], -1)
+
+    @pytest.mark.parametrize("k", [-1, 2.5, None, True, "3", np.int64(-2)])
+    def test_stopword_count_must_be_a_non_negative_int(self, k):
+        with pytest.raises(ValidationError, match="^stopword count must be") as exc:
+            build_training_corpus([RawPost("0", "a b a")], k)
+        assert str(exc.value).endswith(f"got {k!r}")
+
+    def test_numpy_stopword_count_accepted(self):
+        posts = [RawPost("0", "a b a b c c"), RawPost("1", "c")]
+        assert build_training_corpus(posts, np.int64(1))[1] == build_training_corpus(posts, 1)[1]

@@ -1,4 +1,5 @@
-"""The README's CLI walkthrough, run command by command."""
+"""The README's CLI walkthrough, run command by command, and its library
+example, run as it stands."""
 
 import re
 import shlex
@@ -28,3 +29,13 @@ def test_walkthrough_runs(tmp_path, monkeypatch, capsys):
         assert Path(argv[argv.index("--out") + 1]).exists(), argv
     for name in ("errors.csv", "cdf.csv", "density.csv"):
         assert (tmp_path / "report" / name).is_file()
+
+
+def test_library_example_runs(capsys):
+    # The first python block under ``## Library use``, executed as is.
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert namespace["report"].mean_error_km >= 0.0

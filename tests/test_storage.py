@@ -31,6 +31,7 @@ from helpers import (
     MODEL_FILES,
     at,
     completion_outside_vocabulary,
+    decode,
     edit_manifest,
     edit_tables,
     text,
@@ -489,10 +490,10 @@ class TestValidation:
         spec = SyntheticSpec(g=2, vocab_per_cell=8, posts_per_cell=25, seed=31)
         tr, _, te = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
         tr.append(RawPost("m", "c0x0w1 <misc> c0x0w2", GeoPoint(40.71, -74.01)))
-        tok, arts = build_training_corpus(tr, stopword_count=3)
+        corpus, arts = build_training_corpus(tr, stopword_count=3)
         assert "<misc>" in arts.vocab
-        assert "<misc>" in next(p for p in tok if p.id == "m").tokens
-        ens = build_ensemble(tok, partition(BOUNDS, 2), SmoothingConfig(), arts)
+        assert "<misc>" in next(p for p in decode(corpus) if p.id == "m").tokens
+        ens = build_ensemble(corpus, partition(BOUNDS, 2), SmoothingConfig(), arts)
         save_model(ens, tmp_path / "model")
         loaded = load_model(tmp_path / "model")
         assert loaded.artifacts == arts

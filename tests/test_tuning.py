@@ -168,6 +168,13 @@ class TestGridSearch:
         with pytest.raises(ValidationError, match="holdout post 'u' has no truth location"):
             grid_search(tr, unlocated, space, BOUNDS)
 
+    @pytest.mark.parametrize("k", [-1, 2.5, None, True])
+    def test_stopword_count_checked_as_training_does(self, k):
+        tr, ho, _ = _splits(SyntheticSpec(g=2, posts_per_cell=20, seed=5))
+        space = SearchSpace(g_values=(2,), alpha_values=(0.5,))
+        with pytest.raises(ValidationError, match=f"^stopword count must be .* got {k!r}$"):
+            grid_search(tr, ho, space, BOUNDS, stopword_count=k)
+
 
 def _edge_case_search():
     """A small planted search whose hold-out also holds an empty post and
