@@ -250,10 +250,8 @@ def cmd_tune(args) -> int:
         raise DataError("corpus too small to form train and holdout splits")
 
     space = SearchSpace(
-        g_values=DEFAULT_G_VALUES if args.g_values is None else _parse_ints(args.g_values),
-        alpha_values=(
-            DEFAULT_ALPHA_VALUES if args.alpha_values is None else _parse_floats(args.alpha_values)
-        ),
+        g_values=_parse_list(args.g_values, int, "integers", DEFAULT_G_VALUES),
+        alpha_values=_parse_list(args.alpha_values, float, "numbers", DEFAULT_ALPHA_VALUES),
     )
     result = grid_search(train_raw, holdout_raw, space, bounds, stopword_count=args.stopwords_k)
     write_surface_csv(result, args.out)
@@ -291,18 +289,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_list(text: Optional[str], convert, kind: str, default: tuple) -> tuple:
+    """The comma-separated values of ``text``, or ``default`` for None."""
+    if text is None:
+        return default
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(convert(p) for p in text.split(","))
     except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
+        raise ValidationError(f"expected comma-separated {kind}, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,68 +305,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate geo-coordinates of short posts from their text.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by every command that reads a corpus, by the two that
+    # split a located corpus (train, tune), and by the two that load a model.
+    reading = argparse.ArgumentParser(add_help=False)
+    reading.add_argument("--skip-bad", action="store_true", help="skip malformed corpus lines")
+    located = argparse.ArgumentParser(add_help=False, parents=[reading])
+    located.add_argument("--corpus", required=True, help="JSONL corpus with lat/lon")
+    located.add_argument("--bounds", required=True, help="region as south,west,north,east degrees")
+    located.add_argument("--stopwords-k", type=int, default=200,
+                         help="size of the induced stopword list (default 200)")
+    located.add_argument("--seed", type=int, default=0, help="split shuffle seed")
+    loading = argparse.ArgumentParser(add_help=False, parents=[reading])
+    loading.add_argument("--model", required=True, help="model directory")
+    loading.add_argument("--alpha", type=float, help="override stored smoothing weight")
+    loading.add_argument("--diameter", type=int, help="override stored smoothing diameter")
+    loading.add_argument("--baseline-lambda1", type=float,
+                         help="score with the plain interpolated baseline using this bigram weight")
 
-    train = sub.add_parser("train", help="train a model from a located corpus")
-    train.add_argument("--corpus", required=True, help="JSONL corpus with lat/lon")
-    train.add_argument("--bounds", required=True, help="region as south,west,north,east degrees")
+    train = sub.add_parser("train", parents=[located], help="train a model from a located corpus")
     train.add_argument("--grid", type=int, default=8, help="grid dimension g (default 8)")
     train.add_argument("--alpha", type=float, default=0.9, help="smoothing weight (default 0.9)")
-    train.add_argument("--diameter", type=int, default=None, help="smoothing diameter (default g)")
-    train.add_argument("--stopwords-k", type=int, default=200, dest="stopwords_k",
-                       help="size of the induced stopword list (default 200)")
-    train.add_argument("--seed", type=int, default=0, help="split shuffle seed")
+    train.add_argument("--diameter", type=int, help="smoothing diameter (default g)")
     train.add_argument("--out", required=True, help="model directory to write")
-    train.add_argument("--skip-bad", action="store_true", help="skip malformed corpus lines")
     train.set_defaults(func=cmd_train)
 
-    est = sub.add_parser("estimate", help="estimate coordinates for a corpus")
-    est.add_argument("--model", required=True, help="model directory")
+    est = sub.add_parser("estimate", parents=[loading], help="estimate coordinates for a corpus")
     est.add_argument("--corpus", required=True, help="JSONL corpus to locate")
     est.add_argument("--out", required=True, help="output CSV path")
-    est.add_argument("--alpha", type=float, default=None, help="override stored smoothing weight")
-    est.add_argument("--diameter", type=int, default=None, help="override stored smoothing diameter")
-    est.add_argument("--baseline-lambda1", type=float, default=None, dest="baseline_lambda1",
-                     help="score with the plain interpolated baseline using this bigram weight")
-    est.add_argument("--skip-bad", action="store_true", help="skip malformed corpus lines")
     est.set_defaults(func=cmd_estimate)
 
-    ev = sub.add_parser("evaluate", help="measure estimation error on a located corpus")
-    ev.add_argument("--model", required=True, help="model directory")
+    ev = sub.add_parser("evaluate", parents=[loading],
+                        help="measure estimation error on a located corpus")
     ev.add_argument("--corpus", required=True, help="JSONL corpus with truth lat/lon")
     ev.add_argument("--out", required=True, help="directory for errors.csv, cdf.csv, density.csv")
-    ev.add_argument("--alpha", type=float, default=None, help="override stored smoothing weight")
-    ev.add_argument("--diameter", type=int, default=None, help="override stored smoothing diameter")
-    ev.add_argument("--baseline-lambda1", type=float, default=None, dest="baseline_lambda1",
-                    help="score with the plain interpolated baseline using this bigram weight")
-    ev.add_argument("--bin-width", type=float, default=0.25, dest="bin_width",
+    ev.add_argument("--bin-width", type=float, default=0.25,
                     help="error histogram bin width in km (default 0.25)")
-    ev.add_argument("--skip-bad", action="store_true", help="skip malformed corpus lines")
     ev.set_defaults(func=cmd_evaluate)
 
-    tune = sub.add_parser("tune", help="grid-search g, alpha, d on a hold-out split")
-    tune.add_argument("--corpus", required=True, help="JSONL corpus with lat/lon")
-    tune.add_argument("--bounds", required=True, help="region as south,west,north,east degrees")
-    tune.add_argument("--g-values", default=None, dest="g_values",
-                      help="comma-separated grid sizes (default 5..15)")
-    tune.add_argument("--alpha-values", default=None, dest="alpha_values",
-                      help="comma-separated alphas (default 0.1..1.0)")
-    tune.add_argument("--stopwords-k", type=int, default=200, dest="stopwords_k",
-                      help="size of the induced stopword list (default 200)")
-    tune.add_argument("--seed", type=int, default=0, help="split shuffle seed")
+    tune = sub.add_parser("tune", parents=[located],
+                          help="grid-search g, alpha, d on a hold-out split")
+    tune.add_argument("--g-values", help="comma-separated grid sizes (default 5..15)")
+    tune.add_argument("--alpha-values", help="comma-separated alphas (default 0.1..1.0)")
     tune.add_argument("--out", required=True, help="output CSV path for the error surface")
-    tune.add_argument("--skip-bad", action="store_true", help="skip malformed corpus lines")
     tune.set_defaults(func=cmd_tune)
 
     synth = sub.add_parser("synth", help="generate a planted-vocabulary synthetic corpus")
     synth.add_argument("--bounds", required=True, help="region as south,west,north,east degrees")
     synth.add_argument("--grid", type=int, required=True, help="grid dimension g")
-    synth.add_argument("--vocab-per-cell", type=int, default=20, dest="vocab_per_cell")
-    synth.add_argument("--shared-vocab", type=int, default=0, dest="shared_vocab")
-    synth.add_argument("--posts-per-cell", type=int, default=100, dest="posts_per_cell")
-    synth.add_argument("--tokens-per-post", type=int, default=6, dest="tokens_per_post")
+    synth.add_argument("--vocab-per-cell", type=int, default=20)
+    synth.add_argument("--shared-vocab", type=int, default=0)
+    synth.add_argument("--posts-per-cell", type=int, default=100)
+    synth.add_argument("--tokens-per-post", type=int, default=6)
     synth.add_argument("--leakage", type=float, default=0.0,
                        help="probability a token comes from a random other cell")
-    synth.add_argument("--neighbor-overlap", type=float, default=0.0, dest="neighbor_overlap",
+    synth.add_argument("--neighbor-overlap", type=float, default=0.0,
                        help="probability a token comes from an adjacent cell")
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True, help="output JSONL path")

@@ -19,7 +19,9 @@ g**2) matrix whose rows equal the one-post vectors bit for bit.
 in one broadcast matmul against the ring stack ``_ring_matrices(g)``.
 ``estimate`` runs this on one post's vector; ``estimate_batch`` runs it
 on a block of posts at a time, as a (posts, g**2) matrix, with the same
-bits. ``dict[CellId, float]`` appears only in the API-edge wrappers
+bits. ``post_blocks`` cuts every batch pass, the tuner's too, into blocks
+whose ring stack stays under ``_SMOOTH_BLOCK`` entries.
+``dict[CellId, float]`` appears only in the API-edge wrappers
 ``posterior_field`` and ``geo_smooth``.
 """
 
@@ -34,13 +36,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .grid import CellId, GeoPoint, GridPartition, positive_index
+from .grid import CellId, GeoPoint, GridPartition, positive_index, real_number
 from .lm import BaselineInterpolation, CellModels, EnsembleTables, count_tables
 from .pipeline import PipelineArtifacts, TokenizedPost, TrainingCorpus
 
-# The batch path takes posts in blocks whose ring stack, (g-1) x posts x
-# g**2 floats, has at most this many entries (8 MiB), unless one post
-# alone has more.
+# Every batch pass (``estimate_batch`` and the tuner's hold-out sweep)
+# takes posts in blocks whose ring stack, (g-1) x posts x g**2 floats, has
+# at most this many entries (8 MiB), unless one post alone has more; see
+# ``post_blocks``.
 _SMOOTH_BLOCK = 1 << 20
 
 
@@ -59,9 +62,8 @@ class SmoothingConfig:
     diameter: Optional[int] = None
 
     def __post_init__(self):
-        if isinstance(self.alpha, bool) or not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        alpha = real_number("alpha", self.alpha, lambda a: 0 <= a <= 1, "lie in [0, 1]")
+        object.__setattr__(self, "alpha", alpha)
         if self.diameter is None:
             return
         object.__setattr__(self, "diameter", positive_index("diameter", self.diameter))
@@ -137,6 +139,8 @@ def build_ensemble(
     baseline."""
     if not len(corpus):
         raise ValidationError("cannot build an ensemble from an empty training set")
+    if len(corpus.vocab) != len(artifacts.vocab) or not artifacts.vocab.issuperset(corpus.vocab):
+        raise ValidationError("the training corpus vocab differs from artifacts.vocab")
     unlocated = np.isnan(corpus.lats)
     n = int(np.argmax(unlocated)) if unlocated.any() else len(corpus)
     # The posts before the first unlocated one are binned first, so an
@@ -274,26 +278,26 @@ def estimate(ens: GeoEnsemble, post: TokenizedPost) -> Estimate:
     return _pick_cells(part, vec[None], scores[None])[0]
 
 
-def _estimate_block(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Estimate]:
-    """``estimate`` of each post, bit for bit, from one ``posterior_matrix``
-    call, one ``smoothing_terms`` and one ``smooth_from_terms`` call on
-    the (posts, g**2) matrix, and one row-wise argmax."""
-    part = ens.partition
-    vecs = posterior_matrix(ens, [post.tokens for post in posts])
-    scores = smooth_from_terms(
-        vecs, smoothing_terms(part, vecs), ens.smoothing.alpha, ens.smoothing.diameter
-    )
-    return _pick_cells(part, vecs, scores)
+def post_blocks(g: int, n: int) -> list[slice]:
+    """Consecutive slices over n posts, each of at least one post and of at
+    most ``_SMOOTH_BLOCK`` ring-stack entries, (g-1) x posts x g**2: the
+    block rule of every batch pass, ``estimate_batch`` and the tuner's."""
+    step = max(_SMOOTH_BLOCK // max((g - 1) * g * g, 1), 1)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def estimate_batch(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Estimate]:
-    """``estimate`` of every post, in order and bit for bit, computed in
-    consecutive blocks of at least one post and at most ``_SMOOTH_BLOCK``
-    ring-stack entries."""
-    g = ens.partition.g
-    step = max(_SMOOTH_BLOCK // max((g - 1) * g * g, 1), 1)
-    blocks = (posts[lo : lo + step] for lo in range(0, len(posts), step))
-    return [est for block in blocks for est in _estimate_block(ens, block)]
+    """``estimate`` of every post, in order and bit for bit: per block of
+    ``post_blocks``, one ``posterior_matrix`` call, one ``smoothing_terms``
+    and one ``smooth_from_terms`` call on the (posts, g**2) matrix, and one
+    row-wise argmax."""
+    part, alpha, diameter = ens.partition, ens.smoothing.alpha, ens.smoothing.diameter
+    estimates = []
+    for block in post_blocks(part.g, len(posts)):
+        vecs = posterior_matrix(ens, [post.tokens for post in posts[block]])
+        scores = smooth_from_terms(vecs, smoothing_terms(part, vecs), alpha, diameter)
+        estimates += _pick_cells(part, vecs, scores)
+    return estimates
 
 
 ESTIMATES_CSV_FIELDS = (

@@ -12,7 +12,7 @@ import csv
 import random
 from collections import Counter
 from dataclasses import dataclass
-from math import floor, isfinite
+from math import floor, inf
 from typing import Sequence
 
 from .errors import ValidationError
@@ -24,6 +24,7 @@ from .grid import (
     non_negative_index,
     partition,
     positive_index,
+    real_number,
 )
 from .pipeline import RawPost, TokenizedPost
 
@@ -43,8 +44,7 @@ class SplitSpec:
 
     def __post_init__(self):
         for name, frac in (("train_frac", self.train_frac), ("holdout_frac", self.holdout_frac)):
-            if not (isfinite(frac) and frac >= 0):
-                raise ValidationError(f"{name} must be a finite number >= 0, got {frac}")
+            real_number(name, frac, lambda f: 0 <= f < inf, "be a finite number >= 0")
         total = self.train_frac + self.holdout_frac
         if total > 1.0:
             raise ValidationError(f"train and holdout fractions must sum to at most 1, got {total}")
@@ -94,9 +94,9 @@ class SyntheticSpec:
         object.__setattr__(
             self, "shared_vocab", non_negative_index("shared_vocab", self.shared_vocab)
         )
-        for name, value in (("leakage", self.leakage), ("neighbor_overlap", self.neighbor_overlap)):
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+        for name in ("leakage", "neighbor_overlap"):
+            share = real_number(name, getattr(self, name), lambda p: 0 <= p <= 1, "lie in [0, 1]")
+            object.__setattr__(self, name, share)
 
 
 def split(corpus: Sequence[RawPost], spec: SplitSpec) -> tuple[list[RawPost], list[RawPost], list[RawPost]]:
@@ -162,8 +162,7 @@ def error_report(
 
 
 def _check_bin_width(bin_width_km: float) -> None:
-    if not (isfinite(bin_width_km) and bin_width_km > 0):
-        raise ValidationError(f"bin width must be a finite number > 0, got {bin_width_km}")
+    real_number("bin width", bin_width_km, lambda w: 0 < w < inf, "be a finite number > 0")
 
 
 def evaluate(

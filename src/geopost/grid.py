@@ -11,6 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import atan2, cos, radians, sin, sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -76,6 +77,15 @@ def _index_at_least(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
     return operator.index(value)
+
+
+def real_number(name: str, value, ok, rule: str) -> float:
+    """``value`` as a Python ``float`` when it is a real number, not a bool,
+    for which ``ok`` holds. Raises ValidationError saying that ``name``
+    must ``rule``, with the value's repr, otherwise."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not ok(value):
+        raise ValidationError(f"{name} must {rule}, got {value!r}")
+    return float(value)
 
 
 def positive_index(name: str, value) -> int:

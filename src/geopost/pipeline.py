@@ -63,7 +63,8 @@ class TrainingCorpus:
     ``vocab[t]`` for t in ``token_ids[s:s + lens[i]]``, where s is
     ``lens[:i].sum()``: the int32 ids of all posts lie end to end. Post i
     has id ``ids[i]`` and lies at (``lats[i]``, ``lons[i]``), both NaN for
-    a post without a location.
+    a post without a location. Columns that disagree on the post count or
+    the token count, or an id outside ``vocab``, raise ValidationError.
     """
 
     ids: tuple[str, ...]
@@ -72,6 +73,17 @@ class TrainingCorpus:
     lens: np.ndarray
     lats: np.ndarray
     lons: np.ndarray
+
+    def __post_init__(self):
+        if list(self.vocab) != sorted(self.vocab):
+            raise ValidationError("training corpus vocab is not sorted")
+        for name in ("lens", "lats", "lons"):
+            if len(getattr(self, name)) != len(self.ids):
+                raise ValidationError(f"training corpus {name} must hold one entry per post")
+        if self.lens.min(initial=0) < 0 or self.lens.sum() != len(self.token_ids):
+            raise ValidationError("training corpus lens must be >= 0 and sum to len(token_ids)")
+        if self.token_ids.min(initial=0) < 0 or self.token_ids.max(initial=-1) >= len(self.vocab):
+            raise ValidationError(f"training corpus token_ids must lie in [0, {len(self.vocab)})")
 
     def __len__(self) -> int:
         return len(self.ids)

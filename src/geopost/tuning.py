@@ -4,14 +4,16 @@ The training corpus and its word ids are built once; for each grid
 dimension g, ``build_ensemble`` only re-bins the posts and recounts
 them. For each g the per-cell models, the hold-out posteriors
 and their per-ring neighbor terms depend only on g, so they are computed
-once, into a (posts, g**2) matrix and a (g-1, posts, g**2) stack, by one
-``posterior_matrix`` call and one ``smoothing_terms`` call whose rows
-equal the one-post ``posterior_vector`` and ``smoothing_terms`` bit for
-bit. Every d then adds one ring slice to a running (posts, g**2) sum,
-and every alpha is one blend plus one row-wise argmax over all posts.
-The sweep reproduces from-scratch estimates bit for bit because it
-performs the same elementwise arithmetic in the same order, and
-distances are taken only for the cells that win.
+once, a block of posts at a time under the ``post_blocks`` rule that
+``estimate_batch`` keeps: per block, a (posts, g**2) matrix and a (g-1,
+posts, g**2) stack, by one ``posterior_matrix`` call and one
+``smoothing_terms`` call whose rows equal the one-post
+``posterior_vector`` and ``smoothing_terms`` bit for bit. Every d then
+adds one ring slice to a running (posts, g**2) sum, and every alpha is
+one blend plus one row-wise argmax over the block. Only the per-post
+errors outlive a block. The sweep reproduces from-scratch estimates bit
+for bit because it performs the same elementwise arithmetic in the same
+order, and distances are taken only for the cells that win.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .estimator import (
     SmoothingConfig,
     blend_smoothed,
     build_ensemble,
+    post_blocks,
     posterior_matrix,
     smoothing_terms,
 )
@@ -82,35 +85,41 @@ def _sweep_alpha_d(
     ens, holdout: Sequence[TokenizedPost], alpha_values: Sequence[float]
 ) -> dict[tuple[float, int], float]:
     """Mean hold-out error for every alpha and every d = 1..g, from one
-    ``posterior_matrix`` call and one ``smoothing_terms`` call.
+    ``posterior_matrix`` call and one ``smoothing_terms`` call per block
+    of ``post_blocks``.
 
-    Ring terms accumulate into one (posts, g**2) matrix in increasing d,
-    in exactly the order smooth_from_terms sums them, and every alpha is one
-    2-D blend plus a row-wise first-max argmax. Elementwise arithmetic
-    and first-max ties give the same scores and cells as the direct path
-    bit for bit. Distances from a post's truth to a cell center are
-    computed only for cells that win some argmax, once per (post, cell),
-    and errors are summed in post order, as a direct evaluation does.
+    Within a block, ring terms accumulate into one (posts, g**2) matrix in
+    increasing d, in exactly the order smooth_from_terms sums them, and
+    every alpha is one 2-D blend plus a row-wise first-max argmax.
+    Elementwise arithmetic and first-max ties give the same scores and
+    cells as the direct path bit for bit. Distances from a post's truth
+    to a cell center are computed only for cells that win some argmax,
+    once per (post, cell). Each post's error goes into a (g, alphas,
+    posts) table, and each mean is one ``sum`` over its row in post
+    order, as a direct evaluation takes it: a total carried across blocks
+    would round differently where ``sum`` of floats is compensated.
     """
-    part = ens.partition
-    posteriors = posterior_matrix(ens, [post.tokens for post in holdout])
-    rings = smoothing_terms(part, posteriors)
-    n, g2 = posteriors.shape
-    dists = np.full((n, g2), np.nan)  # NaN: not computed yet
-    rows = np.arange(n)
-    results = {}
-    acc = np.zeros_like(posteriors)
-    for d in range(1, part.g + 1):
-        if d < part.g:
-            acc = acc + rings[d - 1]
-        for alpha in alpha_values:
-            winners = np.argmax(blend_smoothed(posteriors, acc, alpha), axis=1)
-            for i in rows[np.isnan(dists[rows, winners])].tolist():
-                j = int(winners[i])
-                dists[i, j] = geo_distance_km(holdout[i].location, part.center_at(j))
-            errors = dists[rows, winners].tolist()
-            results[(alpha, d)] = sum(errors) / len(errors)
-    return results
+    part, n = ens.partition, len(holdout)
+    errors = np.empty((part.g, len(alpha_values), n))
+    for block in post_blocks(part.g, n):
+        posts = holdout[block]
+        posteriors = posterior_matrix(ens, [post.tokens for post in posts])
+        rings = smoothing_terms(part, posteriors)
+        dists = np.full(posteriors.shape, np.nan)  # NaN: not computed yet
+        rows = np.arange(len(posts))
+        acc = np.zeros_like(posteriors)
+        for d in range(1, part.g + 1):
+            if d < part.g:
+                acc = acc + rings[d - 1]
+            for a, alpha in enumerate(alpha_values):
+                winners = np.argmax(blend_smoothed(posteriors, acc, alpha), axis=1)
+                for i in rows[np.isnan(dists[rows, winners])].tolist():
+                    j = int(winners[i])
+                    dists[i, j] = geo_distance_km(posts[i].location, part.center_at(j))
+                errors[d - 1, a, block] = dists[rows, winners]
+    # Row (d - 1) * len(alpha_values) + a of the reshaped table is (alpha, d).
+    keys = [(alpha, d) for d in range(1, part.g + 1) for alpha in alpha_values]
+    return {key: sum(row.tolist()) / n for key, row in zip(keys, errors.reshape(-1, n))}
 
 
 def grid_search(
@@ -128,8 +137,6 @@ def grid_search(
     ``build_training_corpus`` checks it. Ties resolve to the smaller g,
     then alpha, then d.
     """
-    if not train:
-        raise ValidationError("grid search needs a non-empty training corpus")
     _check_holdout(holdout)
     corpus, artifacts = build_training_corpus(train, stopword_count)
     holdout_tok = [artifacts.preprocess(p) for p in holdout]

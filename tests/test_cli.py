@@ -396,22 +396,41 @@ class TestReader:
 
     @pytest.mark.parametrize("bad, message", CRASHING_LINES)
     def test_crashing_lines_exit_2_or_are_skipped(self, tmp_path, capsys, bad, message):
-        corpus = _synth(tmp_path)
-        clean = _train(tmp_path, corpus, name="clean")
-        lines = corpus.read_text().splitlines()
-        lines.insert(3, bad)
-        corpus.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = main(["train", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
-                     "--out", str(tmp_path / "m")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"error: line 4: {message}") and "Traceback" not in err
-        skipped = _train(tmp_path, corpus, name="skipped", extra=("--skip-bad",))
-        err = capsys.readouterr().err
-        assert f"warning: skipping line 4: {message}" in err
-        assert "skipped 1 malformed lines" in err
-        assert _tables_and_manifest(skipped) == _tables_and_manifest(clean)
+        _assert_bad_line_exits_2_or_is_skipped(tmp_path, capsys, bad, message)
+
+    @pytest.mark.parametrize("lon", ["200", "-180.5"])
+    def test_longitude_out_of_range_exits_2_or_is_skipped(self, tmp_path, capsys, lon):
+        bad = '{"id": "x", "text": "t", "lat": 40.72, "lon": %s}' % lon
+        message = f"longitude out of range [-180, 180]: {float(lon)}\n"
+        _assert_bad_line_exits_2_or_is_skipped(tmp_path, capsys, bad, message)
+
+    def test_longitude_180_is_read(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "e", "text": "t", "lat": 0, "lon": 180}\n'
+                          '{"id": "w", "text": "t", "lat": 0, "lon": -180}\n')
+        posts, skipped = cli.read_corpus(corpus)
+        assert [p.location.lon for p in posts] == [180.0, -180.0] and skipped == 0
+
+
+def _assert_bad_line_exits_2_or_is_skipped(tmp_path, capsys, bad, message):
+    """A corpus with ``bad`` as its line 4 ends ``train`` with exit 2 and
+    ``message``; with --skip-bad it trains the model the clean corpus gives."""
+    corpus = _synth(tmp_path)
+    clean = _train(tmp_path, corpus, name="clean")
+    lines = corpus.read_text().splitlines()
+    lines.insert(3, bad)
+    corpus.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["train", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
+                 "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: line 4: {message}") and "Traceback" not in err
+    skipped = _train(tmp_path, corpus, name="skipped", extra=("--skip-bad",))
+    err = capsys.readouterr().err
+    assert f"warning: skipping line 4: {message}" in err
+    assert "skipped 1 malformed lines" in err
+    assert _tables_and_manifest(skipped) == _tables_and_manifest(clean)
 
 
 def _tables_and_manifest(model):

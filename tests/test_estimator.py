@@ -102,6 +102,13 @@ class TestBuildEnsemble:
             SmoothingConfig(diameter=d)
         assert str(exc.value).endswith(f"got {d!r}")
 
+    @pytest.mark.parametrize("alpha", [True, "0.5", None, float("nan"), -0.5])
+    def test_bad_alpha_rejected_with_its_repr(self, alpha):
+        # A string alpha raised a bare TypeError from the range comparison.
+        with pytest.raises(ValidationError, match=r"^alpha must lie in \[0, 1\]") as exc:
+            SmoothingConfig(alpha=alpha)
+        assert str(exc.value).endswith(f"got {alpha!r}")
+
     def test_empty_training_set_rejected(self):
         part = partition(BOUNDS, 2)
         with pytest.raises(ValidationError):
@@ -126,6 +133,50 @@ class TestBuildEnsemble:
         with pytest.raises(OutOfRegionError) as exc:
             build_ensemble(as_corpus([ok, outside, unlocated]), part, SmoothingConfig(), arts)
         assert str(exc.value) == f"point (5.0, 1.0) outside region {BOUNDS}"
+
+    @staticmethod
+    def _planted():
+        spec = SyntheticSpec(g=3, vocab_per_cell=6, posts_per_cell=12, leakage=0.3, seed=7)
+        return split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=3))
+
+    def test_corpus_and_artifacts_of_different_splits_rejected(self):
+        tr, ho, _ = self._planted()
+        corpus, _ = build_training_corpus(tr, stopword_count=2)
+        _, other = build_training_corpus(ho, stopword_count=2)
+        with pytest.raises(ValidationError, match="^the training corpus vocab differs from"):
+            build_ensemble(corpus, partition(BOUNDS, 3), SmoothingConfig(), other)
+
+    def test_vocab_must_be_sorted(self):
+        corpus, _ = build_training_corpus(self._planted()[0], stopword_count=2)
+        with pytest.raises(ValidationError, match="^training corpus vocab is not sorted$"):
+            replace(corpus, vocab=corpus.vocab[::-1])
+
+    def test_lens_must_sum_to_the_token_count(self):
+        corpus, _ = build_training_corpus(self._planted()[0], stopword_count=2)
+        with pytest.raises(ValidationError, match="^training corpus lens must be >= 0 and sum to"):
+            replace(corpus, lens=corpus.lens + 1)
+
+    def test_lens_must_not_be_negative(self):
+        corpus, _ = build_training_corpus(self._planted()[0], stopword_count=2)
+        lens = corpus.lens.copy()
+        lens[:2] += (-1 - lens[0], 1 + lens[0])  # same sum
+        with pytest.raises(ValidationError, match="^training corpus lens must be >= 0 and sum to"):
+            replace(corpus, lens=lens)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_word_ids_must_lie_in_the_vocab(self, shift):
+        corpus, _ = build_training_corpus(self._planted()[0], stopword_count=2)
+        ids = corpus.token_ids.copy()
+        ids[0] = -1 if shift < 0 else len(corpus.vocab)
+        with pytest.raises(ValidationError, match=r"^training corpus token_ids must lie in \[0, "):
+            replace(corpus, token_ids=ids)
+
+    @pytest.mark.parametrize("column", ["lens", "lats", "lons"])
+    def test_columns_must_have_one_entry_per_post(self, column):
+        corpus, _ = build_training_corpus(self._planted()[0], stopword_count=2)
+        message = f"^training corpus {column} must hold one entry per post$"
+        with pytest.raises(ValidationError, match=message):
+            replace(corpus, **{column: getattr(corpus, column)[1:]})
 
     @pytest.mark.parametrize("g", [1, 5, 8, 12])
     def test_tables_equal_a_per_post_cell_of_build(self, g):

@@ -79,6 +79,14 @@ class TestSplit:
             SplitSpec(train_frac=0.5, holdout_frac=-0.1)
 
     @pytest.mark.parametrize("name", ["train_frac", "holdout_frac"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_fractions_must_be_numbers(self, name, value):
+        # train_frac=True, holdout_frac=False put every post in train.
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite number >= 0") as exc:
+            SplitSpec(**{name: value})
+        assert str(exc.value).endswith(f"got {value!r}")
+
+    @pytest.mark.parametrize("name", ["train_frac", "holdout_frac"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_fractions_rejected(self, name, value):
         # nan < 0 is False, so a NaN fraction passed the sign check and
@@ -104,6 +112,13 @@ class TestErrorReport:
         # gave the one histogram row (nan, 1, 1.0).
         with pytest.raises(ValidationError, match="bin width must be a finite number > 0"):
             error_report([("a", 1.0)], bin_width_km=width)
+
+    @pytest.mark.parametrize("width", [True, "0.25", None])
+    def test_bin_width_must_be_a_number(self, width):
+        # True gave the integer bin edges 0 and 1.
+        with pytest.raises(ValidationError, match="^bin width must be a finite number > 0") as exc:
+            error_report([("a", 1.0)], bin_width_km=width)
+        assert str(exc.value).endswith(f"got {width!r}")
 
     @pytest.mark.parametrize("width", [1e-300, 5e-324, 2.9e-6])
     def test_histogram_bin_count_is_bounded(self, width):
@@ -219,6 +234,20 @@ class TestSynthetic:
         spec = SyntheticSpec(g=2, seed=3, **{k: np.int64(v) for k, v in counts.items()})
         assert all(type(getattr(spec, name)) is int for name in counts)
         want = SyntheticSpec(g=2, seed=3, **counts)
+        assert generate_synthetic(spec, BOUNDS) == generate_synthetic(want, BOUNDS)
+
+    @pytest.mark.parametrize("name", ["leakage", "neighbor_overlap"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 1.5, float("nan")])
+    def test_shares_must_be_numbers_in_the_unit_interval(self, name, value):
+        # leakage=True ran with leakage 1; a string raised a bare TypeError.
+        with pytest.raises(ValidationError, match=f"^{name} must lie in \\[0, 1\\]") as exc:
+            SyntheticSpec(g=2, **{name: value})
+        assert str(exc.value).endswith(f"got {value!r}")
+
+    def test_numpy_shares_give_the_float_corpus(self):
+        spec = SyntheticSpec(g=2, leakage=np.float64(0.25), neighbor_overlap=0, seed=3)
+        assert type(spec.leakage) is float and type(spec.neighbor_overlap) is float
+        want = SyntheticSpec(g=2, leakage=0.25, neighbor_overlap=0.0, seed=3)
         assert generate_synthetic(spec, BOUNDS) == generate_synthetic(want, BOUNDS)
 
     @pytest.mark.parametrize("g", [True, 2.5, 0, "3", np.int64(-2)])

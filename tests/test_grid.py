@@ -54,6 +54,17 @@ class TestPartition:
         with pytest.raises(ValidationError):
             GeoBounds(-95.0, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("west, east", [(0.0, 181.0), (-181.0, 0.0)])
+    def test_longitude_outside_range_rejected(self, west, east):
+        message = r"^longitude out of range \[-180, 180\]: -?181\.0$"
+        with pytest.raises(ValidationError, match=message):
+            GeoBounds(0.0, west, 1.0, east)
+
+    def test_longitude_range_is_closed(self):
+        bounds = GeoBounds(-90.0, -180.0, 90.0, 180.0)
+        assert partition(bounds, 2).cells_of([0.0, 0.0], [-180.0, 180.0]).tolist() == [2, 3]
+        assert GeoPoint(0.0, -180.0).lon == -180.0 and GeoPoint(0.0, 180.0).lon == 180.0
+
     @pytest.mark.parametrize("edge", range(4))
     def test_bool_bound_rejected(self, edge):
         # True passes the range checks as 1.0, and east = true once loaded

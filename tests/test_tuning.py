@@ -25,6 +25,7 @@ from geopost import (
     split,
 )
 from geopost import estimator, tuning
+from geopost.estimator import smoothing_terms
 from geopost.grid import geo_distance_km
 from geopost.tuning import DEFAULT_ALPHA_VALUES, DEFAULT_G_VALUES, select_best, write_surface_csv
 
@@ -160,7 +161,8 @@ class TestGridSearch:
     def test_empty_corpora_rejected(self):
         tr, ho, _ = _splits(SyntheticSpec(g=2, posts_per_cell=20, seed=5))
         space = SearchSpace(g_values=(2,), alpha_values=(0.5,))
-        with pytest.raises(ValidationError):
+        # build_ensemble owns the empty-training-set check.
+        with pytest.raises(ValidationError, match="^cannot build an ensemble from an empty"):
             grid_search([], ho, space, BOUNDS)
         with pytest.raises(ValidationError):
             grid_search(tr, [], space, BOUNDS)
@@ -225,6 +227,11 @@ class TestTunerMatchesDirectPath:
 
     def test_one_distance_per_winning_post_cell(self, monkeypatch):
         tr, ho, space, tok, arts, ho_tok = _edge_case_search()
+        winners = {
+            (g, i, estimate(direct, p).cell)
+            for g, _, _, direct in _direct_ensembles(space, tok, arts)
+            for i, p in enumerate(ho_tok)
+        }
         calls = []
 
         def counting(a, b):
@@ -232,20 +239,21 @@ class TestTunerMatchesDirectPath:
             return geo_distance_km(a, b)
 
         monkeypatch.setattr(tuning, "geo_distance_km", counting)
-        grid_search(tr, ho, space, BOUNDS, stopword_count=0)
-        winners = {
-            (g, i, estimate(direct, p).cell)
-            for g, _, _, direct in _direct_ensembles(space, tok, arts)
-            for i, p in enumerate(ho_tok)
-        }
-        assert len(calls) == len(winners)
+        # One block per g; blocks of one post; blocks of 1 to 10 posts by g.
+        for block in (estimator._SMOOTH_BLOCK, 1, 40):
+            monkeypatch.setattr(estimator, "_SMOOTH_BLOCK", block)
+            calls.clear()
+            grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+            assert len(calls) == len(winners)
         assert len(calls) < len(ho_tok) * sum(g * g for g in space.g_values)
 
 
 def test_grid_search_scores_each_g_in_one_batch(monkeypatch):
-    # The hold-out posts of one g are scored in one posterior_matrix call,
-    # never one post at a time through cell_log_scores.
+    # The hold-out posts of one g are scored in one posterior_matrix call
+    # per block of post_blocks, never one post at a time through
+    # cell_log_scores.
     tr, ho, space, *_ = _edge_case_search()
+    monkeypatch.setattr(estimator, "_SMOOTH_BLOCK", 40)
     calls = {"posterior_matrix": 0, "cell_log_scores": 0}
 
     def counted(name, fn):
@@ -262,7 +270,56 @@ def test_grid_search_scores_each_g_in_one_batch(monkeypatch):
         estimator, "cell_log_scores", counted("cell_log_scores", estimator.cell_log_scores)
     )
     grid_search(tr, ho, space, BOUNDS, stopword_count=0)
-    assert calls == {"posterior_matrix": len(space.g_values), "cell_log_scores": 0}
+    blocks = sum(len(estimator.post_blocks(g, len(ho))) for g in space.g_values)
+    assert blocks > len(space.g_values)
+    assert calls == {"posterior_matrix": blocks, "cell_log_scores": 0}
+
+
+def _ring_rows_per_call(monkeypatch):
+    """Spy on ``tuning.smoothing_terms``: the list it returns gets the
+    (g, posts) of every call."""
+    calls = []
+
+    def spy(part, fields):
+        calls.append((part.g, len(fields)))
+        return smoothing_terms(part, fields)
+
+    monkeypatch.setattr(tuning, "smoothing_terms", spy)
+    return calls
+
+
+class TestHoldoutBlocks:
+    """The sweep takes the hold-out in estimate_batch's post blocks, and
+    the block size never shows in the surface."""
+
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_surface_is_the_same_for_any_block_size(self, monkeypatch, g):
+        tr, ho, _, tok, arts, ho_tok = _edge_case_search()
+        space = SearchSpace(g_values=(g,), alpha_values=(0.0, 0.3, 1.0))
+        whole = grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+        ens = build_ensemble(tok, partition(BOUNDS, g), SmoothingConfig(), arts)
+        calls = _ring_rows_per_call(monkeypatch)
+        for per_block in (1, 2, 3, len(ho)):
+            monkeypatch.setattr(estimator, "_SMOOTH_BLOCK", per_block * max((g - 1) * g * g, 1))
+            calls.clear()
+            result = grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+            assert result.surface == whole.surface and result.best == whole.best
+            full, rest = divmod(len(ho), per_block)
+            assert calls == [(g, per_block)] * full + [(g, rest)] * (rest > 0)
+            for alpha in space.alpha_values:
+                sweep = error_vs_d(ens, ho_tok, alpha=alpha)
+                assert sweep == {d: whole.surface[(g, alpha, d)] for d in range(1, g + 1)}
+
+    def test_no_ring_stack_exceeds_the_block_rule(self, monkeypatch):
+        tr, ho, space, *_ = _edge_case_search()
+        monkeypatch.setattr(estimator, "_SMOOTH_BLOCK", 60)
+        calls = _ring_rows_per_call(monkeypatch)
+        grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+        for g in space.g_values:
+            rows = [n for call_g, n in calls if call_g == g]
+            assert sum(rows) == len(ho)
+            assert max(rows) == 1 or max(rows) * (g - 1) * g * g <= 60
+        assert len(calls) > len(space.g_values)
 
 
 class TestErrorVsD:
