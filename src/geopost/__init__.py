@@ -51,6 +51,7 @@ from .lm import (
 from .pipeline import (
     MISC,
     PipelineArtifacts,
+    RawCorpus,
     RawPost,
     TokenizedPost,
     TrainingCorpus,
@@ -81,6 +82,7 @@ __all__ = [
     "OutOfRegionError",
     "PipelineArtifacts",
     "PosteriorField",
+    "RawCorpus",
     "RawPost",
     "SearchSpace",
     "SmoothingConfig",

@@ -2,6 +2,9 @@
 
 Corpora are JSON-lines files, one object per line with "id" and "text"
 fields and optional "lat"/"lon" (present together or absent together).
+``read_corpus`` returns them as a ``RawCorpus``: id, text and float
+lat/lon columns, NaN for a post without a location, so no per-post
+object is made between the file and the training corpus.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
@@ -10,8 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import nan
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .errors import DataError, ValidationError
 from .estimator import (
@@ -30,9 +36,9 @@ from .evaluation import (
     write_density_csv,
     write_errors_csv,
 )
-from .grid import GeoBounds, GeoPoint, partition
+from .grid import GeoBounds, check_coordinates, partition
 from .lm import BaselineInterpolation
-from .pipeline import RawPost, build_training_corpus
+from .pipeline import RawCorpus, build_training_corpus
 from .storage import load_model, save_model
 from .tuning import (
     DEFAULT_ALPHA_VALUES,
@@ -60,11 +66,12 @@ def parse_bounds(text: str) -> GeoBounds:
     return GeoBounds(south, west, north, east)
 
 
-def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[list[RawPost], int]:
-    """Read a JSON-lines corpus. Malformed lines, invalid UTF-8 included,
-    raise DataError with the line number, or are counted and skipped
-    under --skip-bad."""
-    posts = []
+def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[RawCorpus, int]:
+    """Read a JSON-lines corpus into a ``RawCorpus``, with the number of
+    lines skipped. Malformed lines, invalid UTF-8 included, raise
+    DataError with the line number, or are counted and skipped under
+    --skip-bad."""
+    rows = []
     skipped = 0
     try:
         # Undecodable bytes become lone surrogates (U+DC80..U+DCFF), so a
@@ -74,7 +81,7 @@ def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[list[RawPost]
                 if not line.strip(_JSON_SPACE):
                     continue
                 try:
-                    posts.append(_parse_post(line, lineno))
+                    rows.append(_parse_post(line, lineno))
                 except DataError as exc:
                     if not skip_bad:
                         raise
@@ -82,7 +89,8 @@ def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[list[RawPost]
                     print(f"warning: skipping {exc}", file=sys.stderr)
     except OSError as exc:
         raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    return posts, skipped
+    ids, texts, lats, lons = zip(*rows) if rows else ((), (), (), ())
+    return RawCorpus(ids, texts, lats, lons), skipped
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -112,7 +120,9 @@ def _decode_line(line: str, lineno: int):
         raise DataError(f"line {lineno}: invalid JSON (nested too deeply)") from None
 
 
-def _parse_post(line: str, lineno: int) -> RawPost:
+def _parse_post(line: str, lineno: int) -> tuple[str, str, float, float]:
+    """One corpus line as (id, text, lat, lon), lat and lon NaN when the
+    post has no location; a malformed line raises DataError."""
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -138,26 +148,33 @@ def _parse_post(line: str, lineno: int) -> RawPost:
     has_lon = "lon" in obj
     if has_lat != has_lon:
         raise DataError(f"line {lineno}: 'lat' and 'lon' must appear together")
-    location = None
-    if has_lat:
-        lat, lon = obj["lat"], obj["lon"]
-        # A JSON number decodes to exactly int or float, and true/false to
-        # bool, which is refused.
-        if type(lat) not in (int, float) or type(lon) not in (int, float):
-            raise DataError(f"line {lineno}: 'lat'/'lon' must be numbers")
-        try:
-            location = GeoPoint(float(lat), float(lon))
-        except OverflowError:
-            raise DataError(f"line {lineno}: 'lat'/'lon' outside the float range") from None
-        except ValidationError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-    return RawPost(id=post_id, text=text, location=location)
+    if not has_lat:
+        return post_id, text, nan, nan
+    lat, lon = obj["lat"], obj["lon"]
+    # A JSON number decodes to exactly int or float, and true/false to
+    # bool, which is refused.
+    if type(lat) not in (int, float) or type(lon) not in (int, float):
+        raise DataError(f"line {lineno}: 'lat'/'lon' must be numbers")
+    try:
+        lat, lon = float(lat), float(lon)
+    except OverflowError:
+        raise DataError(f"line {lineno}: 'lat'/'lon' outside the float range") from None
+    # The range check refuses a NaN literal, which the columns would
+    # read as a post without a location.
+    try:
+        check_coordinates(lat, lon)
+    except ValidationError as exc:
+        raise DataError(f"line {lineno}: {exc}") from exc
+    return post_id, text, lat, lon
 
 
-def _located_in_bounds(posts, bounds) -> tuple[list[RawPost], int, int]:
-    located = [p for p in posts if p.location is not None]
-    in_bounds = [p for p in located if bounds.contains(p.location)]
-    return in_bounds, len(posts) - len(located), len(located) - len(in_bounds)
+def _located_in_bounds(posts: RawCorpus, bounds: GeoBounds) -> tuple[RawCorpus, int, int]:
+    """The located posts inside ``bounds`` (edges included), the number
+    without a location, and the number located outside."""
+    n_located = int(np.count_nonzero(~np.isnan(posts.lats)))
+    inside = bounds.covers(posts.lats, posts.lons)
+    n_inside = int(np.count_nonzero(inside))
+    return posts.take(np.flatnonzero(inside)), len(posts) - n_located, n_located - n_inside
 
 
 def _load_with_overrides(args) -> object:

@@ -26,7 +26,7 @@ from .grid import (
     positive_index,
     real_number,
 )
-from .pipeline import RawPost, TokenizedPost
+from .pipeline import RawCorpus, RawPost, TokenizedPost
 
 # Most bins an error histogram may have: 12 times the 80,061 that the
 # default 0.25 km width gives for the largest great-circle error.
@@ -99,18 +99,26 @@ class SyntheticSpec:
             object.__setattr__(self, name, share)
 
 
-def split(corpus: Sequence[RawPost], spec: SplitSpec) -> tuple[list[RawPost], list[RawPost], list[RawPost]]:
+def split(
+    corpus: Sequence[RawPost], spec: SplitSpec
+) -> tuple[RawCorpus, RawCorpus, RawCorpus]:
     """Deterministic seeded shuffle, then contiguous cut at the fraction
-    boundaries: floor for train, floor for holdout, remainder to test."""
-    shuffled = list(corpus)
-    random.Random(spec.seed).shuffle(shuffled)
-    n = len(shuffled)
+    boundaries: floor for train, floor for holdout, remainder to test.
+
+    The shuffle permutes post indices; ``random.shuffle``'s draws depend
+    only on the length and the generator state, so the posts come out in
+    the order that shuffling them as a list gives. ``corpus`` goes
+    through ``RawCorpus.of``, and each part is a ``RawCorpus``."""
+    corpus = RawCorpus.of(corpus)
+    order = list(range(len(corpus)))
+    random.Random(spec.seed).shuffle(order)
+    n = len(order)
     n_train = floor(n * spec.train_frac)
     n_holdout = floor(n * spec.holdout_frac)
     return (
-        shuffled[:n_train],
-        shuffled[n_train : n_train + n_holdout],
-        shuffled[n_train + n_holdout :],
+        corpus.take(order[:n_train]),
+        corpus.take(order[n_train : n_train + n_holdout]),
+        corpus.take(order[n_train + n_holdout :]),
     )
 
 

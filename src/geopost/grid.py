@@ -29,10 +29,16 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValidationError(f"latitude out of range [-90, 90]: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValidationError(f"longitude out of range [-180, 180]: {self.lon}")
+        check_coordinates(self.lat, self.lon)
+
+
+def check_coordinates(lat: float, lon: float) -> None:
+    """Raise ValidationError unless ``lat`` lies in [-90, 90] and ``lon``
+    in [-180, 180]. NaN lies in neither range."""
+    if not -90.0 <= lat <= 90.0:
+        raise ValidationError(f"latitude out of range [-90, 90]: {lat}")
+    if not -180.0 <= lon <= 180.0:
+        raise ValidationError(f"longitude out of range [-180, 180]: {lon}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,8 @@ class GeoBounds:
         edges = (self.south, self.west, self.north, self.east)
         if any(isinstance(edge, bool) for edge in edges):
             raise ValidationError(f"bounds must be numbers, not booleans: {edges}")
-        GeoPoint(self.south, self.west)
-        GeoPoint(self.north, self.east)
+        check_coordinates(self.south, self.west)
+        check_coordinates(self.north, self.east)
         if not self.south < self.north:
             raise ValidationError(f"south ({self.south}) must be < north ({self.north})")
         if not self.west < self.east:
@@ -58,6 +64,14 @@ class GeoBounds:
 
     def contains(self, p: GeoPoint) -> bool:
         return self.south <= p.lat <= self.north and self.west <= p.lon <= self.east
+
+    def covers(self, lats, lons) -> np.ndarray:
+        """Boolean mask of the points (lats[i], lons[i]) that ``contains``
+        would accept, edges included; a NaN coordinate lies outside."""
+        lats = np.asarray(lats, dtype=np.float64)
+        lons = np.asarray(lons, dtype=np.float64)
+        lat_in = (self.south <= lats) & (lats <= self.north)
+        return lat_in & (self.west <= lons) & (lons <= self.east)
 
 
 @dataclass(frozen=True)
@@ -82,10 +96,18 @@ def _index_at_least(name: str, value, minimum: int) -> int:
 def real_number(name: str, value, ok, rule: str) -> float:
     """``value`` as a Python ``float`` when it is a real number, not a bool,
     for which ``ok`` holds. Raises ValidationError saying that ``name``
-    must ``rule``, with the value's repr, otherwise."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not ok(value):
+    must ``rule`` otherwise: with the value's repr, or, for a number no
+    float can hold such as ``10**400``, whose repr may be too long to
+    make, without it."""
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise ValidationError(f"{name} must {rule}, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must {rule}, got a number past the float range") from None
+    if not ok(value):
+        raise ValidationError(f"{name} must {rule}, got {value!r}")
+    return number
 
 
 def positive_index(name: str, value) -> int:
@@ -142,7 +164,7 @@ class GridPartition:
         b = self.bounds
         lats = np.asarray(lats, dtype=np.float64)
         lons = np.asarray(lons, dtype=np.float64)
-        inside = (b.south <= lats) & (lats <= b.north) & (b.west <= lons) & (lons <= b.east)
+        inside = b.covers(lats, lons)
         if not inside.all():
             i = int(np.argmin(inside))
             raise OutOfRegionError(f"point ({float(lats[i])}, {float(lons[i])}) outside region {b}")

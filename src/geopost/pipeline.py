@@ -9,26 +9,31 @@ words fold, in training and at query time alike.
 
 Cleanup keeps a lowercased ASCII token that is already alphanumeric as
 it is; every other token is filtered character by character (see
-``clean_and_tokenize``). Training counts the cleaned tokens once; the
-stopwords, the hapax and the vocabulary all come from that one count.
-The training posts then leave as a columnar ``TrainingCorpus``: every
+``clean_and_tokenize``). Training is columnar from the corpus file on:
+the reader and ``split`` hand over a ``RawCorpus`` (ids, texts and float
+lat/lon columns), and ``build_training_corpus`` cleans its texts, counts
+the cleaned tokens once (the stopwords, the hapax and the vocabulary all
+come from that one count) and returns a ``TrainingCorpus``: every
 distinct token is mapped to its word id once, and one pass turns all
-cleaned tokens into one id array, so no per-post object outlives the
-call. ``TokenizedPost`` is the query-side type.
+cleaned tokens into one id array, so no per-post object is made on the
+way. ``RawPost`` is the one-post type at the API edge, which
+``RawCorpus.of`` turns into columns; ``TokenizedPost`` is the query-side
+type.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from math import nan
-from typing import Optional, Sequence
+from math import isnan, nan
+from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .grid import GeoPoint, non_negative_index
+from .grid import GeoPoint, check_coordinates, non_negative_index
 
 # Catch-all token for rare and unknown words. It cannot be produced by
 # cleanup (angle brackets are stripped), only by folding.
@@ -44,6 +49,92 @@ class RawPost:
     id: str
     text: str
     location: Optional[GeoPoint] = None
+
+
+def _raw_post(post_id: str, text: str, lat: float, lon: float) -> RawPost:
+    return RawPost(post_id, text, None if isnan(lat) else GeoPoint(lat, lon))
+
+
+@dataclass(frozen=True, eq=False)
+class RawCorpus(Sequence):
+    """Posts as ingested, as columns: ``ids`` and ``texts`` are lists of
+    str, ``lats`` and ``lons`` float64 arrays, both NaN for a post without
+    a location.
+
+    It is a ``Sequence[RawPost]``: an int index, or iteration, makes the
+    ``RawPost`` on access, and a slice is a ``RawCorpus``. Two corpora are
+    equal when their posts are. ``RawCorpus.of`` is the one adapter from
+    any sequence of ``RawPost``. Columns of different lengths, a
+    coordinate out of range, or a NaN in only one of lat and lon raise
+    ValidationError.
+    """
+
+    ids: list[str]
+    texts: list[str]
+    lats: np.ndarray
+    lons: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ids", "texts"):
+            object.__setattr__(self, name, list(getattr(self, name)))
+        for name in ("lats", "lons"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if not len(self.ids) == len(self.texts) == len(self.lats) == len(self.lons):
+            raise ValidationError("raw corpus columns must hold one entry per post")
+        lats, lons = self.lats, self.lons
+        valid = (np.isnan(lats) & np.isnan(lons)) | ((np.abs(lats) <= 90) & (np.abs(lons) <= 180))
+        if not valid.all():
+            i = int(np.argmin(valid))
+            check_coordinates(float(lats[i]), float(lons[i]))
+
+    @classmethod
+    def of(cls, posts: Sequence[RawPost]) -> RawCorpus:
+        """``posts`` as columns; a ``RawCorpus`` is returned as it is."""
+        if isinstance(posts, RawCorpus):
+            return posts
+        points = [p.location for p in posts]
+        return cls(
+            [p.id for p in posts],
+            [p.text for p in posts],
+            [nan if q is None else q.lat for q in points],
+            [nan if q is None else q.lon for q in points],
+        )
+
+    def take(self, indices: Sequence[int]) -> RawCorpus:
+        """The posts at ``indices``, in that order."""
+        rows = np.asarray(indices, dtype=np.intp)
+        picks = rows.tolist()
+        return RawCorpus(
+            [self.ids[i] for i in picks],
+            [self.texts[i] for i in picks],
+            self.lats[rows],
+            self.lons[rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RawCorpus(
+                self.ids[index], self.texts[index], self.lats[index], self.lons[index]
+            )
+        return _raw_post(
+            self.ids[index], self.texts[index], float(self.lats[index]), float(self.lons[index])
+        )
+
+    def __iter__(self):
+        return map(_raw_post, self.ids, self.texts, self.lats.tolist(), self.lons.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, RawCorpus):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.texts == other.texts
+            and np.array_equal(self.lats, other.lats, equal_nan=True)
+            and np.array_equal(self.lons, other.lons, equal_nan=True)
+        )
 
 
 @dataclass(frozen=True)
@@ -64,7 +155,8 @@ class TrainingCorpus:
     ``lens[:i].sum()``: the int32 ids of all posts lie end to end. Post i
     has id ``ids[i]`` and lies at (``lats[i]``, ``lons[i]``), both NaN for
     a post without a location. Columns that disagree on the post count or
-    the token count, or an id outside ``vocab``, raise ValidationError.
+    the token count, an id outside ``vocab``, or a ``vocab`` word that no
+    id names, raise ValidationError.
     """
 
     ids: tuple[str, ...]
@@ -84,6 +176,11 @@ class TrainingCorpus:
             raise ValidationError("training corpus lens must be >= 0 and sum to len(token_ids)")
         if self.token_ids.min(initial=0) < 0 or self.token_ids.max(initial=-1) >= len(self.vocab):
             raise ValidationError(f"training corpus token_ids must lie in [0, {len(self.vocab)})")
+        unused = np.flatnonzero(np.bincount(self.token_ids, minlength=len(self.vocab)) == 0)
+        if len(unused):
+            raise ValidationError(
+                f"training corpus vocab word {self.vocab[unused[0]]!r} never occurs in token_ids"
+            )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -134,8 +231,13 @@ def clean_and_tokenize(raw: RawPost) -> list[str]:
     ``istanbul``), while alphanumerics such as ``ß``, ``σ`` or full-width
     digits must survive and so drop the whole token.
     """
+    return _clean_text(raw.text)
+
+
+def _clean_text(text: str) -> list[str]:
+    """``clean_and_tokenize`` of a post with this text."""
     out = []
-    for tok in raw.text.split():
+    for tok in text.split():
         low = tok.lower()
         if low.isascii() and low.isalnum():
             out.append(low)
@@ -175,7 +277,9 @@ def build_training_corpus(
     removes stopwords, folds hapax tokens, and collects the resulting
     global vocabulary. Returns the folded posts as a ``TrainingCorpus``
     plus the artifacts needed to preprocess queries identically.
-    ``stopword_count`` must be an integer >= 0, not a bool.
+    ``stopword_count`` must be an integer >= 0, not a bool. ``posts``
+    goes through ``RawCorpus.of``, so a ``RawCorpus`` is read as columns
+    and no ``RawPost`` is made.
 
     One count of the cleaned tokens serves every step: dropping stopwords
     leaves the other tokens' counts unchanged, so the hapax are the
@@ -186,7 +290,8 @@ def build_training_corpus(
     literal ``<misc>`` stopword is dropped while the hapax still fold.
     """
     stopword_count = non_negative_index("stopword count", stopword_count)
-    cleaned = [clean_and_tokenize(p) for p in posts]
+    posts = RawCorpus.of(posts)
+    cleaned = list(map(_clean_text, posts.texts))
     counts = Counter(chain.from_iterable(cleaned))
     # Ascending tokens, then a stable sort by descending count: the
     # order of the key (-count, token), with no key tuple per token.
@@ -206,13 +311,12 @@ def build_training_corpus(
     ids = np.fromiter(map(code.__getitem__, tokens), np.int32, int(raw_lens.sum()))
     keep = ids >= 0
     post_of_token = np.repeat(np.arange(n), raw_lens)
-    points = [p.location for p in posts]
     corpus = TrainingCorpus(
-        ids=tuple([p.id for p in posts]),
+        ids=tuple(posts.ids),
         vocab=words,
         token_ids=ids[keep],
         lens=np.bincount(post_of_token[keep], minlength=n),
-        lats=np.array([nan if q is None else q.lat for q in points], dtype=np.float64),
-        lons=np.array([nan if q is None else q.lon for q in points], dtype=np.float64),
+        lats=posts.lats,
+        lons=posts.lons,
     )
     return corpus, PipelineArtifacts(stopwords=stop, vocab=vocab)

@@ -1,8 +1,8 @@
 """Step-by-step definitions used as test oracles: scalar binning for
-``GridPartition.cells_of``, the training pipeline for
-``build_training_corpus`` and ``preprocess``, string-keyed counting for
-``lm.count_tables``, and the per-cell language model for the compiled
-``EnsembleTables``.
+``GridPartition.cells_of``, a shuffle of the post list for ``split``, the
+training pipeline for ``build_training_corpus`` and ``preprocess``,
+string-keyed counting for ``lm.count_tables``, and the per-cell language
+model for the compiled ``EnsembleTables``.
 
 Each pipeline step recounts from scratch and sorts by its own key, so
 these share no code with the single-pass pipeline they check.
@@ -14,6 +14,7 @@ it bit for bit.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import chain
 from math import floor, log
@@ -52,6 +53,21 @@ def cell_of(part: GridPartition, p: GeoPoint) -> CellId:
     row = min(floor((p.lat - part.bounds.south) / part.dlat), part.g - 1)
     col = min(floor((p.lon - part.bounds.west) / part.dlon), part.g - 1)
     return CellId(row, col)
+
+
+def split(corpus: Sequence, spec) -> list[list]:
+    """The seeded split as a shuffle of the posts themselves, then the
+    contiguous cuts: floor for train, floor for holdout, the rest to test."""
+    shuffled = list(corpus)
+    random.Random(spec.seed).shuffle(shuffled)
+    n = len(shuffled)
+    n_train = floor(n * spec.train_frac)
+    n_holdout = floor(n * spec.holdout_frac)
+    return [
+        shuffled[:n_train],
+        shuffled[n_train : n_train + n_holdout],
+        shuffled[n_train + n_holdout :],
+    ]
 
 
 def induce_stopwords(corpus: Iterable[Sequence[str]], k: int) -> list[str]:

@@ -268,7 +268,7 @@ def test_cdf_monotonicity_and_split_determinism():
             second = split(corpus, SplitSpec(seed=seed))
             assert first == second
             tr, ho, te = first
-            assert sorted(p.id for p in tr + ho + te) == sorted(p.id for p in corpus)
+            assert sorted(p.id for p in [*tr, *ho, *te]) == sorted(p.id for p in corpus)
 
 
 def test_round_trip_persistence(tmp_path):
@@ -285,7 +285,7 @@ def test_round_trip_persistence(tmp_path):
         save_model(ens, tmp_path / "model", seed=5)
         loaded = load_model(tmp_path / "model")
 
-        queries = [arts.preprocess(p) for p in ho + te]
+        queries = [arts.preprocess(p) for p in [*ho, *te]]
         in_memory = estimates_csv(queries, estimate_batch(ens, queries))
         reloaded = estimates_csv(queries, estimate_batch(loaded, queries))
         assert in_memory.encode() == reloaded.encode()

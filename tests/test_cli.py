@@ -15,7 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geopost import DataError, GeoPoint, RawPost, ValidationError, cli, evaluation, load_model
+from geopost import (
+    DataError,
+    GeoPoint,
+    RawCorpus,
+    RawPost,
+    ValidationError,
+    build_training_corpus,
+    cli,
+    evaluation,
+    load_model,
+)
 from geopost.cli import main
 from helpers import (
     MODEL_FILES,
@@ -147,6 +157,27 @@ class TestTrain:
         assert "cell (0,0):" in out
         assert "cell (1,1):" in out
 
+    def test_region_edges_are_inside(self, tmp_path, capsys):
+        # One post on each of the four bounds is kept, and one a float
+        # step north of the north edge is dropped.
+        corpus = _synth(tmp_path)
+        south, west, north, east = (float(x) for x in BOUNDS_FLAG.split(","))
+        points = [(south, -74.0), (north, -74.0), (40.73, west), (40.73, east),
+                  (float(np.nextafter(north, 90.0)), -74.0)]
+        with open(corpus, "a", encoding="utf-8") as f:
+            for i, (lat, lon) in enumerate(points):
+                f.write(json.dumps({"id": f"edge{i}", "text": "c0x0w1", "lat": lat, "lon": lon}))
+                f.write("\n")
+        capsys.readouterr()
+        _train(tmp_path, corpus)
+        out, err = capsys.readouterr()
+        assert err == "dropped 1 posts outside the region\n"
+        # 120 planted posts and the 4 on the edges
+        assert "split: train=86 holdout=18 test=20" in out
+        counts = [int(line.split(": ")[1].split()[0]) for line in out.splitlines()
+                  if line.startswith("cell (")]
+        assert sum(counts) == 86
+
     def test_model_directory_layout(self, tmp_path):
         corpus = _synth(tmp_path)
         model = _train(tmp_path, corpus)
@@ -274,6 +305,12 @@ def _reference_parse_post(line, lineno):
     return RawPost(id=post_id, text=text, location=location)
 
 
+def _read_post(line, lineno):
+    """``cli._parse_post``'s (id, text, lat, lon) row, read back as the
+    ``RawPost`` of a one-post ``RawCorpus``."""
+    return RawCorpus(*zip(cli._parse_post(line, lineno)))[0]
+
+
 def _outcome(parse, line):
     """A parser's RawPost, or its DataError message."""
     try:
@@ -283,7 +320,7 @@ def _outcome(parse, line):
 
 
 def _assert_reads_as_reference(line):
-    assert _outcome(cli._parse_post, line) == _outcome(_reference_parse_post, line), line
+    assert _outcome(_read_post, line) == _outcome(_reference_parse_post, line), line
 
 
 RECORD = '{"id": "a", "text": "caf\u00e9 day", "lat": 40.72, "lon": -73.95}'
@@ -410,6 +447,47 @@ class TestReader:
                           '{"id": "w", "text": "t", "lat": 0, "lon": -180}\n')
         posts, skipped = cli.read_corpus(corpus)
         assert [p.location.lon for p in posts] == [180.0, -180.0] and skipped == 0
+
+    def test_result_is_a_raw_corpus_of_the_reference_posts(self, tmp_path):
+        corpus = _synth(tmp_path, posts=5)
+        with open(corpus, "a", encoding="utf-8") as f:
+            f.write('{"id": "u", "text": "no place"}\n')
+            f.write('{"id": "i", "text": "t", "lat": 40, "lon": -74}\n')
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        want = [_reference_parse_post(line, n) for n, line in enumerate(lines, start=1)]
+        posts, skipped = cli.read_corpus(corpus)
+        assert isinstance(posts, RawCorpus) and skipped == 0
+        assert len(posts) == len(want) == 22
+        assert list(posts) == want
+        assert [posts[i] for i in range(-len(posts), len(posts))] == want + want
+        assert isinstance(posts[3:9:2], RawCorpus) and list(posts[3:9:2]) == want[3:9:2]
+        gathered = [want[0]]
+        gathered += posts
+        assert gathered == want[:1] + want
+        assert cli.read_corpus(corpus, skip_bad=True) == (posts, 0)
+
+    def test_training_path_makes_no_post_or_point(self, tmp_path, monkeypatch):
+        # Read, located-in-region mask, split and training corpus run on
+        # columns; only an item taken from a RawCorpus is made on access.
+        path = _synth(tmp_path)
+        made = []
+        for cls in (RawPost, GeoPoint):
+            monkeypatch.setattr(cls, "__init__", _counting_init(cls.__init__, cls.__name__, made))
+        posts, _ = cli.read_corpus(path)
+        usable, _, _ = cli._located_in_bounds(posts, cli.parse_bounds(BOUNDS_FLAG))
+        train, _, _ = evaluation.split(usable, evaluation.SplitSpec(seed=1))
+        corpus, _ = build_training_corpus(train)
+        assert made == [] and len(corpus) == 84
+        train[0]
+        assert made == ["GeoPoint", "RawPost"]
+
+
+def _counting_init(init, name, made):
+    """``init``, appending ``name`` to ``made`` on every call."""
+    def counting(self, *args, **kwargs):
+        made.append(name)
+        init(self, *args, **kwargs)
+    return counting
 
 
 def _assert_bad_line_exits_2_or_is_skipped(tmp_path, capsys, bad, message):

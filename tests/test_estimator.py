@@ -109,6 +109,13 @@ class TestBuildEnsemble:
             SmoothingConfig(alpha=alpha)
         assert str(exc.value).endswith(f"got {alpha!r}")
 
+    def test_alpha_past_the_float_range_rejected(self):
+        # Making the repr of 10**5000 raised ValueError past Python's int
+        # digit limit.
+        message = r"^alpha must lie in \[0, 1\], got a number past the float range$"
+        with pytest.raises(ValidationError, match=message):
+            SmoothingConfig(alpha=10**5000)
+
     def test_empty_training_set_rejected(self):
         part = partition(BOUNDS, 2)
         with pytest.raises(ValidationError):
@@ -171,6 +178,15 @@ class TestBuildEnsemble:
         with pytest.raises(ValidationError, match=r"^training corpus token_ids must lie in \[0, "):
             replace(corpus, token_ids=ids)
 
+    def test_every_vocab_word_must_occur(self):
+        # With every id 0 remapped to 1 the other checks passed, and
+        # build_ensemble raised compile_tables' bare ValueError.
+        corpus, _ = build_training_corpus(self._planted()[0], stopword_count=2)
+        ids = np.where(corpus.token_ids == 0, 1, corpus.token_ids).astype(np.int32)
+        message = f"^training corpus vocab word {corpus.vocab[0]!r} never occurs in token_ids$"
+        with pytest.raises(ValidationError, match=message):
+            replace(corpus, token_ids=ids)
+
     @pytest.mark.parametrize("column", ["lens", "lats", "lons"])
     def test_columns_must_have_one_entry_per_post(self, column):
         corpus, _ = build_training_corpus(self._planted()[0], stopword_count=2)
@@ -186,6 +202,7 @@ class TestBuildEnsemble:
         spec = SyntheticSpec(g=g, vocab_per_cell=8, shared_vocab=20, posts_per_cell=6,
                              leakage=0.2, seed=g)
         train, _, _ = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
+        train = list(train)
         part = partition(BOUNDS, g)
         edges = [BOUNDS.south + k * part.dlat for k in range(g + 1)]
         train += [

@@ -5,9 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from geopost import (
     GeoBounds,
+    GeoPoint,
+    RawCorpus,
     RawPost,
     SmoothingConfig,
     SplitSpec,
@@ -32,6 +37,22 @@ def _corpus(n):
     return [RawPost(str(i), f"post number {i}") for i in range(n)]
 
 
+# Posts told apart by id, some of them located, with int and float
+# coordinates on and inside the range edges.
+_coordinates = st.one_of(
+    st.none(),
+    st.builds(
+        GeoPoint,
+        st.one_of(st.integers(-90, 90), st.floats(-90, 90)),
+        st.one_of(st.integers(-180, 180), st.floats(-180, 180)),
+    ),
+)
+_posts = st.lists(st.tuples(st.text(max_size=5), _coordinates), max_size=40).map(
+    lambda rows: [RawPost(str(i), text, loc) for i, (text, loc) in enumerate(rows)]
+)
+_fractions = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(sorted)
+
+
 class TestSplit:
     def test_exact_fractions(self):
         tr, ho, te = split(_corpus(100), SplitSpec(seed=1))
@@ -52,7 +73,19 @@ class TestSplit:
         assert a != b
 
     def test_empty_corpus(self):
-        assert split([], SplitSpec(seed=1)) == ([], [], [])
+        assert [list(part) for part in split([], SplitSpec(seed=1))] == [[], [], []]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_posts, _fractions, st.integers(0, 2**64))
+    def test_cuts_a_shuffle_of_the_post_list(self, posts, fractions, seed):
+        # Shuffling the indices gives the permutation that shuffling the
+        # posts gives, for a list and for its columns alike.
+        spec = SplitSpec(fractions[0], fractions[1] - fractions[0], seed)
+        want = reference.split(posts, spec)
+        for corpus in (posts, RawCorpus.of(posts)):
+            parts = split(corpus, spec)
+            assert all(isinstance(part, RawCorpus) for part in parts)
+            assert [list(part) for part in parts] == want
 
     def test_disjoint_and_exhaustive_fuzz(self):
         rng = random.Random(9)
@@ -66,7 +99,7 @@ class TestSplit:
             )
             corpus = _corpus(n)
             tr, ho, te = split(corpus, spec)
-            ids = [p.id for p in tr + ho + te]
+            ids = [p.id for p in [*tr, *ho, *te]]
             assert len(ids) == n
             assert sorted(ids) == sorted(p.id for p in corpus)
 
@@ -94,6 +127,16 @@ class TestSplit:
         with pytest.raises(ValidationError, match=f"{name} must be a finite number >= 0"):
             SplitSpec(**{name: value})
 
+    @pytest.mark.parametrize("name", ["train_frac", "holdout_frac"])
+    @pytest.mark.parametrize("value", [10**400, -(10**5000)], ids=["1e400", "-1e5000"])
+    def test_fraction_past_the_float_range_rejected(self, name, value):
+        # 10**400 passed the range check and then raised a bare
+        # OverflowError converting to float; the repr of -10**5000 raised
+        # ValueError past Python's int digit limit.
+        message = f"^{name} must be a finite number >= 0, got a number past the float range$"
+        with pytest.raises(ValidationError, match=message):
+            SplitSpec(**{name: value})
+
 
 class TestErrorReport:
     def test_single_error(self):
@@ -119,6 +162,14 @@ class TestErrorReport:
         with pytest.raises(ValidationError, match="^bin width must be a finite number > 0") as exc:
             error_report([("a", 1.0)], bin_width_km=width)
         assert str(exc.value).endswith(f"got {width!r}")
+
+    @pytest.mark.parametrize("width", [10**400, 10**5000], ids=["1e400", "1e5000"])
+    def test_bin_width_past_the_float_range_rejected(self, width):
+        # 10**400 passed the range check and then raised a bare
+        # OverflowError converting to float.
+        message = "^bin width must be a finite number > 0, got a number past the float range$"
+        with pytest.raises(ValidationError, match=message):
+            error_report([("a", 1.0)], bin_width_km=width)
 
     @pytest.mark.parametrize("width", [1e-300, 5e-324, 2.9e-6])
     def test_histogram_bin_count_is_bounded(self, width):
@@ -209,6 +260,14 @@ class TestSynthetic:
             SyntheticSpec(g=2, tokens_per_post=0)
         with pytest.raises(ValidationError, match="shared_vocab must be >= 0, got -1"):
             SyntheticSpec(g=2, shared_vocab=-1)
+
+    @pytest.mark.parametrize("name", ["leakage", "neighbor_overlap"])
+    def test_share_past_the_float_range_rejected(self, name):
+        # Making the repr of 10**5000 raised ValueError past Python's int
+        # digit limit.
+        message = rf"^{name} must lie in \[0, 1\], got a number past the float range$"
+        with pytest.raises(ValidationError, match=message):
+            SyntheticSpec(g=2, **{name: 10**5000})
 
     @pytest.mark.parametrize(
         "name, value",

@@ -12,6 +12,7 @@ from geopost import (
     MISC,
     GeoPoint,
     PipelineArtifacts,
+    RawCorpus,
     RawPost,
     TokenizedPost,
     ValidationError,
@@ -26,6 +27,52 @@ from reference import count_tables, fold_hapax, induce_stopwords, remove_stopwor
 
 def _tokens(text, **kwargs):
     return clean_and_tokenize(RawPost("x", text, **kwargs))
+
+
+class TestRawCorpus:
+    POSTS = [RawPost("a", "x y", GeoPoint(40.7, -74.0)), RawPost("b", "z"),
+             RawPost("c", "", GeoPoint(-90.0, 180.0))]
+
+    def test_of_a_list_holds_its_posts_as_columns(self):
+        corpus = RawCorpus.of(self.POSTS)
+        assert corpus.ids == ["a", "b", "c"] and corpus.texts == ["x y", "z", ""]
+        assert corpus.lats.tolist()[::2] == [40.7, -90.0] and np.isnan(corpus.lats[1])
+        assert list(corpus) == self.POSTS and corpus[-2] == self.POSTS[1]
+        assert RawCorpus.of(corpus) is corpus
+
+    def test_take_and_slice_keep_the_columns(self):
+        corpus = RawCorpus.of(self.POSTS)
+        assert corpus.take([2, 0, 2]) == RawCorpus.of([self.POSTS[i] for i in (2, 0, 2)])
+        assert corpus[::-1] == RawCorpus.of(self.POSTS[::-1])
+        with pytest.raises(IndexError):
+            corpus[3]
+
+    def test_equal_when_the_posts_are(self):
+        corpus = RawCorpus.of(self.POSTS)
+        assert corpus == RawCorpus.of(list(self.POSTS)) != RawCorpus.of(self.POSTS[:2])
+        moved = [*self.POSTS[:2], RawPost("c", "", GeoPoint(-90.0, 179.0))]
+        assert corpus != RawCorpus.of(moved)
+        assert corpus != self.POSTS
+
+    @pytest.mark.parametrize(
+        "lat, lon, message",
+        [
+            (91.0, 0.0, r"^latitude out of range \[-90, 90\]: 91.0$"),
+            (0.0, float("inf"), r"^longitude out of range \[-180, 180\]: inf$"),
+            (float("nan"), 0.0, r"^latitude out of range \[-90, 90\]: nan$"),
+            (0.0, float("nan"), r"^longitude out of range \[-180, 180\]: nan$"),
+        ],
+    )
+    def test_coordinates_are_checked_as_geopoint_checks_them(self, lat, lon, message):
+        with pytest.raises(ValidationError, match=message):
+            RawCorpus(["a", "b"], ["", ""], [0.0, lat], [0.0, lon])
+        with pytest.raises(ValidationError, match=message):
+            GeoPoint(lat, lon)
+
+    def test_columns_must_have_one_entry_per_post(self):
+        message = "^raw corpus columns must hold one entry per post$"
+        with pytest.raises(ValidationError, match=message):
+            RawCorpus(["a"], ["", ""], [0.0], [0.0])
 
 
 class TestCleanAndTokenize:

@@ -49,13 +49,13 @@ def trained():
     raw = generate_synthetic(spec, BOUNDS)
     tr, ho, te = split(raw, SplitSpec(seed=1))
     # One token seen once, so it folds and the model has a <misc> entry.
-    tr.append(RawPost("h", f"c0x0w1 {HAPAX} c0x0w2", GeoPoint(40.71, -74.01)))
+    tr = [*tr, RawPost("h", f"c0x0w1 {HAPAX} c0x0w2", GeoPoint(40.71, -74.01))]
     tok, arts = build_training_corpus(tr, stopword_count=3)
     assert HAPAX not in arts.vocab and "<misc>" in arts.vocab
     ens = build_ensemble(
         tok, partition(BOUNDS, 2), SmoothingConfig(alpha=0.9, diameter=2), arts
     )
-    queries = [arts.preprocess(p) for p in te + [RawPost("q", f"{HAPAX} c0x0w2")]]
+    queries = [arts.preprocess(p) for p in [*te, RawPost("q", f"{HAPAX} c0x0w2")]]
     return ens, queries
 
 
@@ -489,7 +489,7 @@ class TestValidation:
         # in the vocabulary as the fold target.
         spec = SyntheticSpec(g=2, vocab_per_cell=8, posts_per_cell=25, seed=31)
         tr, _, te = split(generate_synthetic(spec, BOUNDS), SplitSpec(seed=1))
-        tr.append(RawPost("m", "c0x0w1 <misc> c0x0w2", GeoPoint(40.71, -74.01)))
+        tr = [*tr, RawPost("m", "c0x0w1 <misc> c0x0w2", GeoPoint(40.71, -74.01))]
         corpus, arts = build_training_corpus(tr, stopword_count=3)
         assert "<misc>" in arts.vocab
         assert "<misc>" in next(p for p in decode(corpus) if p.id == "m").tokens

@@ -186,7 +186,8 @@ def _edge_case_search():
         SyntheticSpec(g=3, vocab_per_cell=12, posts_per_cell=20, leakage=0.3, seed=8)
     )
     truth = GeoPoint(40.71, -74.0)
-    ho = ho[:12] + [
+    ho = [
+        *ho[:12],
         RawPost(id="empty", text="", location=truth),
         RawPost(id="unseen", text="qqzz xxvv qqzz", location=truth),
     ]
