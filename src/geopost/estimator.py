@@ -160,7 +160,9 @@ def build_ensemble(
 def cell_log_scores(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
     """Unnormalized log posterior per cell in row-major order:
     log P(tokens | cell) + log prior. Zero-prior cells get -inf."""
-    return ens.tables.log_likelihood(tokens, ens.baseline) + ens.tables.log_prior
+    scores = ens.tables.log_likelihood(tokens, ens.baseline)
+    scores += ens.tables.log_prior
+    return scores
 
 
 def normalize_log_scores(scores: Sequence[float]) -> np.ndarray:
@@ -171,9 +173,10 @@ def normalize_log_scores(scores: Sequence[float]) -> np.ndarray:
     # A 1-D input keeps a scalar maximum and sum: (1,) arrays would add
     # microseconds to every post ``estimate`` scores.
     rows = arr.ndim > 1
-    m = arr.max(axis=-1, keepdims=rows)
-    q = np.exp(arr - m)
-    return q / q.sum(axis=-1, keepdims=rows)
+    q = arr - arr.max(axis=-1, keepdims=rows)
+    np.exp(q, out=q)
+    q /= q.sum(axis=-1, keepdims=rows)
+    return q
 
 
 def posterior_vector(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
@@ -210,6 +213,15 @@ def _ring_matrices(g: int) -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=32)
+def _ring_sizes(g: int, ndim: int) -> np.ndarray:
+    """Read-only full-ring sizes (2k+1)**2 - 1, k = 1..g-1, shaped to
+    divide a (g-1, ...) stack of terms of ``ndim``-dimensional fields."""
+    sizes = ((2 * np.arange(1.0, g) + 1) ** 2 - 1).reshape((g - 1,) + (1,) * ndim)
+    sizes.flags.writeable = False
+    return sizes
+
+
 def smoothing_terms(part: GridPartition, fields: np.ndarray) -> np.ndarray:
     """Per-ring neighbor contributions of a (g**2,) field, or of each row
     of a (posts, g**2) matrix, as a (g-1, ...) stack: entry k-1 holds, for
@@ -223,7 +235,7 @@ def smoothing_terms(part: GridPartition, fields: np.ndarray) -> np.ndarray:
     g = part.g
     terms = np.matmul(_ring_matrices(g)[:, None], fields.reshape(-1, g * g, 1))
     terms = terms.reshape((g - 1,) + fields.shape)
-    terms /= ((2 * np.arange(1.0, g) + 1) ** 2 - 1).reshape((g - 1,) + (1,) * fields.ndim)
+    terms /= _ring_sizes(g, fields.ndim)
     return terms
 
 
@@ -258,24 +270,27 @@ def geo_smooth(ens: GeoEnsemble, field: PosteriorField) -> dict[CellId, float]:
     return {cell: float(s) for cell, s in zip(cells, smoothed)}
 
 
+def _estimate_at(part: GridPartition, i: int, scores: np.ndarray, vec: np.ndarray) -> Estimate:
+    """The Estimate for row-major cell i: its center, its smoothed score in
+    ``scores`` and its posterior in ``vec``."""
+    return Estimate(CellId(*divmod(i, part.g)), part.center_at(i), float(scores[i]), float(vec[i]))
+
+
 def _pick_cells(part: GridPartition, posteriors: np.ndarray, scores: np.ndarray) -> list[Estimate]:
     """One Estimate per row of the (posts, g**2) smoothed ``scores``: the
     first row-major maximum, so ties go to the lowest row, then the lowest
     column, with its center and its row's posterior."""
     best = np.argmax(scores, axis=1).tolist()
-    return [
-        Estimate(CellId(*divmod(i, part.g)), part.center_at(i), float(row[i]), float(vec[i]))
-        for i, row, vec in zip(best, scores, posteriors)
-    ]
+    return [_estimate_at(part, i, row, vec) for i, row, vec in zip(best, scores, posteriors)]
 
 
 def estimate(ens: GeoEnsemble, post: TokenizedPost) -> Estimate:
     """Locate one post: argmax of the geo-smoothed posterior, ties broken
-    by lowest row then lowest column."""
+    by lowest row then lowest column, as ``_pick_cells`` breaks them."""
     part = ens.partition
     vec = posterior_vector(ens, post.tokens)
     scores = smooth_vector(part, vec, ens.smoothing.alpha, ens.smoothing.diameter)
-    return _pick_cells(part, vec[None], scores[None])[0]
+    return _estimate_at(part, int(scores.argmax()), scores, vec)
 
 
 def post_blocks(g: int, n: int) -> list[slice]:

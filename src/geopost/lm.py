@@ -11,17 +11,23 @@ An ensemble keeps the models of all its cells in one ``EnsembleTables``:
 flat arrays over a global word index, with the back-off weight of every
 (context, cell) and the discounted numerator of every seen (pair, cell)
 stored rather than recomputed per lookup (the ARPA/KenLM layout). One
-core turns the (v, w) word ids of a set of pairs into a (pairs, cells)
-block of log-probabilities. It looks up the word-table entries of v and
-w in one pass and fills each column only for the half that uses it
-(c(v) and gamma(v), p_cont(w)); a floored probability takes a constant
-log, and a block with more than ``_DISTINCT_MIN`` live entries takes
-one ``math.log`` per distinct value. ``log_likelihood`` scores one post
-as its block summed over the pair rows in order; ``log_likelihoods``
-scores a batch in fixed-size blocks of pairs, which may split a post,
-and scatter-adds each block's rows into the rows of their posts with
-``np.add.at``. That adds a post's rows in order too, so the batch rows
-equal the one-post results bit for bit.
+core, ``_pair_logs``, turns the (v, w) word ids of a set of pairs into a
+(pairs, cells) block of log-probabilities. One span pass finds every
+table entry it needs: the word entries of v (for c(v) and gamma(v)), of
+w (for p_cont(w)) and the pair entries of (v, w). Each column is put
+into its own (pairs, cells) layer of one array, over the rows that use
+it. c(v) and gamma(v) read 1.0 where v has no entry in a cell, so one
+expression with no mask gives every entry: there it is 0 / 1 + 1 *
+p_cont(w), which is p_cont(w) exactly, the reference's value for an
+unseen context. A floored probability takes a constant log, and a block
+with more than ``_DISTINCT_MIN`` live entries takes one ``math.log`` per
+distinct value. ``log_likelihood`` scores one post as its block summed
+over the pair rows in order; ``log_likelihoods`` scores a batch in
+fixed-size blocks of pairs, which may split a post, and scatter-adds
+each block's rows into the rows of their posts with ``np.add.at``. That
+adds a post's rows in order too, so the batch rows equal the one-post
+results bit for bit. A post of any length takes the same numpy calls;
+only its ``math.log`` calls grow with it.
 Training counts word ids, not strings: ``count_tables`` takes the sorted
 vocabulary, the posts' word ids laid end to end and the posts' cells,
 keys every (word, cell) and (pair, cell) by integer arithmetic, and
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import inf, log
 from typing import Optional, Sequence
 
@@ -224,36 +231,50 @@ class EnsembleTables:
 
     def _ids(self, tokens: Sequence[str]) -> np.ndarray:
         """Word id of every token; ``len(vocab)`` outside the vocabulary."""
-        unknown = len(self.vocab)
-        get = self.index.get
-        return np.fromiter((get(t, unknown) for t in tokens), np.int64, len(tokens))
+        unknown = repeat(len(self.vocab), len(tokens))
+        return np.fromiter(map(self.index.get, tokens, unknown), np.int64, len(tokens))
 
     def _by_cell(
         self,
         v: np.ndarray,
         w: np.ndarray,
-        v_columns: Sequence[np.ndarray],
-        w_columns: Sequence[np.ndarray],
-    ) -> list[np.ndarray]:
-        """A (len(v), cells) array for each column of ``v_columns``, holding
-        its entry of word v[i] in cell j at [i, j], then one for each column
-        of ``w_columns``, the same for w[i]; 0 where the word has no entry.
-        One span lookup covers v and w; each column fills only its half."""
+        v_columns: Sequence[tuple[np.ndarray, float]],
+        w_columns: Sequence[tuple[np.ndarray, float]],
+        pair_column: np.ndarray,
+    ) -> np.ndarray:
+        """A (layers, len(v), cells) array. Each (column, fill) of
+        ``v_columns`` gives a layer holding the entry of word v[i] in cell j
+        at [i, j], or ``fill`` where the word has none there; then each of
+        ``w_columns`` one for w[i]; then ``pair_column`` one for the pair
+        (v[i], w[i]), with 0 where it has no entry.
+
+        One span pass looks every layer up. Its rows are the layers' rows
+        laid end to end, so an entry's flat position in the result is its
+        row times cells plus its cell, and each layer goes in with one
+        ``put``. The pairs' ranges come from binary searches of the sorted
+        pair keys."""
         n, n_cells = len(v), len(self.post_counts)
-        ids = np.concatenate((v, w))
-        rows, ent = _spans(self.word_ptr[ids], self.word_ptr[ids + 1])
-        flat = rows * n_cells + self.word_cell[ent]
-        # rows ascend, so the v entries come first.
-        half = int(np.searchsorted(rows, n))
-        out = []
-        for columns, at, src in (
-            (v_columns, flat[:half], ent[:half]),
-            (w_columns, flat[half:] - n * n_cells, ent[half:]),
-        ):
-            for column in columns:
-                dense = np.zeros((n, n_cells))
-                dense.put(at, column[src])
-                out.append(dense)
+        keys = v * (len(self.vocab) + 1)
+        keys += w
+        ids = np.concatenate([v] * len(v_columns) + [w] * len(w_columns))
+        ptr = self.word_ptr
+        # ptr[1:][t] is ptr[t + 1], without an addition.
+        at, ent, ends = _spans(
+            np.concatenate((ptr[ids], self.pair_key.searchsorted(keys))),
+            np.concatenate((ptr[1:][ids], self.pair_key.searchsorted(keys, "right"))),
+            n_cells,
+        )
+        layers = [*v_columns, *w_columns, (pair_column, 0.0)]
+        # Layer k's entries end at ends[(k + 1) * n - 1].
+        bounds = [0] + (ends[n - 1 :: n].tolist() if n else [0] * len(layers))
+        words = bounds[-2]
+        at[:words] += self.word_cell[ent[:words]]
+        at[words:] += self.pair_cell[ent[words:]]
+        out = np.zeros((len(layers), n, n_cells))
+        for layer, (column, fill), lo, hi in zip(out, layers, bounds, bounds[1:]):
+            if fill:
+                layer.fill(fill)
+            out.put(at[lo:hi], column[ent[lo:hi]])
         return out
 
     def _pair_logs(
@@ -261,29 +282,39 @@ class EnsembleTables:
     ) -> np.ndarray:
         """log max(P(w[i] | v[i]), MIN_PROB) in every cell, as a (pairs,
         cells) array: the one scoring core behind ``log_likelihood`` and
-        ``log_likelihoods``."""
-        keys = v * (len(self.vocab) + 1) + w
-        pair_rows, pair_ent = _spans(
-            np.searchsorted(self.pair_key, keys, "left"),
-            np.searchsorted(self.pair_key, keys, "right"),
-        )
-        pair_cols = self.pair_cell[pair_ent]
-        pair = np.zeros((len(keys), len(self.post_counts)))
+        ``log_likelihoods``.
+
+        Kneser-Ney is P = c(v, w)' / c(v) + gamma(v) * p_cont(w), with
+        c(v, w)' the discounted numerator, where c(v) > 0, and p_cont(w)
+        where c(v) = 0, as in the reference. Where v has no entry the pair
+        has none either, so filling c(v) and gamma(v) with 1.0 there gives
+        0 / 1 + 1 * p_cont(w), which is p_cont(w) exactly, as p_cont >= 0
+        (and 0 + x is x for x >= 0). So one ``_by_cell`` call gathers the
+        four layers, three in-place ufuncs combine them with no mask, and
+        ``_floored_logs`` takes the logs. The baseline keeps its mask: its
+        unseen-context value is not the seen-context formula at c(v, w) =
+        0."""
         if baseline is None:
-            count, gamma, pcont = self._by_cell(
-                v, w, (self.word_count, self.word_gamma), (self.word_pcont,)
+            gamma, count, pcont, pair = self._by_cell(
+                v,
+                w,
+                ((self.word_gamma, 1.0), (self.word_count, 1.0)),
+                ((self.word_pcont, 0.0),),
+                self.pair_num,
             )
-            pair[pair_rows, pair_cols] = self.pair_num[pair_ent]
-            seen = count > 0
-            p = np.where(seen, pair / np.where(seen, count, 1.0) + gamma * pcont, pcont)
-        else:
-            count, count_w = self._by_cell(v, w, (self.word_count,), (self.word_count,))
-            pair[pair_rows, pair_cols] = self.pair_count[pair_ent]
-            seen = count > 0
-            p_uni = count_w / np.maximum(self.total_tokens, 1)
-            p_bi = pair / np.where(seen, count, 1.0)
-            p = np.where(seen, baseline.lambda1 * p_bi + baseline.lambda2 * p_uni, p_uni)
-        return _floored_logs(p)
+            pair /= count
+            gamma *= pcont
+            pair += gamma
+            return _floored_logs(pair)
+        count, p_uni, pair = self._by_cell(
+            v, w, ((self.word_count, 0.0),), ((self.word_count, 0.0),), self.pair_count
+        )
+        p_uni /= np.maximum(self.total_tokens, 1)
+        seen = count > 0
+        p_bi = pair / np.where(seen, count, 1.0)
+        return _floored_logs(
+            np.where(seen, baseline.lambda1 * p_bi + baseline.lambda2 * p_uni, p_uni)
+        )
 
     def cell_model(self, i: int, cell: CellId) -> CellCounts:
         """The counts and discounts of cell i, rebuilt from the tables."""
@@ -334,12 +365,18 @@ class CellModels(Mapping):
         return len(self._index)
 
 
-def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, entry) of every entry in the ranges lo[row]:hi[row]."""
+def _spans(
+    lo: np.ndarray, hi: np.ndarray, n_cells: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every entry in the ranges lo[row]:hi[row], in range order: row *
+    ``n_cells``, and the entry. Also the running count of entries at the
+    end of each range."""
     lens = hi - lo
-    rows = np.repeat(np.arange(len(lo)), lens)
-    ent = np.arange(len(rows)) + np.repeat(lo - np.cumsum(lens) + lens, lens)
-    return rows, ent
+    ends = lens.cumsum()
+    ent = (lo - ends + lens).repeat(lens)
+    ent += np.arange(len(ent))
+    at = np.arange(0, len(lo) * n_cells, n_cells).repeat(lens)
+    return at, ent, ends
 
 
 def _floored_logs(p: np.ndarray) -> np.ndarray:
@@ -353,7 +390,8 @@ def _floored_logs(p: np.ndarray) -> np.ndarray:
     live entries in the 20 blocks of the city-g8 queries), so there each
     distinct value is logged once; equal inputs give equal logs, the same
     bits."""
-    logs = np.full(p.shape, _LOG_MIN_PROB)
+    logs = np.empty(p.shape)
+    logs.fill(_LOG_MIN_PROB)
     live = p > MIN_PROB
     values, back = p[live], None
     if len(values) > _DISTINCT_MIN:

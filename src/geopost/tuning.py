@@ -137,6 +137,9 @@ def grid_search(
     ``build_training_corpus`` checks it. Ties resolve to the smaller g,
     then alpha, then d.
     """
+    # A RawCorpus makes each RawPost on access: make them once, for both
+    # the check and preprocessing.
+    holdout = list(holdout)
     _check_holdout(holdout)
     corpus, artifacts = build_training_corpus(train, stopword_count)
     holdout_tok = [artifacts.preprocess(p) for p in holdout]

@@ -460,6 +460,45 @@ def _core_ensembles():
         yield ens, by_cell
 
 
+def _by_word_cell(tables, word, column):
+    """{cell: entry of ``column``} over the cells ``word`` has an entry in."""
+    span = slice(*tables.word_ptr[tables.index[word] : tables.index[word] + 2].tolist())
+    return dict(zip(tables.word_cell[span].tolist(), column[span].tolist()))
+
+
+def test_no_entry_cases_equal_reference_bit_for_bit():
+    # The scoring core fills c(v) and gamma(v) with 1.0 where v has no
+    # entry, so 0 / 1 + 1 * p_cont(w) must be the reference's p_cont(w)
+    # itself. Each case where a lookup finds nothing is scored through
+    # both entry points and must equal the reference in every cell.
+    cells = partition(BOUNDS, 3).cells()
+    for ens, by_cell in _core_ensembles():
+        t = ens.tables
+        models = [train_cell(by_cell[cell], cell) for cell in cells]
+        assert _by_word_cell(t, "b", t.word_gamma)[0] == 0.0  # "b" ends every post of cell 0
+        assert list(_by_word_cell(t, "d", t.word_count)) == [0]
+        assert t._ids([UNSEEN]).tolist() == [len(t.vocab)]
+        assert ens.priors[cells[8]] == 0.0 and not models[8].counts.unigram
+        assert not np.signbit(t.word_pcont).any()
+        queries = [
+            [UNSEEN, "a"],  # unknown context: p_cont(a) where "a" has an entry
+            ["a", UNSEEN],  # unknown completion: floored everywhere
+            [UNSEEN, UNSEEN],
+            ["d", "a"],  # "d" has an entry in cell 0 only
+            ["d", "e", "b"],
+            ["b", "a"],  # sequence-final-only context in cell 0: gamma = 0
+            ["c", "a", "b", "a"],
+            [MISC, "a", UNSEEN, "e"],
+        ]
+        for tokens in queries:
+            want = [m.sequence_log_prob(tokens, ens.baseline) for m in models]
+            one = t.log_likelihood(tokens, ens.baseline)
+            assert one.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        rows = t.log_likelihoods(queries, ens.baseline)
+        want = [[m.sequence_log_prob(q, ens.baseline) for m in models] for q in queries]
+        assert rows.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
 def _all_pairs(tables, repeat):
     """Every (v, w) over the vocabulary and the out-of-vocabulary id, each
     ``repeat`` times, so most probabilities recur many times."""
@@ -539,27 +578,31 @@ def test_log_likelihoods_rows_equal_log_likelihood(built, token_lists, cutoff):
 
 
 def test_half_gather_equals_full_gather_slices():
-    # Before, every column was scattered into rows for both v and w, and
-    # the caller kept one half.
-    def full(tables, ids, column):
-        rows, ent = lm._spans(tables.word_ptr[ids], tables.word_ptr[ids + 1])
-        dense = np.zeros((len(ids), len(tables.post_counts)))
-        dense[rows, tables.word_cell[ent]] = column[ent]
+    # One span pass looks up every layer: words of v, words of w, pairs.
+    # Each layer must hold exactly its own lookups' entries, and its fill
+    # wherever its word or pair has no entry in a cell.
+    def full(tables, rows, lo, hi, cells, column, fill):
+        dense = np.full((len(rows), len(tables.post_counts)), fill)
+        for i, r in enumerate(rows.tolist()):
+            for e in range(lo[r], hi[r]):
+                dense[i, cells[e]] = column[e]
         return dense
 
     for ens, _ in _core_ensembles():
         t = ens.tables
+        ptr, word_cell, pair_cell = t.word_ptr.tolist(), t.word_cell.tolist(), t.pair_cell.tolist()
         for v, w in (_all_pairs(t, repeat=2), (np.array([], dtype=np.int64),) * 2):
-            n, ids = len(v), np.concatenate((v, w))
-            got = t._by_cell(v, w, (t.word_count, t.word_gamma), (t.word_pcont, t.word_count))
-            want = [
-                full(t, ids, t.word_count)[:n],
-                full(t, ids, t.word_gamma)[:n],
-                full(t, ids, t.word_pcont)[n:],
-                full(t, ids, t.word_count)[n:],
-            ]
+            keys = v * (len(t.vocab) + 1) + w
+            pair_lo = np.searchsorted(t.pair_key, keys, "left").tolist()
+            pair_hi = np.searchsorted(t.pair_key, keys, "right").tolist()
+            v_columns = ((t.word_count, 1.0), (t.word_gamma, 0.0))
+            w_columns = ((t.word_pcont, 0.0), (t.word_count, 2.0))
+            got = t._by_cell(v, w, v_columns, w_columns, t.pair_num)
+            want = [full(t, v, ptr, ptr[1:], word_cell, c, f) for c, f in v_columns]
+            want += [full(t, w, ptr, ptr[1:], word_cell, c, f) for c, f in w_columns]
+            want.append(full(t, np.arange(len(v)), pair_lo, pair_hi, pair_cell, t.pair_num, 0.0))
+            assert got.shape == (5, len(v), len(t.post_counts))
             for a, b in zip(got, want):
-                assert a.shape == b.shape
                 assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
 

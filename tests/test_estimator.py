@@ -1,7 +1,7 @@
 """Ensemble construction, posteriors, geo-smoothing, and cell selection."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from geopost import (
     BaselineInterpolation,
     CellId,
+    Estimate,
     GeoPoint,
     GeoBounds,
     OutOfRegionError,
@@ -415,6 +416,14 @@ class TestEstimate:
         )
         est = estimate(ens, _query(["a", "b"]))
         assert est.cell == CellId(0, 0)
+        # An empty post on these uniform priors ties every cell. Both
+        # paths pick the first maximum and report the same fields.
+        for tokens in (["a", "b"], ["b", "a"], []):
+            one = estimate(ens, _query(tokens))
+            (batch,) = estimate_batch(ens, [_query(tokens)])
+            assert one.cell == CellId(0, 0)
+            for f in fields(Estimate):
+                assert getattr(one, f.name) == getattr(batch, f.name), f.name
 
     def test_argmax_invariant_to_likelihood_scaling(self):
         # Adding a constant to every log score multiplies all unnormalized

@@ -8,6 +8,7 @@ import pytest
 from geopost import (
     GeoBounds,
     GeoPoint,
+    RawCorpus,
     RawPost,
     SearchSpace,
     SmoothingConfig,
@@ -169,6 +170,25 @@ class TestGridSearch:
         unlocated = [*ho, RawPost("u", "c0x0w1")]
         with pytest.raises(ValidationError, match="holdout post 'u' has no truth location"):
             grid_search(tr, unlocated, space, BOUNDS)
+
+    def test_holdout_posts_are_made_once(self, monkeypatch):
+        # A RawCorpus hold-out, as split returns, makes each RawPost on
+        # access; checking it and preprocessing it must share one pass.
+        tr, ho, _ = _splits(SyntheticSpec(g=2, posts_per_cell=200, seed=5))
+        ho = ho[:120]
+        assert isinstance(ho, RawCorpus) and len(ho) == 120
+        made = []
+        init = RawPost.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(args[0] if args else kwargs["id"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RawPost, "__init__", counted)
+        space = SearchSpace(g_values=(2,), alpha_values=(0.5,))
+        grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+        assert len(made) == 120
+        assert made == ho.ids
 
     @pytest.mark.parametrize("k", [-1, 2.5, None, True])
     def test_stopword_count_checked_as_training_does(self, k):
