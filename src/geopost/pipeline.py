@@ -11,23 +11,24 @@ Cleanup keeps a lowercased ASCII token that is already alphanumeric as
 it is; every other token is filtered character by character (see
 ``clean_and_tokenize``). Training is columnar from the corpus file on:
 the reader and ``split`` hand over a ``RawCorpus`` (ids, texts and float
-lat/lon columns), and ``build_training_corpus`` cleans its texts, counts
-the cleaned tokens once (the stopwords, the hapax and the vocabulary all
-come from that one count) and returns a ``TrainingCorpus``: every
-distinct token is mapped to its word id once, and one pass turns all
-cleaned tokens into one id array, so no per-post object is made on the
-way. ``RawPost`` is the one-post type at the API edge, which
+lat/lon columns), and ``build_training_corpus`` returns a
+``TrainingCorpus`` with no Python code run per token: one pass numbers
+the raw tokens of all texts, each distinct raw token is cleaned once,
+and one count of the cleaned words, sorted once, gives the stopwords,
+the hapax and the vocabulary. No per-post object is made on the way.
+``RawPost`` is the one-post type at the API edge, which
 ``RawCorpus.of`` turns into columns; ``TokenizedPost`` is the query-side
 type.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from math import isnan, nan
+from operator import lt
 from typing import Optional
 
 import numpy as np
@@ -167,8 +168,8 @@ class TrainingCorpus:
     lons: np.ndarray
 
     def __post_init__(self):
-        if list(self.vocab) != sorted(self.vocab):
-            raise ValidationError("training corpus vocab is not sorted")
+        if not all(map(lt, self.vocab, self.vocab[1:])):
+            raise ValidationError("training corpus vocab is not strictly increasing")
         for name in ("lens", "lats", "lons"):
             if len(getattr(self, name)) != len(self.ids):
                 raise ValidationError(f"training corpus {name} must hold one entry per post")
@@ -267,6 +268,14 @@ def preprocess(
     return TokenizedPost(id=raw.id, tokens=tuple(folded), location=raw.location)
 
 
+def _dense_ids(first: np.ndarray) -> np.ndarray:
+    """Dense ids, in order of first occurrence, of items given as the
+    position where each first occurs (as ``dict.setdefault`` over the
+    items and their positions gives them): the number of first
+    occurrences up to an item's first position, less one."""
+    return (np.cumsum(first == np.arange(len(first))) - 1)[first]
+
+
 def build_training_corpus(
     posts: Sequence[RawPost], stopword_count: int = 200
 ) -> tuple[TrainingCorpus, PipelineArtifacts]:
@@ -281,42 +290,68 @@ def build_training_corpus(
     goes through ``RawCorpus.of``, so a ``RawCorpus`` is read as columns
     and no ``RawPost`` is made.
 
-    One count of the cleaned tokens serves every step: dropping stopwords
-    leaves the other tokens' counts unchanged, so the hapax are the
-    non-stopwords counted once, and the vocabulary is the non-stopwords
-    counted more than once, plus ``<misc>`` if anything folded. Each
-    distinct token is then mapped once, a vocabulary word to its id and a
-    hapax to the id of ``<misc>``, and a stopword last to -1, so that a
-    literal ``<misc>`` stopword is dropped while the hapax still fold.
+    No Python code runs per token. The whitespace-split tokens of all
+    texts are numbered in one pass, and every later step runs once per
+    distinct raw token or cleaned word. Cleanup depends on the token
+    alone, so each distinct raw token is cleaned once; raw tokens that
+    clean to the same word merge, and their counts add up. One count of
+    the cleaned words serves every step: dropping stopwords leaves the
+    other words' counts unchanged, so the hapax are the non-stopwords
+    counted once, and the vocabulary is the non-stopwords counted more
+    than once, plus ``<misc>`` if anything folded. The words are sorted
+    once; a stable sort of that order by descending count gives the
+    stopword order. Each word then gets one code, a vocabulary word its
+    id, a hapax the id of ``<misc>``, and a stopword (a literal
+    ``<misc>`` among them) or a token that cleans to nothing -1, and the
+    raw tokens take their word's code.
     """
     stopword_count = non_negative_index("stopword count", stopword_count)
     posts = RawCorpus.of(posts)
-    cleaned = list(map(_clean_text, posts.texts))
-    counts = Counter(chain.from_iterable(cleaned))
-    # Ascending tokens, then a stable sort by descending count: the
-    # order of the key (-count, token), with no key tuple per token.
-    stop = frozenset(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:stopword_count])
-    hapax = [t for t, n in counts.items() if n == 1 and t not in stop]
-    vocab = frozenset(t for t, n in counts.items() if n > 1 and t not in stop)
-    if hapax:
-        vocab |= {MISC}
-    words = tuple(sorted(vocab))
-    code = dict(zip(words, range(len(words))))
-    if hapax:
-        code.update(dict.fromkeys(hapax, code[MISC]))
-    code.update(dict.fromkeys(stop, -1))
-    n = len(posts)
-    raw_lens = np.fromiter(map(len, cleaned), np.int64, n)
-    tokens = chain.from_iterable(cleaned)
-    ids = np.fromiter(map(code.__getitem__, tokens), np.int32, int(raw_lens.sum()))
+    texts = posts.texts
+    n = len(texts)
+    raw_lens = np.fromiter(map(len, map(str.split, texts)), np.int64, n)
+    # The texts are split again on the fly, so no list of all tokens is made.
+    raw = chain.from_iterable(map(str.split, texts))
+    raw_at: dict[str, int] = {}
+    raw_ids = _dense_ids(np.fromiter(map(raw_at.setdefault, raw, count()), np.intp, raw_lens.sum()))
+    raw_counts = np.bincount(raw_ids, minlength=len(raw_at))
+    # A raw token cleans to one word or to "", which no word is.
+    cleaned = map("".join, map(_clean_text, raw_at))
+    word_at: dict[str, int] = {}
+    word_of = np.fromiter(map(word_at.setdefault, cleaned, count()), np.intp, len(raw_at))
+    word_of = _dense_ids(word_of)
+    del raw_at
+    words = list(word_at)
+    counts = np.bincount(word_of, weights=raw_counts, minlength=len(words))
+    order = np.array(sorted(range(len(words)), key=words.__getitem__), dtype=np.intp)
+    if words and not words[order[0]]:
+        order = order[1:]
+    by_count = order[np.argsort(-counts[order], kind="stable")]
+    stop = by_count[:stopword_count]
+    live = np.zeros(len(words), dtype=bool)
+    live[order] = True
+    live[stop] = False
+    kept = order[live[order] & (counts[order] > 1)]
+    vocab = list(map(words.__getitem__, kept.tolist()))
+    code = np.full(len(words), -1, dtype=np.int32)
+    code[kept] = np.arange(len(kept))
+    hapax = live & (counts == 1)
+    if hapax.any():
+        at = bisect_left(vocab, MISC)
+        if vocab[at:at + 1] != [MISC]:
+            vocab.insert(at, MISC)
+            code[kept[at:]] += 1
+        code[hapax] = at
+    ids = code[word_of][raw_ids]
     keep = ids >= 0
     post_of_token = np.repeat(np.arange(n), raw_lens)
     corpus = TrainingCorpus(
         ids=tuple(posts.ids),
-        vocab=words,
+        vocab=tuple(vocab),
         token_ids=ids[keep],
         lens=np.bincount(post_of_token[keep], minlength=n),
         lats=posts.lats,
         lons=posts.lons,
     )
-    return corpus, PipelineArtifacts(stopwords=stop, vocab=vocab)
+    stopwords = frozenset(map(words.__getitem__, stop.tolist()))
+    return corpus, PipelineArtifacts(stopwords=stopwords, vocab=frozenset(vocab))

@@ -642,6 +642,47 @@ def _tables_digest(tables) -> str:
     return h.hexdigest()
 
 
+def _corpus_digest(corpus, artifacts) -> str:
+    """SHA-256 of the sorted stopwords and of every column of ``corpus``,
+    in field order: a str column as its length and its entries one to a
+    line, an array as its dtype, shape and bytes."""
+    h = hashlib.sha256("\n".join(sorted(artifacts.stopwords)).encode())
+    for field in dataclasses.fields(corpus):
+        value = getattr(corpus, field.name)
+        if isinstance(value, np.ndarray):
+            h.update(f"{field.name} {value.dtype.str} {value.shape}\n".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(f"{field.name} {len(value)}\n".encode())
+            h.update("\n".join(value).encode())
+    return h.hexdigest()
+
+
+def _pinned_train_split(name):
+    spec = SyntheticSpec(seed=1, **PINNED_SPECS[name])
+    train, _, _ = split(generate_synthetic(spec, PINNED_BOUNDS), SplitSpec(seed=1))
+    return spec, train
+
+
+class TestPinnedCorpus:
+    """The training corpus and stopwords built from the train split (seed
+    1) of each benchmark workload's corpus with 200 stopwords, as ``geopost
+    train`` builds them: a change to the training pipeline that alters one
+    byte fails here, before any table is counted."""
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("city-g8", "245f5f1eb02b1d2b4161e9c6460f97bfad5fc80f0382ae497cea664fc7bd3af3"),
+            ("fine-g12", "bb217e1466aa3d9969171e253d057a45bc95708d4a42dea27ed9ed7d202ac60f"),
+            ("tune", "0e092b275bd34a764a69d586dd403c6c796917d859289768988822542f456a96"),
+        ],
+    )
+    def test_digest(self, name, digest):
+        _, train = _pinned_train_split(name)
+        assert _corpus_digest(*build_training_corpus(train, stopword_count=200)) == digest
+
+
 class TestPinnedTables:
     """The tables trained on the train split (seed 1) of each benchmark
     workload's corpus at its grid size, with 200 stopwords as ``geopost
@@ -656,8 +697,7 @@ class TestPinnedTables:
         ],
     )
     def test_digest(self, name, digest):
-        spec = SyntheticSpec(seed=1, **PINNED_SPECS[name])
-        train, _, _ = split(generate_synthetic(spec, PINNED_BOUNDS), SplitSpec(seed=1))
+        spec, train = _pinned_train_split(name)
         corpus, arts = build_training_corpus(train, stopword_count=200)
         part = partition(PINNED_BOUNDS, spec.g)
         ens = build_ensemble(corpus, part, SmoothingConfig(), arts)

@@ -18,6 +18,7 @@ from geopost import (
     SplitSpec,
     SyntheticSpec,
     TokenizedPost,
+    TrainingCorpus,
     ValidationError,
     build_ensemble,
     build_training_corpus,
@@ -156,8 +157,19 @@ class TestBuildEnsemble:
 
     def test_vocab_must_be_sorted(self):
         corpus, _ = build_training_corpus(self._planted()[0], stopword_count=2)
-        with pytest.raises(ValidationError, match="^training corpus vocab is not sorted$"):
+        message = "^training corpus vocab is not strictly increasing$"
+        with pytest.raises(ValidationError, match=message):
             replace(corpus, vocab=corpus.vocab[::-1])
+
+    def test_vocab_must_not_repeat_a_word(self):
+        # Sorted and every id used, but count_tables would map 'x' to id 1
+        # and leave id 0 unreachable.
+        message = "^training corpus vocab is not strictly increasing$"
+        with pytest.raises(ValidationError, match=message):
+            TrainingCorpus(
+                ids=("p",), vocab=("x", "x"), token_ids=np.array([0, 1], dtype=np.int32),
+                lens=np.array([2]), lats=np.array([1.0]), lons=np.array([1.0]),
+            )
 
     def test_lens_must_sum_to_the_token_count(self):
         corpus, _ = build_training_corpus(self._planted()[0], stopword_count=2)

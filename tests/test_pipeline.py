@@ -2,6 +2,7 @@
 
 import random
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from geopost import (
     clean_and_tokenize,
     preprocess,
 )
-from geopost import lm
+from geopost import lm, pipeline
 from helpers import as_tokenized, assert_same_tables, decode
 from reference import count_tables, fold_hapax, induce_stopwords, remove_stopwords
 
@@ -300,9 +301,11 @@ def reference_build(posts, k):
 
 
 WORDS = ["a", "b", "c", "the", "Storm", "storm!", MISC, "<MISC>", "x1", "café", "@at", ""]
+# Texts drawn from WORDS repeat words often enough to make stopwords and
+# vocabulary; ``texts`` adds every separator and every cleanup branch.
 corpora = st.lists(
     st.tuples(
-        st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join),
+        st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join) | texts,
         st.none() | st.just(GeoPoint(40.7, -74.0)),
     ),
     max_size=8,
@@ -320,6 +323,12 @@ def over_corpora(test):
         ([RawPost("0", f"{MISC} {MISC} {MISC} b"), RawPost("1", "c")], 1),  # <misc> a stopword
         ([RawPost("0", "a b a"), RawPost("1", "b"), RawPost("2", "")], 2),  # all stopwords
         ([], 3),
+        # case variants that clean to one word, counted together
+        ([RawPost("0", "Storm storm! a"), RawPost("1", "STORM b\x1cstorm\u3000b")], 1),
+        # every token dropped by cleanup
+        ([RawPost("0", "@a http://x.y #t !!! caf\u00e9"), RawPost("1", "\u2122 \u00df")], 0),
+        # a literal <misc> stopword dropped while the hapax still fold
+        ([RawPost("0", f"{MISC} {MISC} x y y"), RawPost("1", f"{MISC}\x85z <MISC>")], 1),
     ]
     for posts, k in cases:
         test = example(posts, k)(test)
@@ -363,6 +372,12 @@ class TestBuildMatchesReference:
             kept = remove_stopwords(clean_and_tokenize(raw), ref.stopwords)
             want = tuple(MISC if t in hapax or t not in ref.vocab else t for t in kept)
             assert artifacts.preprocess(raw) == TokenizedPost(raw.id, want, raw.location)
+
+    @over_corpora
+    def test_cleans_each_distinct_raw_token_once(self, posts, k):
+        with mock.patch.object(pipeline, "_clean_text", wraps=pipeline._clean_text) as spy:
+            build_training_corpus(posts, k)
+        assert spy.call_count == len(set(" ".join(p.text for p in posts).split()))
 
     def test_negative_k_raises(self):
         with pytest.raises(ValidationError):
