@@ -9,25 +9,25 @@ unigram-interpolated estimate is available as a baseline.
 
 An ensemble keeps the models of all its cells in one ``EnsembleTables``:
 flat arrays over a global word index, with the back-off weight of every
-(context, cell) and the discounted numerator of every seen (pair, cell)
-stored rather than recomputed per lookup (the ARPA/KenLM layout). One
-core, ``_pair_logs``, turns the (v, w) word ids of a set of pairs into a
-(pairs, cells) block of log-probabilities. One span pass finds every
-table entry it needs: the word entries of v (for c(v) and gamma(v)), of
-w (for p_cont(w)) and the pair entries of (v, w). Each column is put
-into its own (pairs, cells) layer of one array, over the rows that use
-it. c(v) and gamma(v) read 1.0 where v has no entry in a cell, so one
-expression with no mask gives every entry: there it is 0 / 1 + 1 *
-p_cont(w), which is p_cont(w) exactly, the reference's value for an
-unseen context. A floored probability takes a constant log, and a block
-with more than ``_DISTINCT_MIN`` live entries takes one ``math.log`` per
-distinct value. ``log_likelihood`` scores one post as its block summed
-over the pair rows in order; ``log_likelihoods`` scores a batch in
-fixed-size blocks of pairs, which may split a post, and scatter-adds
-each block's rows into the rows of their posts with ``np.add.at``. That
-adds a post's rows in order too, so the batch rows equal the one-post
-results bit for bit. A post of any length takes the same numpy calls;
-only its ``math.log`` calls grow with it.
+(context, cell), the continuation probability of every (word, cell) and
+its log, and the pair term (discounted numerator over c(v)) of every seen
+(pair, cell) stored rather than recomputed per lookup (the ARPA/KenLM
+layout). One core, ``_pair_logs``, turns the (v, w) word ids of a set of
+pairs into a (pairs, cells) block of log-probabilities. One span pass
+finds every table entry it needs: the word entries of v (for gamma(v)),
+of w (for p_cont(w) and its log) and the pair entries of (v, w). Where v
+has no entry in a cell the reference's value is p_cont(w), so its stored
+log is put there and nothing is computed. Only the entries of v gather
+the pair term and p_cont(w) from dense layers and take a log: a floored
+probability a constant one, and a vector with more than
+``_DISTINCT_MIN`` live entries one ``math.log`` per distinct value.
+``log_likelihood`` scores one post as its block summed over the pair
+rows in order; ``log_likelihoods`` scores a batch in fixed-size blocks of
+pairs, which may split a post, and scatter-adds each block's rows into
+the rows of their posts with ``np.add.at``. That adds a post's rows in
+order too, so the batch rows equal the one-post results bit for bit. A
+post of any length takes the same numpy calls; only its ``math.log``
+calls grow with it, one per (pair, cell) whose context is seen there.
 Training counts word ids, not strings: ``count_tables`` takes the sorted
 vocabulary, the posts' word ids laid end to end and the posts' cells,
 keys every (word, cell) and (pair, cell) by integer arithmetic, and
@@ -61,11 +61,12 @@ _LOG_MIN_PROB = log(MIN_PROB)
 # is max(_BLOCK // cells, 1) pairs, wherever the posts begin and end.
 _BLOCK = 1 << 15
 
-# ``_floored_logs`` logs only the distinct values of a block with more live
-# (pair, cell) entries than this. On runs of live entries cut from the
-# city-g8 benchmark's batch blocks, np.unique plus one log per distinct
-# value broke even with one log per entry at about 512 entries (93 us
-# each), saved 22% at 1,024 and 60% at 8,192; at 128 it cost 1.8 times
+# ``_floored_logs`` logs only the distinct values of a vector with more
+# live entries than this. On runs of live entries cut from what the
+# Kneser-Ney core passes it in the city-g8 benchmark's batch blocks (the
+# entries of seen contexts), np.unique plus one log per distinct value
+# broke even with one log per entry at about 512 entries (56-76 us each),
+# saved 17-18% at 1,024 and 38-41% at 2,048; at 128 it cost 1.7-1.9 times
 # as much. Twice the break-even keeps the step where it clearly pays, and
 # keeps one-post scoring at g = 8 (at most 704 entries for 12 tokens) on
 # the plain path.
@@ -167,9 +168,12 @@ class EnsembleTables:
     row-major. ``word_ptr[t]:word_ptr[t + 1]`` spans the entries of word t,
     one per cell it occurs in (ascending cell), holding c(t), the back-off
     weight gamma(t) of t as a context, and its continuation probability
-    p_cont(t) as a completion. The pair arrays hold every seen (v, w) of
-    every cell, sorted by ``v * (len(vocab) + 1) + w`` and then cell, with
-    c(v, w) and the discounted numerator max(c(v, w) - D(c(v, w)), 0).
+    p_cont(t) as a completion: an index into ``pcont``, which holds the
+    p_cont of each distinct (completion count, cell) once, and
+    ``log_pcont``, which holds log max(p_cont, MIN_PROB) of each. The pair
+    arrays hold every seen (v, w) of every cell, sorted by ``v *
+    (len(vocab) + 1) + w`` and then cell, with c(v, w) and the pair term
+    max(c(v, w) - D(c(v, w)), 0) / c(v).
     """
 
     vocab: tuple[str, ...]
@@ -178,11 +182,13 @@ class EnsembleTables:
     word_cell: np.ndarray
     word_count: np.ndarray
     word_gamma: np.ndarray
-    word_pcont: np.ndarray
+    word_pcont_id: np.ndarray
+    pcont: np.ndarray
+    log_pcont: np.ndarray
     pair_key: np.ndarray
     pair_cell: np.ndarray
     pair_count: np.ndarray
-    pair_num: np.ndarray
+    pair_term: np.ndarray
     post_counts: np.ndarray
     total_tokens: np.ndarray
     log_prior: np.ndarray
@@ -234,48 +240,33 @@ class EnsembleTables:
         unknown = repeat(len(self.vocab), len(tokens))
         return np.fromiter(map(self.index.get, tokens, unknown), np.int64, len(tokens))
 
-    def _by_cell(
-        self,
-        v: np.ndarray,
-        w: np.ndarray,
-        v_columns: Sequence[tuple[np.ndarray, float]],
-        w_columns: Sequence[tuple[np.ndarray, float]],
-        pair_column: np.ndarray,
-    ) -> np.ndarray:
-        """A (layers, len(v), cells) array. Each (column, fill) of
-        ``v_columns`` gives a layer holding the entry of word v[i] in cell j
-        at [i, j], or ``fill`` where the word has none there; then each of
-        ``w_columns`` one for w[i]; then ``pair_column`` one for the pair
-        (v[i], w[i]), with 0 where it has no entry.
+    def _entries(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """The table entries of the pairs (v[i], w[i]) and where they go in
+        a (3, len(v), cells) array: the word entries of v[i] in layer 0, of
+        w[i] in layer 1 and the pair entries of (v[i], w[i]) in layer 2,
+        the entry of cell j at [layer, i, j]. Returns the flat positions,
+        the entries, and where the runs of v's and of w's entries end; the
+        pair entries come last.
 
         One span pass looks every layer up. Its rows are the layers' rows
-        laid end to end, so an entry's flat position in the result is its
-        row times cells plus its cell, and each layer goes in with one
-        ``put``. The pairs' ranges come from binary searches of the sorted
-        pair keys."""
-        n, n_cells = len(v), len(self.post_counts)
+        laid end to end, so an entry's flat position is its row times
+        cells plus its cell. The pairs' ranges come from binary searches of
+        the sorted pair keys."""
+        n = len(v)
         keys = v * (len(self.vocab) + 1)
         keys += w
-        ids = np.concatenate([v] * len(v_columns) + [w] * len(w_columns))
+        ids = np.concatenate((v, w))
         ptr = self.word_ptr
         # ptr[1:][t] is ptr[t + 1], without an addition.
         at, ent, ends = _spans(
             np.concatenate((ptr[ids], self.pair_key.searchsorted(keys))),
             np.concatenate((ptr[1:][ids], self.pair_key.searchsorted(keys, "right"))),
-            n_cells,
+            len(self.post_counts),
         )
-        layers = [*v_columns, *w_columns, (pair_column, 0.0)]
-        # Layer k's entries end at ends[(k + 1) * n - 1].
-        bounds = [0] + (ends[n - 1 :: n].tolist() if n else [0] * len(layers))
-        words = bounds[-2]
-        at[:words] += self.word_cell[ent[:words]]
-        at[words:] += self.pair_cell[ent[words:]]
-        out = np.zeros((len(layers), n, n_cells))
-        for layer, (column, fill), lo, hi in zip(out, layers, bounds, bounds[1:]):
-            if fill:
-                layer.fill(fill)
-            out.put(at[lo:hi], column[ent[lo:hi]])
-        return out
+        v_end, w_end, _ = ends[n - 1 :: n].tolist() if n else (0, 0, 0)
+        at[:w_end] += self.word_cell[ent[:w_end]]
+        at[w_end:] += self.pair_cell[ent[w_end:]]
+        return at, ent, v_end, w_end
 
     def _pair_logs(
         self, v: np.ndarray, w: np.ndarray, baseline: Optional[BaselineInterpolation]
@@ -286,29 +277,39 @@ class EnsembleTables:
 
         Kneser-Ney is P = c(v, w)' / c(v) + gamma(v) * p_cont(w), with
         c(v, w)' the discounted numerator, where c(v) > 0, and p_cont(w)
-        where c(v) = 0, as in the reference. Where v has no entry the pair
-        has none either, so filling c(v) and gamma(v) with 1.0 there gives
-        0 / 1 + 1 * p_cont(w), which is p_cont(w) exactly, as p_cont >= 0
-        (and 0 + x is x for x >= 0). So one ``_by_cell`` call gathers the
-        four layers, three in-place ufuncs combine them with no mask, and
-        ``_floored_logs`` takes the logs. The baseline keeps its mask: its
+        where c(v) = 0, as in the reference. The tables store the pair term
+        c(v, w)' / c(v) and log max(p_cont(w), MIN_PROB), so where v has no
+        entry the log is read, not taken: the logs start at log(MIN_PROB),
+        the floor of a w without an entry too, and take the stored log of
+        every entry of w. The pair term and p_cont go into dense layers,
+        zero where they have no entry, and the entries of v alone gather
+        them: pair term + gamma(v) * p_cont(w), 0 + gamma(v) * p_cont(w)
+        for an unseen pair, is the reference's sum, and only these values
+        pass through ``_floored_logs``. The baseline keeps its mask: its
         unseen-context value is not the seen-context formula at c(v, w) =
         0."""
+        at, ent, v_end, w_end = self._entries(v, w)
+        layers = np.zeros((3, len(v), len(self.post_counts)))
         if baseline is None:
-            gamma, count, pcont, pair = self._by_cell(
-                v,
-                w,
-                ((self.word_gamma, 1.0), (self.word_count, 1.0)),
-                ((self.word_pcont, 0.0),),
-                self.pair_num,
-            )
-            pair /= count
-            gamma *= pcont
-            pair += gamma
-            return _floored_logs(pair)
-        count, p_uni, pair = self._by_cell(
-            v, w, ((self.word_count, 0.0),), ((self.word_count, 0.0),), self.pair_count
-        )
+            logs, pcont, term = layers
+            logs.fill(_LOG_MIN_PROB)
+            w_at, pid = at[v_end:w_end], self.word_pcont_id[ent[v_end:w_end]]
+            # take, not [pid]: numpy's fancy indexing is slow on narrow indices.
+            layers.put(w_at, self.pcont.take(pid))
+            layers.put(at[w_end:], self.pair_term[ent[w_end:]])
+            # One layer down, w's positions are the same (i, j) of the logs.
+            w_at -= logs.size
+            logs.put(w_at, self.log_pcont.take(pid))
+            v_at = at[:v_end]
+            p = self.word_gamma[ent[:v_end]]
+            p *= pcont.take(v_at)
+            p += term.take(v_at)
+            logs.put(v_at, _floored_logs(p))
+            return logs
+        # c(v) and c(w) both read word_count, 0 where the word has no entry.
+        layers.put(at[:w_end], self.word_count[ent[:w_end]])
+        layers.put(at[w_end:], self.pair_count[ent[w_end:]])
+        count, p_uni, pair = layers
         p_uni /= np.maximum(self.total_tokens, 1)
         seen = count > 0
         p_bi = pair / np.where(seen, count, 1.0)
@@ -382,14 +383,15 @@ def _spans(
 def _floored_logs(p: np.ndarray) -> np.ndarray:
     """log max(p, MIN_PROB) of every entry of ``p``.
 
-    Floored entries (64.5% of the lookups on the city-g8 benchmark queries,
-    and every lookup of a cell without posts) all get log(MIN_PROB); only
-    the others pay for a log. math.log, not np.log: numpy's SIMD log can
-    differ from libm in the last place, and the reference sums math.log
-    values. A large block repeats its values (15,810 distinct of 96,206
-    live entries in the 20 blocks of the city-g8 queries), so there each
-    distinct value is logged once; equal inputs give equal logs, the same
-    bits."""
+    Floored entries all get log(MIN_PROB); only the others pay for a log.
+    On the city-g8 benchmark queries the Kneser-Ney core passes the 111,469
+    entries of seen contexts, and 66.3% of them are floored (no pair, and
+    gamma(v) or p_cont(w) is 0). math.log, not np.log: numpy's SIMD log
+    can differ from libm in the last place, and the reference sums
+    math.log values. A large vector repeats its values (12,789 distinct of
+    37,559 live entries in the 20 blocks of the city-g8 queries), so there
+    each distinct value is logged once; equal inputs give equal logs, the
+    same bits."""
     logs = np.empty(p.shape)
     logs.fill(_LOG_MIN_PROB)
     live = p > MIN_PROB
@@ -437,10 +439,30 @@ def _backoff_weights(entry, word_cell, word_count, tier, tier_discount):
 
 
 def _continuation_probs(entry, word_cell, distinct):
-    """p_cont(w): the share of a cell's distinct bigrams that w completes,
-    from the completion word entry of every pair; 0 in a cell without
-    bigrams."""
-    return np.bincount(entry, minlength=len(word_cell)) / np.maximum(distinct[word_cell], 1)
+    """p_cont(w), the share of a cell's distinct bigrams that w completes
+    (0 in a cell without bigrams), for every word entry, from the
+    completion word entry of every pair: the index of each entry's value
+    among the distinct values, the values, and log max(value, MIN_PROB)
+    of each.
+
+    The entries of one cell that complete k bigrams share one p_cont, so
+    the distinct values are those of the integer keys k * cells + cell,
+    each divided out and logged with math.log once. A word completes at
+    most one bigram per context, so k <= V and the key table has at most
+    (V + 1) * cells slots, like the word slot table of ``compile_tables``.
+    The index takes the narrowest unsigned dtype that holds it."""
+    n_cells = len(distinct)
+    key = np.bincount(entry, minlength=len(word_cell)) * n_cells
+    key += word_cell
+    seen = np.zeros(key.max(initial=0) + 1, dtype=bool)
+    seen[key] = True
+    keys = np.flatnonzero(seen)
+    k, cell = np.divmod(keys, n_cells)
+    values = k / np.maximum(distinct[cell], 1)
+    rank = np.zeros(len(seen), dtype=np.min_scalar_type(len(keys)))
+    rank[keys] = np.arange(len(keys))
+    logs = np.maximum(values, MIN_PROB).tolist()
+    return rank[key], values, np.fromiter(map(log, logs), np.float64, len(logs))
 
 
 def count_tables(
@@ -525,15 +547,17 @@ def compile_tables(
     discounts = tuple(compute_discounts(*n) for n in zip(*counts_of_counts))
     tier_discount = np.array([[0.0, d.d1, d.d2, d.d3] for d in discounts]).reshape(n_cells, 4)
     tier = np.minimum(pair_count, 3)
-    pair_num = np.maximum(pair_count - tier_discount[pair_cell, tier], 0.0)
+    # The discounted numerator c(v, w)', divided by c(v) below.
+    pair_term = np.maximum(pair_count - tier_discount[pair_cell, tier], 0.0)
     # The word entry of each pair's context (v, cell) and completion
     # (w, cell). Every key is in range by now, so every slot index is too.
     context, completion = _word_entries(
         word_keys, len(vocab) * n_cells, v * n_cells + pair_cell, w * n_cells + pair_cell
     )
     word_gamma = _backoff_weights(context, word_cell, word_count, tier, tier_discount)
+    pair_term /= word_count.take(context)  # take: see _pair_logs
     distinct = np.bincount(pair_cell, minlength=n_cells)
-    word_pcont = _continuation_probs(completion, word_cell, distinct)
+    word_pcont_id, pcont, log_pcont = _continuation_probs(completion, word_cell, distinct)
     entries = np.bincount(word, minlength=n_words)
     if np.count_nonzero(entries) != len(vocab):
         raise ValueError("the vocabulary lists tokens that word_keys never counts")
@@ -546,11 +570,13 @@ def compile_tables(
         word_cell=word_cell,
         word_count=word_count,
         word_gamma=word_gamma,
-        word_pcont=word_pcont,
+        word_pcont_id=word_pcont_id,
+        pcont=pcont,
+        log_pcont=log_pcont,
         pair_key=pair_key,
         pair_cell=pair_cell,
         pair_count=pair_count,
-        pair_num=pair_num,
+        pair_term=pair_term,
         post_counts=post_counts,
         total_tokens=np.bincount(word_cell, word_count, n_cells).astype(np.int64),
         log_prior=np.array([log(n / total) if n > 0 else -inf for n in post_counts.tolist()]),

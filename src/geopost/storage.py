@@ -19,9 +19,10 @@ words and ``cell`` the row-major cell index:
 
 The last five are ``EnsembleTables.count_arrays``, the arrays
 ``compile_tables`` takes, so loading passes them straight back to it:
-discounts, back-off weights and priors are recomputed from the integer
-counts, and a load/save round trip reproduces the in-memory model
-exactly. The tables name words by id, so the vocabulary is in the
+discounts, back-off weights, continuation probabilities and their logs,
+pair terms (discounted count over c(v)) and priors are recomputed from
+the integer counts, and a load/save round trip reproduces the in-memory
+model exactly. The tables name words by id, so the vocabulary is in the
 archive too, under its CRC-32s. Each member is read whole, which makes
 zipfile check its CRC-32 (``np.load`` of the archive stops at the end of
 the array a member's header declares, and then never checks it). The

@@ -175,16 +175,20 @@ class CellLanguageModel:
         d = self.discounts
         return (d.d1 * tiers[0] + d.d2 * tiers[1] + d.d3 * tiers[2]) / cv
 
+    def pair_term(self, v: str, w: str) -> float:
+        """The discounted count of (v, w) over c(v), max(c(v, w) -
+        D(c(v, w)), 0) / c(v): the first term of P(w | v) for a context
+        seen in training."""
+        cvw = self.counts.bigram.get(v, {}).get(w, 0)
+        return max(cvw - discount_for_count(self.discounts, cvw), 0.0) / self.counts.unigram[v]
+
     def _bigram_prob_raw(self, v: str, w: str) -> float:
         # Unfloored value; the sum of this over the vocabulary is exactly 1
         # for any context that is never sequence-final.
-        cv = self.counts.unigram.get(v, 0)
         pc = self.continuation_prob(w)
-        if cv == 0:
+        if self.counts.unigram.get(v, 0) == 0:
             return pc
-        cvw = self.counts.bigram.get(v, {}).get(w, 0)
-        discounted = max(cvw - discount_for_count(self.discounts, cvw), 0.0) / cv
-        return discounted + self.backoff_mass(v) * pc
+        return self.pair_term(v, w) + self.backoff_mass(v) * pc
 
     def bigram_prob(self, v: str, w: str) -> float:
         """Smoothed probability of seeing ``w`` after ``v``, floored at

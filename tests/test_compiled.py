@@ -183,7 +183,54 @@ def test_tables_past_65536_word_entries_equal_reference():
         ent = np.flatnonzero(tables.word_cell == i)
         cell_words = [tables.vocab[t] for t in np.searchsorted(tables.word_ptr, ent, "right") - 1]
         assert tables.word_gamma[ent].tolist() == [model.backoff_mass(t) for t in cell_words]
-        assert tables.word_pcont[ent].tolist() == [model.continuation_prob(t) for t in cell_words]
+        pcont = tables.pcont[tables.word_pcont_id[ent]]
+        assert pcont.tolist() == [model.continuation_prob(t) for t in cell_words]
+
+
+def _assert_derived_columns_equal_reference(tables, models):
+    """p_cont, log max(p_cont, MIN_PROB) and the pair term of every entry of
+    ``tables`` are the reference's floats, compared as ``float.hex``:
+    ``models`` holds the reference model of each row-major cell."""
+    vocab = tables.vocab
+    words = np.repeat(np.arange(len(vocab)), np.diff(tables.word_ptr)[:-1])
+    pid = tables.word_pcont_id
+    assert pid.dtype == np.min_scalar_type(len(tables.pcont))
+    got = [
+        (p.hex(), lp.hex())
+        for p, lp in zip(tables.pcont[pid].tolist(), tables.log_pcont[pid].tolist())
+    ]
+    want = []
+    for t, cell in zip(words.tolist(), tables.word_cell.tolist()):
+        p = models[cell].continuation_prob(vocab[t])
+        want.append((p.hex(), log(max(p, lm.MIN_PROB)).hex()))
+    assert got == want
+    v, w = np.divmod(tables.pair_key, len(vocab) + 1)
+    want = [
+        models[cell].pair_term(vocab[a], vocab[b]).hex()
+        for a, b, cell in zip(v.tolist(), w.tolist(), tables.pair_cell.tolist())
+    ]
+    assert [x.hex() for x in tables.pair_term.tolist()] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensembles())
+def test_derived_columns_equal_reference(built):
+    ens, by_cell = built
+    models = [train_cell(by_cell[cell], cell) for cell in ens.partition.cells()]
+    _assert_derived_columns_equal_reference(ens.tables, models)
+
+
+def test_derived_columns_equal_reference_in_edge_cells():
+    # Cell 0 has sequence-final-only contexts, cell 2 posts but no bigram,
+    # so p_cont is 0 and its log the floor, and cell 8 no post at all.
+    cells = partition(BOUNDS, 3).cells()
+    for ens, by_cell in _core_ensembles():
+        t, models = ens.tables, [train_cell(by_cell[cell], cell) for cell in cells]
+        assert _by_word_cell(t, "b", t.word_gamma)[0] == 0.0
+        assert models[2].counts.unigram and not models[2].counts.bigram
+        assert set(_by_word_cell(t, "e", t.word_pcont_id)) >= {2, 3}
+        assert ens.priors[cells[8]] == 0.0
+        _assert_derived_columns_equal_reference(t, models)
 
 
 def _counted():
@@ -467,10 +514,11 @@ def _by_word_cell(tables, word, column):
 
 
 def test_no_entry_cases_equal_reference_bit_for_bit():
-    # The scoring core fills c(v) and gamma(v) with 1.0 where v has no
-    # entry, so 0 / 1 + 1 * p_cont(w) must be the reference's p_cont(w)
-    # itself. Each case where a lookup finds nothing is scored through
-    # both entry points and must equal the reference in every cell.
+    # Where v has no entry the scoring core puts the stored log of p_cont(w),
+    # or log(MIN_PROB) where w has none either, and computes nothing, so
+    # that log must be the reference's. Each case where a lookup finds
+    # nothing is scored through both entry points and must equal the
+    # reference in every cell.
     cells = partition(BOUNDS, 3).cells()
     for ens, by_cell in _core_ensembles():
         t = ens.tables
@@ -479,7 +527,6 @@ def test_no_entry_cases_equal_reference_bit_for_bit():
         assert list(_by_word_cell(t, "d", t.word_count)) == [0]
         assert t._ids([UNSEEN]).tolist() == [len(t.vocab)]
         assert ens.priors[cells[8]] == 0.0 and not models[8].counts.unigram
-        assert not np.signbit(t.word_pcont).any()
         queries = [
             [UNSEEN, "a"],  # unknown context: p_cont(a) where "a" has an entry
             ["a", UNSEEN],  # unknown completion: floored everywhere
@@ -497,6 +544,31 @@ def test_no_entry_cases_equal_reference_bit_for_bit():
         rows = t.log_likelihoods(queries, ens.baseline)
         want = [[m.sequence_log_prob(q, ens.baseline) for m in models] for q in queries]
         assert rows.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+def test_only_seen_contexts_are_logged():
+    # "d" has an entry in cell 0 only, "a" in cells 0-3, "b" in cells 0-1
+    # and the unknown word in none. Where v has no entry the core puts the
+    # stored log of p_cont(w), so the values it logs are the reference's
+    # unfloored P(w | v) of the (pair, cell)s where v has one, row by row
+    # and then in cell order; logging every entry again fails here.
+    ens, by_cell = next(_core_ensembles())
+    t = ens.tables
+    models = [train_cell(by_cell[cell], cell) for cell in ens.partition.cells()]
+    tokens = ["d", "a", "b", UNSEEN, "c", "a"]
+    want = [
+        models[j]._bigram_prob_raw(a, b)
+        for a, b in zip(tokens, tokens[1:])
+        for j in (_by_word_cell(t, a, t.word_count) if a in t.index else ())
+    ]
+    assert len(want) == 1 + 4 + 2 + 0 + 2
+    core = lm._floored_logs
+    for score in (t.log_likelihood, lambda q: t.log_likelihoods([q])):
+        with mock.patch.object(lm, "_floored_logs", side_effect=core) as spy:
+            score(tokens)
+        ((logged,), _) = spy.call_args_list[0]
+        assert spy.call_count == 1 and logged.shape == (len(want),)
+        assert [x.hex() for x in logged.tolist()] == [x.hex() for x in want]
 
 
 def _all_pairs(tables, repeat):
@@ -579,31 +651,34 @@ def test_log_likelihoods_rows_equal_log_likelihood(built, token_lists, cutoff):
 
 def test_half_gather_equals_full_gather_slices():
     # One span pass looks up every layer: words of v, words of w, pairs.
-    # Each layer must hold exactly its own lookups' entries, and its fill
-    # wherever its word or pair has no entry in a cell.
-    def full(tables, rows, lo, hi, cells, column, fill):
-        dense = np.full((len(rows), len(tables.post_counts)), fill)
-        for i, r in enumerate(rows.tolist()):
+    # Each run must hold exactly its own lookups' entries, in row order and
+    # then entry order, each at its row and cell in its own layer.
+    def spans(rows, lo, hi, cells, layer, n, n_cells):
+        at, ent = [], []
+        for i, r in enumerate(rows):
             for e in range(lo[r], hi[r]):
-                dense[i, cells[e]] = column[e]
-        return dense
+                at.append((layer * n + i) * n_cells + cells[e])
+                ent.append(e)
+        return at, ent
 
     for ens, _ in _core_ensembles():
         t = ens.tables
+        n_cells = len(t.post_counts)
         ptr, word_cell, pair_cell = t.word_ptr.tolist(), t.word_cell.tolist(), t.pair_cell.tolist()
         for v, w in (_all_pairs(t, repeat=2), (np.array([], dtype=np.int64),) * 2):
+            n = len(v)
             keys = v * (len(t.vocab) + 1) + w
             pair_lo = np.searchsorted(t.pair_key, keys, "left").tolist()
             pair_hi = np.searchsorted(t.pair_key, keys, "right").tolist()
-            v_columns = ((t.word_count, 1.0), (t.word_gamma, 0.0))
-            w_columns = ((t.word_pcont, 0.0), (t.word_count, 2.0))
-            got = t._by_cell(v, w, v_columns, w_columns, t.pair_num)
-            want = [full(t, v, ptr, ptr[1:], word_cell, c, f) for c, f in v_columns]
-            want += [full(t, w, ptr, ptr[1:], word_cell, c, f) for c, f in w_columns]
-            want.append(full(t, np.arange(len(v)), pair_lo, pair_hi, pair_cell, t.pair_num, 0.0))
-            assert got.shape == (5, len(v), len(t.post_counts))
-            for a, b in zip(got, want):
-                assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+            runs = [
+                spans(v.tolist(), ptr, ptr[1:], word_cell, 0, n, n_cells),
+                spans(w.tolist(), ptr, ptr[1:], word_cell, 1, n, n_cells),
+                spans(range(n), pair_lo, pair_hi, pair_cell, 2, n, n_cells),
+            ]
+            at, ent, v_end, w_end = t._entries(v, w)
+            assert (v_end, w_end) == (len(runs[0][0]), len(runs[0][0]) + len(runs[1][0]))
+            assert at.tolist() == [a for run in runs for a in run[0]]
+            assert ent.tolist() == [e for run in runs for e in run[1]]
 
 
 def test_one_cell_scores_equal_reference_bit_for_bit():
@@ -630,14 +705,16 @@ def test_one_cell_scores_equal_reference_bit_for_bit():
     assert pairwise_differs
 
 
-def _tables_digest(tables) -> str:
+def _tables_digest(tables, arrays=None) -> str:
     """SHA-256 of the vocabulary and of the dtype, shape and bytes of every
-    array of ``tables``, in field order."""
+    array of ``tables``, in field order, or of each of ``arrays``, a
+    {name: array} dict, in its order."""
+    if arrays is None:
+        arrays = {f.name: getattr(tables, f.name) for f in dataclasses.fields(tables)}
     h = hashlib.sha256("\n".join(tables.vocab).encode())
-    for field in dataclasses.fields(tables):
-        value = getattr(tables, field.name)
+    for name, value in arrays.items():
         if isinstance(value, np.ndarray):
-            h.update(f"{field.name} {value.dtype.str} {value.shape}\n".encode())
+            h.update(f"{name} {value.dtype.str} {value.shape}\n".encode())
             h.update(np.ascontiguousarray(value).tobytes())
     return h.hexdigest()
 
@@ -683,6 +760,14 @@ class TestPinnedCorpus:
         assert _corpus_digest(*build_training_corpus(train, stopword_count=200)) == digest
 
 
+def _pinned_build(name):
+    """The training corpus, grid and tables of the pinned train split."""
+    spec, train = _pinned_train_split(name)
+    corpus, arts = build_training_corpus(train, stopword_count=200)
+    part = partition(PINNED_BOUNDS, spec.g)
+    return corpus, part, build_ensemble(corpus, part, SmoothingConfig(), arts).tables
+
+
 class TestPinnedTables:
     """The tables trained on the train split (seed 1) of each benchmark
     workload's corpus at its grid size, with 200 stopwords as ``geopost
@@ -691,14 +776,42 @@ class TestPinnedTables:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("city-g8", "4f99ccda3fb26a9c4b63ff5b71b7becd58116d66a992af81de46c33e3961e160"),
-            ("fine-g12", "e6a90a776c967b006006eec056971d4ebfe3afb60bb0eb841703a0e594dc0b6d"),
-            ("tune", "424042f67e1aa01a3cf41d11598a9d6ab315121214d444f33fc5283f8cc41774"),
+            ("city-g8", "a6c01fb1b66de5fd7d3813b1bfc72ee510c58a3df5ffd567d2d72fe8bb764056"),
+            ("fine-g12", "80a66a2ce8d72a0345642ad83a072252a90602cca76790c2f3bd6f1f1772dd58"),
+            ("tune", "d5fc9bd9898ef0c41d19e7de00b6a6d3feb3126b9d72d66ccf508f5cba36289a"),
         ],
     )
     def test_digest(self, name, digest):
-        spec, train = _pinned_train_split(name)
-        corpus, arts = build_training_corpus(train, stopword_count=200)
-        part = partition(PINNED_BOUNDS, spec.g)
-        ens = build_ensemble(corpus, part, SmoothingConfig(), arts)
-        assert _tables_digest(ens.tables) == digest
+        assert _tables_digest(_pinned_build(name)[2]) == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("city-g8", "33d163961044abdda80d2995e927b09d656e8e76e2f52a553634b9d4f8b44115"),
+            ("fine-g12", "3ee82831aa0c778c96c5f8aea7b347d194c118d9ff4ab217beca3ae781a55fd4"),
+            ("tune", "ff9e632f8a430b1645cf3a3c896c8499607943d0b3818f97643449fd1e1dee78"),
+        ],
+    )
+    def test_count_and_weight_digest(self, name, digest):
+        # Recorded when the tables stored p_cont per word entry and the
+        # discounted numerator in place of the pair term: every other array,
+        # with p_cont read through its index, is byte for byte the same.
+        t = _pinned_build(name)[2]
+        names = ("word_ptr", "word_cell", "word_count", "word_gamma", "word_pcont", "pair_key",
+                 "pair_cell", "pair_count", "post_counts", "total_tokens", "log_prior")
+        arrays = {k: t.pcont[t.word_pcont_id] if k == "word_pcont" else getattr(t, k) for k in names}
+        assert _tables_digest(t, arrays) == digest
+
+
+class TestPinnedColumns:
+    """The derived columns of the pinned tables against the reference model
+    of each cell, trained on the same posts."""
+
+    @pytest.mark.parametrize("name", ["city-g8", "fine-g12", "tune"])
+    def test_derived_columns_equal_reference(self, name):
+        corpus, part, tables = _pinned_build(name)
+        by_cell = {cell: [] for cell in part.cells()}
+        for post in decode(corpus):
+            by_cell[part.cell_of(post.location)].append(post)
+        models = [train_cell(by_cell[cell], cell) for cell in part.cells()]
+        _assert_derived_columns_equal_reference(tables, models)

@@ -1,7 +1,7 @@
 """Count tables, discounts, smoothed probabilities, and their invariants.
 
 The hand values are checked on the compiled tables of a one-cell
-ensemble: gamma through ``word_gamma``, p_cont through ``word_pcont``,
+ensemble: gamma through ``word_gamma``, p_cont through ``word_pcont_id``,
 P(w | v) and the baseline through ``log_likelihood``. ``TestTrainCell``
 and the unseen-context case describe the reference model of
 ``tests/reference.py`` and run on it.
@@ -40,7 +40,7 @@ def _gamma(tables, v):
 
 
 def _pcont(tables, w):
-    return _entry(tables, tables.word_pcont, w)
+    return tables.pcont[_entry(tables, tables.word_pcont_id, w)]
 
 
 def _prob(tables, v, w, baseline=None):
