@@ -21,12 +21,14 @@ import numpy as np
 
 from .errors import DataError, ValidationError
 from .estimator import (
+    DEFAULT_ALPHA,
     SmoothingConfig,
     build_ensemble,
     estimate_batch,
     estimates_csv,
 )
 from .evaluation import (
+    DEFAULT_BIN_WIDTH_KM,
     SplitSpec,
     SyntheticSpec,
     evaluate,
@@ -38,7 +40,7 @@ from .evaluation import (
 )
 from .grid import GeoBounds, check_coordinates, partition
 from .lm import BaselineInterpolation
-from .pipeline import RawCorpus, build_training_corpus
+from .pipeline import DEFAULT_STOPWORD_COUNT, RawCorpus, build_training_corpus
 from .storage import load_model, save_model
 from .tuning import (
     DEFAULT_ALPHA_VALUES,
@@ -182,7 +184,7 @@ def _load_with_overrides(args) -> object:
     alpha = ens.smoothing.alpha if args.alpha is None else args.alpha
     diameter = ens.smoothing.diameter if args.diameter is None else args.diameter
     ens = ens.with_smoothing(SmoothingConfig(alpha=alpha, diameter=diameter))
-    if getattr(args, "baseline_lambda1", None) is not None:
+    if args.baseline_lambda1 is not None:
         ens = ens.with_baseline(BaselineInterpolation(args.baseline_lambda1))
     return ens
 
@@ -329,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     located = argparse.ArgumentParser(add_help=False, parents=[reading])
     located.add_argument("--corpus", required=True, help="JSONL corpus with lat/lon")
     located.add_argument("--bounds", required=True, help="region as south,west,north,east degrees")
-    located.add_argument("--stopwords-k", type=int, default=200,
-                         help="size of the induced stopword list (default 200)")
+    located.add_argument("--stopwords-k", type=int, default=DEFAULT_STOPWORD_COUNT,
+                         help="size of the induced stopword list (default %(default)s)")
     located.add_argument("--seed", type=int, default=0, help="split shuffle seed")
     loading = argparse.ArgumentParser(add_help=False, parents=[reading])
     loading.add_argument("--model", required=True, help="model directory")
@@ -341,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", parents=[located], help="train a model from a located corpus")
     train.add_argument("--grid", type=int, default=8, help="grid dimension g (default 8)")
-    train.add_argument("--alpha", type=float, default=0.9, help="smoothing weight (default 0.9)")
+    train.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                       help="smoothing weight (default %(default)s)")
     train.add_argument("--diameter", type=int, help="smoothing diameter (default g)")
     train.add_argument("--out", required=True, help="model directory to write")
     train.set_defaults(func=cmd_train)
@@ -355,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measure estimation error on a located corpus")
     ev.add_argument("--corpus", required=True, help="JSONL corpus with truth lat/lon")
     ev.add_argument("--out", required=True, help="directory for errors.csv, cdf.csv, density.csv")
-    ev.add_argument("--bin-width", type=float, default=0.25,
-                    help="error histogram bin width in km (default 0.25)")
+    ev.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH_KM,
+                    help="error histogram bin width in km (default %(default)s)")
     ev.set_defaults(func=cmd_evaluate)
 
     tune = sub.add_parser("tune", parents=[located],

@@ -46,6 +46,9 @@ from .pipeline import PipelineArtifacts, TokenizedPost, TrainingCorpus
 # ``post_blocks``.
 _SMOOTH_BLOCK = 1 << 20
 
+# The paper's blend weight, the smoothing weight unless the caller gives one.
+DEFAULT_ALPHA = 0.9
+
 
 @dataclass(frozen=True)
 class SmoothingConfig:
@@ -58,7 +61,7 @@ class SmoothingConfig:
     manifest and the surface CSV as the plain number.
     """
 
-    alpha: float = 0.9
+    alpha: float = DEFAULT_ALPHA
     diameter: Optional[int] = None
 
     def __post_init__(self):
@@ -91,7 +94,9 @@ class Estimate:
 class GeoEnsemble:
     """Everything needed to answer queries: partition, the compiled
     per-cell models and training post counts, smoothing config, pipeline
-    artifacts."""
+    artifacts, and the language model: Kneser-Ney, or the interpolation
+    baseline when ``baseline`` is set. Either way the same scorer runs, on
+    ``scoring_tables``: ``tables``, or their baseline column set."""
 
     partition: GridPartition
     tables: EnsembleTables
@@ -109,6 +114,12 @@ class GeoEnsemble:
         total = self.total_posts
         counts = self.tables.post_counts.tolist()
         return {cell: n / total for cell, n in zip(self.partition.cells(), counts)}
+
+    @cached_property
+    def scoring_tables(self) -> EnsembleTables:
+        """The tables this ensemble scores with: ``tables`` under
+        Kneser-Ney, their interpolated column set under ``baseline``."""
+        return self.tables if self.baseline is None else self.tables.interpolated(self.baseline)
 
     @property
     def models(self) -> CellModels:
@@ -160,8 +171,8 @@ def build_ensemble(
 def cell_log_scores(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
     """Unnormalized log posterior per cell in row-major order:
     log P(tokens | cell) + log prior. Zero-prior cells get -inf."""
-    scores = ens.tables.log_likelihood(tokens, ens.baseline)
-    scores += ens.tables.log_prior
+    scores = ens.scoring_tables.log_likelihood(tokens)
+    scores += ens.scoring_tables.log_prior
     return scores
 
 
@@ -187,7 +198,7 @@ def posterior_vector(ens: GeoEnsemble, tokens: Sequence[str]) -> np.ndarray:
 def posterior_matrix(ens: GeoEnsemble, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
     """(posts, g**2) matrix whose row i is ``posterior_vector(ens,
     token_lists[i])`` bit for bit, scored in one batched pass."""
-    scores = ens.tables.log_likelihoods(token_lists, ens.baseline) + ens.tables.log_prior
+    scores = ens.scoring_tables.log_likelihoods(token_lists) + ens.scoring_tables.log_prior
     return normalize_log_scores(scores)
 
 
@@ -202,7 +213,12 @@ def posterior_field(ens: GeoEnsemble, post: TokenizedPost) -> PosteriorField:
     return PosteriorField(values=values, post_id=post.id)
 
 
-@lru_cache(maxsize=16)
+# Every caller works at one g at a time: ``estimate``, ``estimate_batch``
+# and ``evaluate`` at the model's g, ``grid_search`` at each g in turn.
+# So only the last g's stack is kept, with its sizes for a vector and for
+# a matrix of fields: a stack takes (g-1) * g**4 * 8 bytes, and the stacks
+# of g = 16, 20, 24, 28 and 32 would keep 464 MiB.
+@lru_cache(maxsize=1)
 def _ring_matrices(g: int) -> np.ndarray:
     """Read-only (g-1, g**2, g**2) stack of 0/1 matrices: R[k-1] @ field
     sums each cell's ring-k neighbors, the cells at Chebyshev distance k."""
@@ -213,7 +229,7 @@ def _ring_matrices(g: int) -> np.ndarray:
     return stack
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _ring_sizes(g: int, ndim: int) -> np.ndarray:
     """Read-only full-ring sizes (2k+1)**2 - 1, k = 1..g-1, shaped to
     divide a (g-1, ...) stack of terms of ``ndim``-dimensional fields."""

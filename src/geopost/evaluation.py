@@ -28,6 +28,8 @@ from .grid import (
 )
 from .pipeline import RawCorpus, RawPost, TokenizedPost
 
+# Width of an error histogram bin, unless the caller gives one.
+DEFAULT_BIN_WIDTH_KM = 0.25
 # Most bins an error histogram may have: 12 times the 80,061 that the
 # default 0.25 km width gives for the largest great-circle error.
 MAX_HISTOGRAM_BINS = 1_000_000
@@ -129,7 +131,7 @@ def estimation_error_km(truth: GeoPoint, est: Estimate) -> float:
 
 
 def error_report(
-    per_post: Sequence[tuple[str, float]], bin_width_km: float = 0.25
+    per_post: Sequence[tuple[str, float]], bin_width_km: float = DEFAULT_BIN_WIDTH_KM
 ) -> ErrorReport:
     """Aggregate per-post errors into mean, fixed-width histogram, and
     empirical CDF at every distinct error value. A bin width that would
@@ -173,8 +175,16 @@ def _check_bin_width(bin_width_km: float) -> None:
     real_number("bin width", bin_width_km, lambda w: 0 < w < inf, "be a finite number > 0")
 
 
+def check_truth_locations(posts: Sequence, role: str) -> None:
+    """Every post of ``posts`` must have a truth location: the first that
+    lacks one is named in a ValidationError, as a ``role`` post."""
+    for post in posts:
+        if post.location is None:
+            raise ValidationError(f"{role} post {post.id!r} has no truth location")
+
+
 def evaluate(
-    ens: GeoEnsemble, posts: Sequence[TokenizedPost], bin_width_km: float = 0.25
+    ens: GeoEnsemble, posts: Sequence[TokenizedPost], bin_width_km: float = DEFAULT_BIN_WIDTH_KM
 ) -> ErrorReport:
     """Estimate every post, measure errors against truth, and aggregate.
 
@@ -184,9 +194,7 @@ def evaluate(
     if not posts:
         raise ValidationError("cannot evaluate an empty test set")
     _check_bin_width(bin_width_km)
-    for post in posts:
-        if post.location is None:
-            raise ValidationError(f"test post {post.id!r} has no truth location")
+    check_truth_locations(posts, "test")
     per_post = [
         (post.id, estimation_error_km(post.location, est))
         for post, est in zip(posts, estimate_batch(ens, posts))

@@ -4,16 +4,20 @@ Counts are collected from consecutive token pairs within each post; no
 boundary markers are inserted and pairs never cross posts. Smoothing
 subtracts a tiered discount (d1 for bigrams seen once, d2 for twice, d3
 for three or more times) and redistributes the freed mass through the
-continuation probability of the completing word. A simple
-unigram-interpolated estimate is available as a baseline.
+continuation probability of the completing word. A plain bigram/unigram
+interpolation, with fixed weights, is the baseline.
 
 An ensemble keeps the models of all its cells in one ``EnsembleTables``:
 flat arrays over a global word index, with the back-off weight of every
 (context, cell), the continuation probability of every (word, cell) and
 its log, and the pair term (discounted numerator over c(v)) of every seen
 (pair, cell) stored rather than recomputed per lookup (the ARPA/KenLM
-layout). One core, ``_pair_logs``, turns the (v, w) word ids of a set of
-pairs into a (pairs, cells) block of log-probabilities. One span pass
+layout). Both models have the shape P = pair term + gamma(v) * p_cont(w)
+where v has an entry, and p_cont(w) elsewhere, so the baseline is a
+second set of those columns, ``EnsembleTables.interpolated``: pair term
+lambda1 * c(v, w) / c(v), gamma = lambda2 and p_cont = c(w) / N. One
+core, ``_pair_logs``, turns the (v, w) word ids of a set of pairs into a
+(pairs, cells) block of log-probabilities under either set. One span pass
 finds every table entry it needs: the word entries of v (for gamma(v)),
 of w (for p_cont(w) and its log) and the pair entries of (v, w). Where v
 has no entry in a cell the reference's value is p_cont(w), so its stored
@@ -41,10 +45,10 @@ cell's counts and discounts from the tables on demand.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from math import inf, log
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -174,6 +178,11 @@ class EnsembleTables:
     arrays hold every seen (v, w) of every cell, sorted by ``v *
     (len(vocab) + 1) + w`` and then cell, with c(v, w) and the pair term
     max(c(v, w) - D(c(v, w)), 0) / c(v).
+
+    These are the Kneser-Ney columns. ``interpolated`` returns the
+    baseline's in place of ``word_gamma``, ``word_pcont_id``, ``pcont``,
+    ``log_pcont`` and ``pair_term``. The scorer reads those five, the word
+    and pair spans and cells, and no count.
     """
 
     vocab: tuple[str, ...]
@@ -190,13 +199,10 @@ class EnsembleTables:
     pair_count: np.ndarray
     pair_term: np.ndarray
     post_counts: np.ndarray
-    total_tokens: np.ndarray
     log_prior: np.ndarray
     discounts: tuple[Discounts, ...]
 
-    def log_likelihood(
-        self, tokens: Sequence[str], baseline: Optional[BaselineInterpolation] = None
-    ) -> np.ndarray:
+    def log_likelihood(self, tokens: Sequence[str]) -> np.ndarray:
         """``sequence_log_prob`` of ``tokens`` under every cell's model at
         once, in row-major cell order: the post's block of pair logs with
         its rows added one after another, as the reference adds them. The
@@ -205,16 +211,12 @@ class EnsembleTables:
         if len(tokens) < 2:
             return np.zeros(len(self.post_counts))
         ids = self._ids(tokens)
-        logs = self._pair_logs(ids[:-1], ids[1:], baseline)
+        logs = self._pair_logs(ids[:-1], ids[1:])
         # sum(axis=0) adds rows in order, but a single column pairwise; the
         # running sum is in order always, and costs more.
         return logs.sum(axis=0) if logs.shape[1] > 1 else np.add.accumulate(logs)[-1]
 
-    def log_likelihoods(
-        self,
-        token_lists: Sequence[Sequence[str]],
-        baseline: Optional[BaselineInterpolation] = None,
-    ) -> np.ndarray:
+    def log_likelihoods(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
         """``log_likelihood`` of every post of ``token_lists`` as the rows
         of one (posts, cells) array. The batch's pairs are scored in blocks
         of ``max(_BLOCK // cells, 1)`` pairs, regardless of where posts
@@ -232,7 +234,7 @@ class EnsembleTables:
         per_block = max(_BLOCK // n_cells, 1)
         for lo in range(0, len(left), per_block):
             block = slice(lo, lo + per_block)
-            np.add.at(out, post_of_pair[block], self._pair_logs(v[block], w[block], baseline))
+            np.add.at(out, post_of_pair[block], self._pair_logs(v[block], w[block]))
         return out
 
     def _ids(self, tokens: Sequence[str]) -> np.ndarray:
@@ -268,53 +270,59 @@ class EnsembleTables:
         at[w_end:] += self.pair_cell[ent[w_end:]]
         return at, ent, v_end, w_end
 
-    def _pair_logs(
-        self, v: np.ndarray, w: np.ndarray, baseline: Optional[BaselineInterpolation]
-    ) -> np.ndarray:
+    def _pair_logs(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """log max(P(w[i] | v[i]), MIN_PROB) in every cell, as a (pairs,
         cells) array: the one scoring core behind ``log_likelihood`` and
-        ``log_likelihoods``.
+        ``log_likelihoods``, for either column set.
 
-        Kneser-Ney is P = c(v, w)' / c(v) + gamma(v) * p_cont(w), with
-        c(v, w)' the discounted numerator, where c(v) > 0, and p_cont(w)
-        where c(v) = 0, as in the reference. The tables store the pair term
-        c(v, w)' / c(v) and log max(p_cont(w), MIN_PROB), so where v has no
-        entry the log is read, not taken: the logs start at log(MIN_PROB),
-        the floor of a w without an entry too, and take the stored log of
-        every entry of w. The pair term and p_cont go into dense layers,
-        zero where they have no entry, and the entries of v alone gather
-        them: pair term + gamma(v) * p_cont(w), 0 + gamma(v) * p_cont(w)
-        for an unseen pair, is the reference's sum, and only these values
-        pass through ``_floored_logs``. The baseline keeps its mask: its
-        unseen-context value is not the seen-context formula at c(v, w) =
-        0."""
+        P = pair term + gamma(v) * p_cont(w) where c(v) > 0, and p_cont(w)
+        where c(v) = 0. Kneser-Ney's pair term is the discounted numerator
+        over c(v); ``interpolated`` gives the baseline's. The tables store
+        log max(p_cont(w), MIN_PROB), so where v has no entry the log is
+        read, not taken: the logs start at log(MIN_PROB), the floor of a w
+        without an entry too, and take the stored log of every entry of w.
+        The pair term and p_cont go into dense layers, zero where they have
+        no entry, and the entries of v alone gather them: pair term +
+        gamma(v) * p_cont(w), 0 + gamma(v) * p_cont(w) for an unseen pair,
+        is the reference's sum, and only these values pass through
+        ``_floored_logs``."""
         at, ent, v_end, w_end = self._entries(v, w)
         layers = np.zeros((3, len(v), len(self.post_counts)))
-        if baseline is None:
-            logs, pcont, term = layers
-            logs.fill(_LOG_MIN_PROB)
-            w_at, pid = at[v_end:w_end], self.word_pcont_id[ent[v_end:w_end]]
-            # take, not [pid]: numpy's fancy indexing is slow on narrow indices.
-            layers.put(w_at, self.pcont.take(pid))
-            layers.put(at[w_end:], self.pair_term[ent[w_end:]])
-            # One layer down, w's positions are the same (i, j) of the logs.
-            w_at -= logs.size
-            logs.put(w_at, self.log_pcont.take(pid))
-            v_at = at[:v_end]
-            p = self.word_gamma[ent[:v_end]]
-            p *= pcont.take(v_at)
-            p += term.take(v_at)
-            logs.put(v_at, _floored_logs(p))
-            return logs
-        # c(v) and c(w) both read word_count, 0 where the word has no entry.
-        layers.put(at[:w_end], self.word_count[ent[:w_end]])
-        layers.put(at[w_end:], self.pair_count[ent[w_end:]])
-        count, p_uni, pair = layers
-        p_uni /= np.maximum(self.total_tokens, 1)
-        seen = count > 0
-        p_bi = pair / np.where(seen, count, 1.0)
-        return _floored_logs(
-            np.where(seen, baseline.lambda1 * p_bi + baseline.lambda2 * p_uni, p_uni)
+        logs, pcont, term = layers
+        logs.fill(_LOG_MIN_PROB)
+        w_at, pid = at[v_end:w_end], self.word_pcont_id[ent[v_end:w_end]]
+        # take, not [pid]: numpy's fancy indexing is slow on narrow indices.
+        layers.put(w_at, self.pcont.take(pid))
+        layers.put(at[w_end:], self.pair_term[ent[w_end:]])
+        # One layer down, w's positions are the same (i, j) of the logs.
+        w_at -= logs.size
+        logs.put(w_at, self.log_pcont.take(pid))
+        v_at = at[:v_end]
+        p = self.word_gamma[ent[:v_end]]
+        p *= pcont.take(v_at)
+        p += term.take(v_at)
+        logs.put(v_at, _floored_logs(p))
+        return logs
+
+    def interpolated(self, baseline: BaselineInterpolation) -> "EnsembleTables":
+        """These tables with the columns of the interpolation baseline,
+        P = lambda1 * c(v, w) / c(v) + lambda2 * c(w) / N where c(v) > 0,
+        and c(w) / N elsewhere, N the cell's token count (at least 1), in
+        place of Kneser-Ney's: the pair term lambda1 * (c(v, w) / c(v)),
+        gamma = lambda2 and p_cont = c(w) / N. Every division is the
+        reference's, and ``_pair_logs`` adds its two products in the other
+        order, which gives the same bits; where v has no entry it reads the
+        stored log of c(w) / N, the value the reference logs there. c(v)
+        is the word entry of (v, cell), found in the sorted word keys."""
+        n_cells = len(self.post_counts)
+        v = self.pair_key // (len(self.vocab) + 1)
+        context = self.count_arrays()["word_keys"].searchsorted(v * n_cells + self.pair_cell)
+        tokens = np.bincount(self.word_cell, self.word_count, n_cells)
+        return replace(
+            self,
+            word_gamma=np.full(len(self.word_count), baseline.lambda2),
+            pair_term=baseline.lambda1 * (self.pair_count / self.word_count.take(context)),
+            **_continuation_probs(self.word_count, self.word_cell, tokens),
         )
 
     def cell_model(self, i: int, cell: CellId) -> CellCounts:
@@ -324,7 +332,7 @@ class EnsembleTables:
         words = np.searchsorted(self.word_ptr, ent, "right") - 1
         counts = CountTables(
             unigram={vocab[t]: n for t, n in zip(words.tolist(), self.word_count[ent].tolist())},
-            total_tokens=int(self.total_tokens[i]),
+            total_tokens=int(self.word_count[ent].sum()),
         )
         ent = np.flatnonzero(self.pair_cell == i)
         v, w = np.divmod(self.pair_key[ent], len(vocab) + 1)
@@ -438,21 +446,25 @@ def _backoff_weights(entry, word_cell, word_count, tier, tier_discount):
     return (d1 * t1 + d2 * t2 + d3 * t3) / word_count
 
 
-def _continuation_probs(entry, word_cell, distinct):
-    """p_cont(w), the share of a cell's distinct bigrams that w completes
-    (0 in a cell without bigrams), for every word entry, from the
-    completion word entry of every pair: the index of each entry's value
-    among the distinct values, the values, and log max(value, MIN_PROB)
-    of each.
+def _continuation_probs(k, word_cell, distinct):
+    """k / max(distinct[cell], 1) for every word entry of count ``k`` in
+    ``cell``, as the three ``EnsembleTables`` columns that hold p_cont:
+    ``word_pcont_id``, the index of each entry's value among the distinct
+    values, ``pcont``, the values, and ``log_pcont``, log max(value,
+    MIN_PROB) of each. Kneser-Ney's
+    p_cont(w) passes the bigrams each entry completes and the cells'
+    distinct bigrams; the baseline's c(w) / N passes the word counts and
+    the cells' token counts.
 
-    The entries of one cell that complete k bigrams share one p_cont, so
-    the distinct values are those of the integer keys k * cells + cell,
-    each divided out and logged with math.log once. A word completes at
-    most one bigram per context, so k <= V and the key table has at most
-    (V + 1) * cells slots, like the word slot table of ``compile_tables``.
-    The index takes the narrowest unsigned dtype that holds it."""
+    The entries of one cell with the same k share one value, so the
+    distinct values are those of the integer keys k * cells + cell, each
+    divided out and logged with math.log once. The key table has (max(k)
+    + 1) * cells slots: k <= V for Kneser-Ney, as a word completes at most
+    one bigram per context, like the word slot table of ``compile_tables``,
+    and k <= N for the baseline. The index takes the narrowest unsigned
+    dtype that holds it."""
     n_cells = len(distinct)
-    key = np.bincount(entry, minlength=len(word_cell)) * n_cells
+    key = k * n_cells
     key += word_cell
     seen = np.zeros(key.max(initial=0) + 1, dtype=bool)
     seen[key] = True
@@ -462,7 +474,8 @@ def _continuation_probs(entry, word_cell, distinct):
     rank = np.zeros(len(seen), dtype=np.min_scalar_type(len(keys)))
     rank[keys] = np.arange(len(keys))
     logs = np.maximum(values, MIN_PROB).tolist()
-    return rank[key], values, np.fromiter(map(log, logs), np.float64, len(logs))
+    log_pcont = np.fromiter(map(log, logs), np.float64, len(logs))
+    return {"word_pcont_id": rank[key], "pcont": values, "log_pcont": log_pcont}
 
 
 def count_tables(
@@ -556,8 +569,8 @@ def compile_tables(
     )
     word_gamma = _backoff_weights(context, word_cell, word_count, tier, tier_discount)
     pair_term /= word_count.take(context)  # take: see _pair_logs
-    distinct = np.bincount(pair_cell, minlength=n_cells)
-    word_pcont_id, pcont, log_pcont = _continuation_probs(completion, word_cell, distinct)
+    completes = np.bincount(completion, minlength=len(word_count))
+    pcont = _continuation_probs(completes, word_cell, np.bincount(pair_cell, minlength=n_cells))
     entries = np.bincount(word, minlength=n_words)
     if np.count_nonzero(entries) != len(vocab):
         raise ValueError("the vocabulary lists tokens that word_keys never counts")
@@ -570,15 +583,12 @@ def compile_tables(
         word_cell=word_cell,
         word_count=word_count,
         word_gamma=word_gamma,
-        word_pcont_id=word_pcont_id,
-        pcont=pcont,
-        log_pcont=log_pcont,
         pair_key=pair_key,
         pair_cell=pair_cell,
         pair_count=pair_count,
         pair_term=pair_term,
         post_counts=post_counts,
-        total_tokens=np.bincount(word_cell, word_count, n_cells).astype(np.int64),
         log_prior=np.array([log(n / total) if n > 0 else -inf for n in post_counts.tolist()]),
         discounts=discounts,
+        **pcont,
     )

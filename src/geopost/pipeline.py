@@ -40,6 +40,9 @@ from .grid import GeoPoint, check_coordinates, non_negative_index
 # cleanup (angle brackets are stripped), only by folding.
 MISC = "<misc>"
 
+# Size of the induced stopword list, unless the caller gives one.
+DEFAULT_STOPWORD_COUNT = 200
+
 _URL_PREFIXES = ("http://", "https://", "www.")
 
 
@@ -277,7 +280,7 @@ def _dense_ids(first: np.ndarray) -> np.ndarray:
 
 
 def build_training_corpus(
-    posts: Sequence[RawPost], stopword_count: int = 200
+    posts: Sequence[RawPost], stopword_count: int = DEFAULT_STOPWORD_COUNT
 ) -> tuple[TrainingCorpus, PipelineArtifacts]:
     """Run the training-side pipeline over a corpus.
 

@@ -33,8 +33,9 @@ from .estimator import (
     posterior_matrix,
     smoothing_terms,
 )
+from .evaluation import check_truth_locations
 from .grid import GeoBounds, geo_distance_km, partition, positive_index
-from .pipeline import RawPost, TokenizedPost, build_training_corpus
+from .pipeline import DEFAULT_STOPWORD_COUNT, RawPost, TokenizedPost, build_training_corpus
 
 DEFAULT_G_VALUES = tuple(range(5, 16))
 DEFAULT_ALPHA_VALUES = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -76,9 +77,7 @@ def _check_holdout(holdout: Sequence) -> None:
     """A hold-out corpus must be non-empty and every post located."""
     if not holdout:
         raise ValidationError("tuning needs a non-empty holdout corpus")
-    for post in holdout:
-        if post.location is None:
-            raise ValidationError(f"holdout post {post.id!r} has no truth location")
+    check_truth_locations(holdout, "holdout")
 
 
 def _sweep_alpha_d(
@@ -127,7 +126,7 @@ def grid_search(
     holdout: Sequence[RawPost],
     space: SearchSpace,
     bounds: GeoBounds,
-    stopword_count: int = 200,
+    stopword_count: int = DEFAULT_STOPWORD_COUNT,
 ) -> TuneResult:
     """Exhaustive search over (g, alpha, d) minimizing mean hold-out error.
 

@@ -272,7 +272,9 @@ def one_cell_tables(token_lists):
 
 def pair_probs(tables, pairs, baseline=None):
     """P(w | v) of every (v, w) of ``pairs`` in a one-cell ensemble's
-    ``tables``: exp of each pair's row of ``log_likelihoods``, so floored
-    at MIN_PROB."""
-    rows = tables.log_likelihoods([[v, w] for v, w in pairs], baseline)
+    ``tables``, or in their ``interpolated(baseline)`` column set: exp of
+    each pair's row of ``log_likelihoods``, so floored at MIN_PROB."""
+    if baseline is not None:
+        tables = tables.interpolated(baseline)
+    rows = tables.log_likelihoods([[v, w] for v, w in pairs])
     return [exp(x) for x in rows[:, 0].tolist()]

@@ -195,19 +195,28 @@ class CellLanguageModel:
         MIN_PROB so callers can take logs unconditionally."""
         return max(self._bigram_prob_raw(v, w), MIN_PROB)
 
+    def unigram_prob(self, w: str) -> float:
+        """c(w) / N, the maximum-likelihood unigram; 0 in a cell without
+        tokens."""
+        total = self.counts.total_tokens
+        if total == 0:
+            return 0.0
+        return self.counts.unigram.get(w, 0) / total
+
+    def _baseline_prob_raw(self, v: str, w: str, interp: BaselineInterpolation) -> float:
+        # Unfloored value of baseline_bigram_prob.
+        p_uni = self.unigram_prob(w)
+        cv = self.counts.unigram.get(v, 0)
+        if cv == 0:
+            return p_uni
+        p_bi = self.counts.bigram.get(v, {}).get(w, 0) / cv
+        return interp.lambda1 * p_bi + interp.lambda2 * p_uni
+
     def baseline_bigram_prob(self, v: str, w: str, interp: BaselineInterpolation) -> float:
         """Plain interpolation of the MLE bigram with the unigram that
         completes it. An unseen context falls back to the unigram estimate
         alone so the result stays a probability."""
-        total = self.counts.total_tokens
-        if total == 0:
-            return MIN_PROB
-        p_uni = self.counts.unigram.get(w, 0) / total
-        cv = self.counts.unigram.get(v, 0)
-        if cv == 0:
-            return max(p_uni, MIN_PROB)
-        p_bi = self.counts.bigram.get(v, {}).get(w, 0) / cv
-        return max(interp.lambda1 * p_bi + interp.lambda2 * p_uni, MIN_PROB)
+        return max(self._baseline_prob_raw(v, w, interp), MIN_PROB)
 
     def sequence_log_prob(
         self, tokens: Sequence[str], baseline: Optional[BaselineInterpolation] = None

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: workflows, formats, and exit codes."""
 
 import contextlib
+import hashlib
+import inspect
 import io
 import json
 import os
@@ -20,10 +22,12 @@ from geopost import (
     GeoPoint,
     RawCorpus,
     RawPost,
+    SmoothingConfig,
     ValidationError,
     build_training_corpus,
     cli,
     evaluation,
+    grid_search,
     load_model,
 )
 from geopost.cli import main
@@ -121,6 +125,42 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.jsonl")])
         assert code == 3
         assert capsys.readouterr().err == "internal error: boom\n"
+
+
+def _default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+class TestDefaults:
+    """Each default the CLI offers is the library's, read from the constant
+    that owns it, and its help line states it as it always has."""
+
+    def test_parsed_defaults_are_the_library_defaults(self):
+        parser = cli.build_parser()
+        located = ["--corpus", "c.jsonl", "--bounds", BOUNDS_FLAG, "--out", "o"]
+        train = parser.parse_args(["train", *located])
+        tune = parser.parse_args(["tune", *located])
+        ev = parser.parse_args(["evaluate", "--model", "m", "--corpus", "c.jsonl", "--out", "o"])
+        stopwords = _default(build_training_corpus, "stopword_count")
+        assert train.stopwords_k == tune.stopwords_k == stopwords == 200
+        assert _default(grid_search, "stopword_count") == stopwords
+        assert train.alpha == SmoothingConfig().alpha == 0.9
+        assert ev.bin_width == _default(evaluation.evaluate, "bin_width_km") == 0.25
+        assert _default(evaluation.error_report, "bin_width_km") == ev.bin_width
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("train", "size of the induced stopword list (default 200)"),
+            ("tune", "size of the induced stopword list (default 200)"),
+            ("train", "smoothing weight (default 0.9)"),
+            ("evaluate", "error histogram bin width in km (default 0.25)"),
+        ],
+    )
+    def test_help_states_the_default(self, command, line, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one option to a line
+        assert main([command, "--help"]) == 0
+        assert line in capsys.readouterr().out
 
 
 class TestSynth:
@@ -921,6 +961,51 @@ class TestEvaluate:
         assert err == f"warning: skipping {SURROGATE_ID_ERROR}\nskipped 1 malformed lines\n"
         rows = (report / "errors.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["synth-r0c0-0", "synth-r0c0-2"]
+
+
+class TestPinnedOutputs:
+    """The estimates CSV and the evaluate reports of a small planted model,
+    under Kneser-Ney and under the interpolation baseline, pinned by
+    SHA-256: a scoring change that alters one byte fails here."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("pinned")
+        corpus = _synth(tmp_path, grid=3, leakage=0.3, shared_vocab=15, neighbor_overlap=0.2)
+        return corpus, _train(tmp_path, corpus, grid=3, alpha=0.9), tmp_path
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ((), "ddeadee3aa88604a68cc92f1176697a70a1be3a086587f677807cf591a240e45"),
+            (("--baseline-lambda1", "0.7"), "4127fad713a13af511fe3b692334fe2a53d62d7f32d658ea9f5fca861cb0eea7"),
+        ],
+        ids=["kneser-ney", "baseline-0.7"],
+    )
+    def test_estimates_csv(self, trained, flags, digest):
+        corpus, model, tmp_path = trained
+        out = tmp_path / f"estimates{len(flags)}.csv"
+        assert main(["estimate", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(out), *flags]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ((), "fd73f2f2877fdcafcad367a877f93dc73e5081e68b5dc09479e6ce1829c5a703"),
+            (("--baseline-lambda1", "0.7"), "967c0d4f16873f625eb77570bc6b740e6eaca8dcdfed5c109da1aba2c6d62672"),
+        ],
+        ids=["kneser-ney", "baseline-0.7"],
+    )
+    def test_evaluate_reports(self, trained, flags, digest):
+        corpus, model, tmp_path = trained
+        out = tmp_path / f"report{len(flags)}"
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(out), *flags]) == 0
+        h = hashlib.sha256()
+        for name in ("errors.csv", "cdf.csv", "density.csv"):
+            h.update((out / name).read_bytes())
+        assert h.hexdigest() == digest
 
 
 class TestTune:

@@ -212,6 +212,60 @@ def _assert_derived_columns_equal_reference(tables, models):
     assert [x.hex() for x in tables.pair_term.tolist()] == want
 
 
+def _assert_interpolated_columns_equal_reference(tables, models, baseline):
+    """The columns of ``tables.interpolated(baseline)`` are the reference's
+    floats, compared as ``float.hex``: gamma = lambda2, p_cont = c(w) / N
+    and its log max(p, MIN_PROB), and the pair term lambda1 * (c(v, w) /
+    c(v)). ``models`` holds the reference model of each row-major cell."""
+    interp = tables.interpolated(baseline)
+    vocab = tables.vocab
+    assert interp.word_count is tables.word_count and interp.pair_key is tables.pair_key
+    assert {x.hex() for x in interp.word_gamma.tolist()} <= {baseline.lambda2.hex()}
+    assert len(interp.word_gamma) == len(tables.word_cell)
+    pid = interp.word_pcont_id
+    assert pid.dtype == np.min_scalar_type(len(interp.pcont))
+    got = [
+        (p.hex(), lp.hex())
+        for p, lp in zip(interp.pcont[pid].tolist(), interp.log_pcont[pid].tolist())
+    ]
+    words = np.repeat(np.arange(len(vocab)), np.diff(tables.word_ptr)[:-1])
+    want = []
+    for t, cell in zip(words.tolist(), tables.word_cell.tolist()):
+        p = models[cell].unigram_prob(vocab[t])
+        want.append((p.hex(), log(max(p, lm.MIN_PROB)).hex()))
+    assert got == want
+    v, w = np.divmod(tables.pair_key, len(vocab) + 1)
+    want = []
+    for a, b, cell in zip(v.tolist(), w.tolist(), tables.pair_cell.tolist()):
+        counts = models[cell].counts
+        p_bi = counts.bigram[vocab[a]][vocab[b]] / counts.unigram[vocab[a]]
+        want.append((baseline.lambda1 * p_bi).hex())
+    assert [x.hex() for x in interp.pair_term.tolist()] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensembles(), st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+def test_interpolated_columns_equal_reference(built, lambda1):
+    ens, by_cell = built
+    models = [train_cell(by_cell[cell], cell) for cell in ens.partition.cells()]
+    baseline = BaselineInterpolation(lambda1)
+    _assert_interpolated_columns_equal_reference(ens.tables, models, baseline)
+
+
+def test_interpolated_columns_equal_reference_in_edge_cells():
+    # Cell 0 has sequence-final-only contexts (c(v) > 0 and no bigram of
+    # v), cell 2 posts but no bigram, and cell 8 no token at all.
+    cells = partition(BOUNDS, 3).cells()
+    ens, by_cell = next(_core_ensembles())
+    t, models = ens.tables, [train_cell(by_cell[cell], cell) for cell in cells]
+    assert _by_word_cell(t, "b", t.word_gamma)[0] == 0.0
+    assert models[2].counts.unigram and not models[2].counts.bigram
+    assert ens.priors[cells[8]] == 0.0 and not models[8].counts.total_tokens
+    for lambda1 in (0.0, 0.6, 1.0):
+        baseline = BaselineInterpolation(lambda1)
+        _assert_interpolated_columns_equal_reference(t, models, baseline)
+
+
 @settings(max_examples=100, deadline=None)
 @given(ensembles())
 def test_derived_columns_equal_reference(built):
@@ -413,12 +467,12 @@ def test_posts_split_across_blocks_equal_one_post_scores(g):
     # Blocks of 1-3 pairs cut the 13-token post, and most others, into
     # pieces that land in several blocks.
     for ens in _random_ensembles(g):
-        tables, n_cells = ens.tables, g * g
+        tables, n_cells = ens.scoring_tables, g * g
         for per_block in (1, 2, 3):
             with mock.patch.object(lm, "_BLOCK", per_block * n_cells):
                 for batch in (SPLIT_POSTS[:1], SPLIT_POSTS * 3):
-                    got = tables.log_likelihoods(batch, ens.baseline)
-                    want = np.array([tables.log_likelihood(t, ens.baseline) for t in batch])
+                    got = tables.log_likelihoods(batch)
+                    want = np.array([tables.log_likelihood(t) for t in batch])
                     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
@@ -426,8 +480,7 @@ def test_posts_split_across_blocks_equal_one_post_scores(g):
 def test_no_block_exceeds_its_pair_count(block):
     # One post has more pairs than a block of the default size holds, so
     # the bound must hold inside a post as well as between posts.
-    ens = next(_random_ensembles(8))
-    tables = ens.tables
+    tables = next(_random_ensembles(8)).scoring_tables
     per_block = max(block // 64, 1)
     long_post = list(WORDS * 260)
     assert len(long_post) - 1 > lm._BLOCK // 64
@@ -436,11 +489,11 @@ def test_no_block_exceeds_its_pair_count(block):
     with mock.patch.object(lm, "_BLOCK", block), mock.patch.object(
         lm.EnsembleTables, "_pair_logs", autospec=True, side_effect=core
     ) as spy:
-        got = tables.log_likelihoods(batch, ens.baseline)
+        got = tables.log_likelihoods(batch)
     sizes = [len(call.args[1]) for call in spy.call_args_list]
     assert max(sizes) <= per_block
     assert sum(sizes) == sum(max(len(t) - 1, 0) for t in batch)
-    want = np.array([tables.log_likelihood(t, ens.baseline) for t in batch])
+    want = np.array([tables.log_likelihood(t) for t in batch])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
@@ -539,9 +592,9 @@ def test_no_entry_cases_equal_reference_bit_for_bit():
         ]
         for tokens in queries:
             want = [m.sequence_log_prob(tokens, ens.baseline) for m in models]
-            one = t.log_likelihood(tokens, ens.baseline)
+            one = ens.scoring_tables.log_likelihood(tokens)
             assert one.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
-        rows = t.log_likelihoods(queries, ens.baseline)
+        rows = ens.scoring_tables.log_likelihoods(queries)
         want = [[m.sequence_log_prob(q, ens.baseline) for m in models] for q in queries]
         assert rows.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
@@ -551,24 +604,27 @@ def test_only_seen_contexts_are_logged():
     # and the unknown word in none. Where v has no entry the core puts the
     # stored log of p_cont(w), so the values it logs are the reference's
     # unfloored P(w | v) of the (pair, cell)s where v has one, row by row
-    # and then in cell order; logging every entry again fails here.
-    ens, by_cell = next(_core_ensembles())
-    t = ens.tables
-    models = [train_cell(by_cell[cell], cell) for cell in ens.partition.cells()]
+    # and then in cell order, under Kneser-Ney and under the baseline;
+    # logging every entry again fails here.
     tokens = ["d", "a", "b", UNSEEN, "c", "a"]
-    want = [
-        models[j]._bigram_prob_raw(a, b)
-        for a, b in zip(tokens, tokens[1:])
-        for j in (_by_word_cell(t, a, t.word_count) if a in t.index else ())
-    ]
-    assert len(want) == 1 + 4 + 2 + 0 + 2
     core = lm._floored_logs
-    for score in (t.log_likelihood, lambda q: t.log_likelihoods([q])):
-        with mock.patch.object(lm, "_floored_logs", side_effect=core) as spy:
-            score(tokens)
-        ((logged,), _) = spy.call_args_list[0]
-        assert spy.call_count == 1 and logged.shape == (len(want),)
-        assert [x.hex() for x in logged.tolist()] == [x.hex() for x in want]
+    for ens, by_cell in _core_ensembles():
+        t, scored = ens.tables, ens.scoring_tables
+        models = [train_cell(by_cell[cell], cell) for cell in ens.partition.cells()]
+        want = [
+            models[j]._bigram_prob_raw(a, b)
+            if ens.baseline is None
+            else models[j]._baseline_prob_raw(a, b, ens.baseline)
+            for a, b in zip(tokens, tokens[1:])
+            for j in (_by_word_cell(t, a, t.word_count) if a in t.index else ())
+        ]
+        assert len(want) == 1 + 4 + 2 + 0 + 2
+        for score in (scored.log_likelihood, lambda q: scored.log_likelihoods([q])):
+            with mock.patch.object(lm, "_floored_logs", side_effect=core) as spy:
+                score(tokens)
+            ((logged,), _) = spy.call_args_list[0]
+            assert spy.call_count == 1 and logged.shape == (len(want),)
+            assert [x.hex() for x in logged.tolist()] == [x.hex() for x in want]
 
 
 def _all_pairs(tables, repeat):
@@ -595,10 +651,10 @@ def test_floored_logs_equal_math_log(cutoff):
 @pytest.mark.parametrize("cutoff", CUTOFFS)
 def test_pair_logs_equal_per_value_log(cutoff):
     for ens, by_cell in _core_ensembles():
-        tables = ens.tables
+        tables = ens.scoring_tables
         v, w = _all_pairs(tables, repeat=40)
         with mock.patch.object(lm, "_DISTINCT_MIN", cutoff):
-            got = tables._pair_logs(v, w, ens.baseline)
+            got = tables._pair_logs(v, w)
         words = tables.vocab + (UNSEEN,)
         want = np.empty(got.shape)
         for j, cell in enumerate(ens.partition.cells()):
@@ -619,8 +675,9 @@ def test_planted_batch_equals_reference_across_the_cutoff(cutoff):
     ens, by_cell, queries = _planted()
     models = [train_cell(by_cell[cell], cell) for cell in ens.partition.cells()]
     for baseline in (None, BaselineInterpolation(0.7)):
+        tables = ens.tables if baseline is None else ens.tables.interpolated(baseline)
         with mock.patch.object(lm, "_DISTINCT_MIN", cutoff):
-            got = ens.tables.log_likelihoods(queries, baseline)
+            got = tables.log_likelihoods(queries)
         want = [[m.sequence_log_prob(q, baseline) for m in models] for q in queries]
         assert got.tolist() == want
 
@@ -631,20 +688,20 @@ def test_batch_rows_equal_one_post_scores_across_the_cutoff(cutoff):
              ["a", UNSEEN, "b"], ["e", "a", "e", "b", "c", "d", "a", "b"]]
     batch = posts * 60
     for ens, _ in _core_ensembles():
-        tables = ens.tables
+        tables = ens.scoring_tables
         with mock.patch.object(lm, "_DISTINCT_MIN", cutoff):
-            got = tables.log_likelihoods(batch, ens.baseline)
-            want = np.array([tables.log_likelihood(tokens, ens.baseline) for tokens in batch])
+            got = tables.log_likelihoods(batch)
+            want = np.array([tables.log_likelihood(tokens) for tokens in batch])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @settings(max_examples=100, deadline=None)
 @given(ensembles(), st.lists(batch_posts, max_size=12), st.sampled_from(CUTOFFS))
 def test_log_likelihoods_rows_equal_log_likelihood(built, token_lists, cutoff):
-    tables, baseline = built[0].tables, built[0].baseline
+    tables = built[0].scoring_tables
     with mock.patch.object(lm, "_DISTINCT_MIN", cutoff):
-        got = tables.log_likelihoods(token_lists * 30, baseline)
-        want = [tables.log_likelihood(tokens, baseline) for tokens in token_lists * 30]
+        got = tables.log_likelihoods(token_lists * 30)
+        want = [tables.log_likelihood(tokens) for tokens in token_lists * 30]
     want = np.array(want).reshape(got.shape)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
@@ -693,14 +750,14 @@ def test_one_cell_scores_equal_reference_bit_for_bit():
     for baseline in (None, BaselineInterpolation(0.7)):
         ens, by_cell = _ensemble(1, [(cell, train)], baseline=baseline)
         model = train_cell(by_cell[cell], cell)
-        tables = ens.tables
+        tables = ens.scoring_tables
         for tokens in queries:
             want = model.sequence_log_prob(tokens, baseline)
-            assert tables.log_likelihood(tokens, baseline).tolist() == [want]
+            assert tables.log_likelihood(tokens).tolist() == [want]
             ids = tables._ids(tokens)
-            pairwise = tables._pair_logs(ids[:-1], ids[1:], baseline).sum(axis=0)
+            pairwise = tables._pair_logs(ids[:-1], ids[1:]).sum(axis=0)
             pairwise_differs |= pairwise.tolist() != [want]
-        rows = tables.log_likelihoods(queries, baseline)
+        rows = tables.log_likelihoods(queries)
         assert rows[:, 0].tolist() == [model.sequence_log_prob(q, baseline) for q in queries]
     assert pairwise_differs
 
@@ -776,9 +833,9 @@ class TestPinnedTables:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("city-g8", "a6c01fb1b66de5fd7d3813b1bfc72ee510c58a3df5ffd567d2d72fe8bb764056"),
-            ("fine-g12", "80a66a2ce8d72a0345642ad83a072252a90602cca76790c2f3bd6f1f1772dd58"),
-            ("tune", "d5fc9bd9898ef0c41d19e7de00b6a6d3feb3126b9d72d66ccf508f5cba36289a"),
+            ("city-g8", "36bd5bcf349608fd787046dfebea9caf086cb66bfbcc3634f7c67379f752f617"),
+            ("fine-g12", "37496bf4fb6d4e53142cbb58dcce3660445181f8d4565676a83b2cf8b35fc5a2"),
+            ("tune", "f6c43320c03d70be7649e0478a8937882750693872ccc9fa66161b0e9429a0aa"),
         ],
     )
     def test_digest(self, name, digest):
@@ -793,13 +850,21 @@ class TestPinnedTables:
         ],
     )
     def test_count_and_weight_digest(self, name, digest):
-        # Recorded when the tables stored p_cont per word entry and the
-        # discounted numerator in place of the pair term: every other array,
-        # with p_cont read through its index, is byte for byte the same.
+        # Recorded when the tables stored p_cont per word entry, the
+        # discounted numerator in place of the pair term, and each cell's
+        # token count: every other array, with p_cont read through its
+        # index, is byte for byte the same, and the token counts derived
+        # from the word counts are the ones stored then.
         t = _pinned_build(name)[2]
+        derived = {
+            "word_pcont": t.pcont[t.word_pcont_id],
+            "total_tokens": np.bincount(t.word_cell, t.word_count, len(t.post_counts)).astype(
+                np.int64
+            ),
+        }
         names = ("word_ptr", "word_cell", "word_count", "word_gamma", "word_pcont", "pair_key",
                  "pair_cell", "pair_count", "post_counts", "total_tokens", "log_prior")
-        arrays = {k: t.pcont[t.word_pcont_id] if k == "word_pcont" else getattr(t, k) for k in names}
+        arrays = {k: derived[k] if k in derived else getattr(t, k) for k in names}
         assert _tables_digest(t, arrays) == digest
 
 
@@ -815,3 +880,6 @@ class TestPinnedColumns:
             by_cell[part.cell_of(post.location)].append(post)
         models = [train_cell(by_cell[cell], cell) for cell in part.cells()]
         _assert_derived_columns_equal_reference(tables, models)
+        for lambda1 in (0.0, 0.7, 1.0):
+            baseline = BaselineInterpolation(lambda1)
+            _assert_interpolated_columns_equal_reference(tables, models, baseline)

@@ -2,7 +2,7 @@
 
 The hand values are checked on the compiled tables of a one-cell
 ensemble: gamma through ``word_gamma``, p_cont through ``word_pcont_id``,
-P(w | v) and the baseline through ``log_likelihood``. ``TestTrainCell``
+P(w | v) and the baseline (through ``interpolated``) by ``log_likelihood``. ``TestTrainCell``
 and the unseen-context case describe the reference model of
 ``tests/reference.py`` and run on it.
 """
@@ -48,7 +48,9 @@ def _prob(tables, v, w, baseline=None):
 
 
 def _log_prob(tables, tokens, baseline=None):
-    (lp,) = tables.log_likelihood(tokens, baseline).tolist()
+    if baseline is not None:
+        tables = tables.interpolated(baseline)
+    (lp,) = tables.log_likelihood(tokens).tolist()
     return lp
 
 

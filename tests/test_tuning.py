@@ -114,6 +114,16 @@ class TestGridSearch:
         result = grid_search(tr, ho, space, BOUNDS, stopword_count=0)
         assert result.best[0] == 4
 
+    def test_one_ring_stack_stays_cached(self):
+        # grid_search works at one g at a time, so the stacks of the g it
+        # left behind are not kept.
+        tr, ho, _ = _splits(SyntheticSpec(g=3, posts_per_cell=20, seed=2))
+        estimator._ring_matrices.cache_clear()
+        space = SearchSpace(g_values=(2, 3, 4), alpha_values=(0.5,))
+        grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+        assert estimator._ring_matrices.cache_info().misses == 3
+        assert estimator._ring_matrices.cache_info().currsize == 1
+
     def test_deterministic(self):
         tr, ho, _ = _splits(SyntheticSpec(g=3, posts_per_cell=30, leakage=0.3, seed=2))
         space = SearchSpace(g_values=(2, 3), alpha_values=(0.2, 0.8))
