@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from math import nan
 from pathlib import Path
 from typing import Optional
@@ -283,16 +284,7 @@ def cmd_tune(args) -> int:
 
 def cmd_synth(args) -> int:
     bounds = parse_bounds(args.bounds)
-    spec = SyntheticSpec(
-        g=args.grid,
-        vocab_per_cell=args.vocab_per_cell,
-        shared_vocab=args.shared_vocab,
-        posts_per_cell=args.posts_per_cell,
-        tokens_per_post=args.tokens_per_post,
-        leakage=args.leakage,
-        neighbor_overlap=args.neighbor_overlap,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(args.grid, **{f.name: getattr(args, f.name) for f in _SYNTH_FIELDS})
     posts = generate_synthetic(spec, bounds)
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         for post in posts:
@@ -318,6 +310,15 @@ def _parse_list(text: Optional[str], convert, kind: str, default: tuple) -> tupl
         raise ValidationError(f"expected comma-separated {kind}, got {text!r}") from None
 
 
+# The SyntheticSpec fields after g, in option order; each is a synth
+# option of its field's name, type and default.
+_SYNTH_FIELDS = fields(SyntheticSpec)[1:]
+_SYNTH_HELP = {
+    "leakage": "probability a token comes from a random other cell",
+    "neighbor_overlap": "probability a token comes from an adjacent cell",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geopost",
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     located.add_argument("--bounds", required=True, help="region as south,west,north,east degrees")
     located.add_argument("--stopwords-k", type=int, default=DEFAULT_STOPWORD_COUNT,
                          help="size of the induced stopword list (default %(default)s)")
-    located.add_argument("--seed", type=int, default=0, help="split shuffle seed")
+    located.add_argument("--seed", type=int, default=SplitSpec.seed, help="split shuffle seed")
     loading = argparse.ArgumentParser(add_help=False, parents=[reading])
     loading.add_argument("--model", required=True, help="model directory")
     loading.add_argument("--alpha", type=float, help="override stored smoothing weight")
@@ -364,23 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("tune", parents=[located],
                           help="grid-search g, alpha, d on a hold-out split")
-    tune.add_argument("--g-values", help="comma-separated grid sizes (default 5..15)")
-    tune.add_argument("--alpha-values", help="comma-separated alphas (default 0.1..1.0)")
+    tune.add_argument("--g-values", help="comma-separated grid sizes (default"
+                      f" {DEFAULT_G_VALUES[0]}..{DEFAULT_G_VALUES[-1]})")
+    tune.add_argument("--alpha-values", help="comma-separated alphas (default"
+                      f" {DEFAULT_ALPHA_VALUES[0]}..{DEFAULT_ALPHA_VALUES[-1]})")
     tune.add_argument("--out", required=True, help="output CSV path for the error surface")
     tune.set_defaults(func=cmd_tune)
 
     synth = sub.add_parser("synth", help="generate a planted-vocabulary synthetic corpus")
     synth.add_argument("--bounds", required=True, help="region as south,west,north,east degrees")
     synth.add_argument("--grid", type=int, required=True, help="grid dimension g")
-    synth.add_argument("--vocab-per-cell", type=int, default=20)
-    synth.add_argument("--shared-vocab", type=int, default=0)
-    synth.add_argument("--posts-per-cell", type=int, default=100)
-    synth.add_argument("--tokens-per-post", type=int, default=6)
-    synth.add_argument("--leakage", type=float, default=0.0,
-                       help="probability a token comes from a random other cell")
-    synth.add_argument("--neighbor-overlap", type=float, default=0.0,
-                       help="probability a token comes from an adjacent cell")
-    synth.add_argument("--seed", type=int, default=0)
+    for f in _SYNTH_FIELDS:
+        synth.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           default=f.default, help=_SYNTH_HELP.get(f.name))
     synth.add_argument("--out", required=True, help="output JSONL path")
     synth.set_defaults(func=cmd_synth)
 

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ValidationError
 from .grid import CellId, GeoPoint, GridPartition, positive_index, real_number
 from .lm import BaselineInterpolation, CellModels, EnsembleTables, count_tables
-from .pipeline import PipelineArtifacts, TokenizedPost, TrainingCorpus
+from .pipeline import PipelineArtifacts, TokenizedPost, TrainingCorpus, vocab_agrees
 
 # Every batch pass (``estimate_batch`` and the tuner's hold-out sweep)
 # takes posts in blocks whose ring stack, (g-1) x posts x g**2 floats, has
@@ -150,7 +150,7 @@ def build_ensemble(
     baseline."""
     if not len(corpus):
         raise ValidationError("cannot build an ensemble from an empty training set")
-    if len(corpus.vocab) != len(artifacts.vocab) or not artifacts.vocab.issuperset(corpus.vocab):
+    if not vocab_agrees(corpus.vocab, artifacts.vocab):
         raise ValidationError("the training corpus vocab differs from artifacts.vocab")
     unlocated = np.isnan(corpus.lats)
     n = int(np.argmax(unlocated)) if unlocated.any() else len(corpus)
@@ -348,19 +348,22 @@ def estimates_csv(posts: Sequence[TokenizedPost], estimates: Sequence[Estimate])
     Floats are written with repr so identical estimates always produce
     byte-identical output.
     """
+    return csv_text(
+        ESTIMATES_CSV_FIELDS,
+        (
+            (post.id, repr(est.point.lat), repr(est.point.lon), est.cell.row, est.cell.col,
+             repr(est.posterior), repr(est.smoothed_score))
+            for post, est in zip(posts, estimates)
+        ),
+    )
+
+
+def csv_text(header: Sequence, rows) -> str:
+    """``header`` and then ``rows`` as CSV text: comma-separated, ``\\n``
+    line ends and the csv module's minimal quoting. Every CSV file that
+    geopost writes is made here."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ESTIMATES_CSV_FIELDS)
-    for post, est in zip(posts, estimates):
-        writer.writerow(
-            [
-                post.id,
-                repr(est.point.lat),
-                repr(est.point.lon),
-                est.cell.row,
-                est.cell.col,
-                repr(est.posterior),
-                repr(est.smoothed_score),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()

@@ -8,7 +8,6 @@ leakage degrades recovery in a controlled way.
 
 from __future__ import annotations
 
-import csv
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from math import floor, inf
 from typing import Sequence
 
 from .errors import ValidationError
-from .estimator import Estimate, GeoEnsemble, estimate_batch
+from .estimator import Estimate, GeoEnsemble, csv_text, estimate_batch
 from .grid import (
     GeoBounds,
     GeoPoint,
@@ -224,9 +223,7 @@ def write_density_csv(report: ErrorReport, path) -> None:
 
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        f.write(csv_text(header, rows))
 
 
 def generate_synthetic(spec: SyntheticSpec, bounds: GeoBounds) -> list[RawPost]:

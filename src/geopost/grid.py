@@ -44,7 +44,9 @@ def check_coordinates(lat: float, lon: float) -> None:
 @dataclass(frozen=True)
 class GeoBounds:
     """An axis-aligned lat/lon rectangle. Antimeridian-spanning regions
-    are unsupported, so west < east is required."""
+    are unsupported, so west < east is required. Each edge is stored as a
+    Python ``float``, so a numpy scalar reaches the manifest as the plain
+    number."""
 
     south: float
     west: float
@@ -52,9 +54,10 @@ class GeoBounds:
     east: float
 
     def __post_init__(self):
-        edges = (self.south, self.west, self.north, self.east)
-        if any(isinstance(edge, bool) for edge in edges):
-            raise ValidationError(f"bounds must be numbers, not booleans: {edges}")
+        for name in ("south", "west", "north", "east"):
+            edge = getattr(self, name)
+            edge = real_number("bounds", edge, lambda _: True, "be numbers, not booleans")
+            object.__setattr__(self, name, edge)
         check_coordinates(self.south, self.west)
         check_coordinates(self.north, self.east)
         if not self.south < self.north:

@@ -52,8 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .grid import CellId
+from .grid import CellId, real_number
 
 # Floor applied to every returned probability so log-space scoring never
 # sees zero. Far below anything a trained model can produce.
@@ -132,8 +131,9 @@ class BaselineInterpolation:
     lambda1: float
 
     def __post_init__(self):
-        if isinstance(self.lambda1, bool) or not 0.0 <= self.lambda1 <= 1.0:
-            raise ValidationError("interpolation weight lambda1 must lie in [0, 1]")
+        lambda1 = real_number("interpolation weight lambda1", self.lambda1, lambda x: 0 <= x <= 1,
+                              "lie in [0, 1]")
+        object.__setattr__(self, "lambda1", lambda1)
 
     @property
     def lambda2(self) -> float:
@@ -313,10 +313,12 @@ class EnsembleTables:
         reference's, and ``_pair_logs`` adds its two products in the other
         order, which gives the same bits; where v has no entry it reads the
         stored log of c(w) / N, the value the reference logs there. c(v)
-        is the word entry of (v, cell), found in the sorted word keys."""
+        is the word entry of (v, cell), found by ``_word_entries`` as
+        ``compile_tables`` finds it."""
         n_cells = len(self.post_counts)
         v = self.pair_key // (len(self.vocab) + 1)
-        context = self.count_arrays()["word_keys"].searchsorted(v * n_cells + self.pair_cell)
+        word_keys = self.count_arrays()["word_keys"]
+        (context,) = _word_entries(word_keys, len(self.vocab) * n_cells, v * n_cells + self.pair_cell)
         tokens = np.bincount(self.word_cell, self.word_count, n_cells)
         return replace(
             self,

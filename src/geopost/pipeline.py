@@ -216,6 +216,14 @@ class PipelineArtifacts:
         return preprocess(raw, self.stopwords, self.vocab)
 
 
+def vocab_agrees(vocab: Sequence[str], words: frozenset[str]) -> bool:
+    """Whether ``vocab`` lists the words of ``words``, each once and in
+    strictly increasing order, the one order a vocabulary is counted,
+    saved and loaded in: ``tuple(sorted(words)) == tuple(vocab)`` in
+    linear time."""
+    return len(vocab) == len(words) and words.issuperset(vocab) and all(map(lt, vocab, vocab[1:]))
+
+
 def clean_and_tokenize(raw: RawPost) -> list[str]:
     """Split on whitespace and normalize each token.
 

@@ -58,6 +58,7 @@ import json
 import os
 import uuid
 import zipfile
+from dataclasses import asdict
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -69,7 +70,7 @@ from .errors import DataError, ValidationError
 from .estimator import GeoEnsemble, SmoothingConfig
 from .grid import GeoBounds, GridPartition
 from .lm import compile_tables
-from .pipeline import PipelineArtifacts
+from .pipeline import PipelineArtifacts, vocab_agrees
 
 FORMAT_VERSION = 6
 
@@ -110,7 +111,7 @@ def save_model(ens: GeoEnsemble, out_dir: str | Path, seed: Optional[int] = None
     fails, the temporary file is removed and the previous model is left
     as it was. Nothing else in the directory is touched."""
     out = Path(out_dir)
-    if tuple(sorted(ens.artifacts.vocab)) != ens.tables.vocab:
+    if not vocab_agrees(ens.tables.vocab, ens.artifacts.vocab):
         raise ValidationError("the ensemble's pipeline vocabulary differs from its count tables")
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -133,12 +134,7 @@ def _write_archive(ens: GeoEnsemble, f, seed: Optional[int]) -> None:
     part, tables = ens.partition, ens.tables
     manifest = {
         "format_version": FORMAT_VERSION,
-        "bounds": {
-            "south": part.bounds.south,
-            "west": part.bounds.west,
-            "north": part.bounds.north,
-            "east": part.bounds.east,
-        },
+        "bounds": asdict(part.bounds),
         "grid_size": part.g,
         "alpha": ens.smoothing.alpha,
         "diameter": ens.smoothing.diameter,

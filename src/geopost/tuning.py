@@ -18,7 +18,6 @@ order, and distances are taken only for the cells that win.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,7 +32,7 @@ from .estimator import (
     posterior_matrix,
     smoothing_terms,
 )
-from .evaluation import check_truth_locations
+from .evaluation import _write_csv, check_truth_locations
 from .grid import GeoBounds, geo_distance_km, partition, positive_index
 from .pipeline import DEFAULT_STOPWORD_COUNT, RawPost, TokenizedPost, build_training_corpus
 
@@ -163,11 +162,11 @@ def select_best(surface: dict[tuple[int, float, int], float]) -> tuple[int, floa
 
 def write_surface_csv(result: TuneResult, path) -> None:
     """Export the search surface as (g, alpha, d, mean_error_km) rows."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(("g", "alpha", "d", "mean_error_km"))
-        for (g, alpha, d) in sorted(result.surface):
-            writer.writerow((g, repr(alpha), d, repr(result.surface[(g, alpha, d)])))
+    _write_csv(
+        path,
+        ("g", "alpha", "d", "mean_error_km"),
+        ((g, repr(alpha), d, repr(err)) for (g, alpha, d), err in sorted(result.surface.items())),
+    )
 
 
 def error_vs_d(

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: workflows, formats, and exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -23,6 +24,8 @@ from geopost import (
     RawCorpus,
     RawPost,
     SmoothingConfig,
+    SplitSpec,
+    SyntheticSpec,
     ValidationError,
     build_training_corpus,
     cli,
@@ -148,6 +151,27 @@ class TestDefaults:
         assert ev.bin_width == _default(evaluation.evaluate, "bin_width_km") == 0.25
         assert _default(evaluation.error_report, "bin_width_km") == ev.bin_width
 
+    def test_synth_and_seed_defaults_are_the_spec_fields(self):
+        parser = cli.build_parser()
+        synth = parser.parse_args(["synth", "--bounds", BOUNDS_FLAG, "--grid", "2", "--out", "o"])
+        parsed = {f.name: getattr(synth, f.name) for f in dataclasses.fields(SyntheticSpec)[1:]}
+        assert parsed == {f.name: f.default for f in dataclasses.fields(SyntheticSpec)[1:]}
+        assert parsed == dict(vocab_per_cell=20, shared_vocab=0, posts_per_cell=100,
+                              tokens_per_post=6, leakage=0.0, neighbor_overlap=0.0, seed=0)
+        assert [type(v) for v in parsed.values()] == [int, int, int, int, float, float, int]
+        located = ["--corpus", "c.jsonl", "--bounds", BOUNDS_FLAG, "--out", "o"]
+        train, tune = (parser.parse_args([cmd, *located]) for cmd in ("train", "tune"))
+        assert train.seed == tune.seed == SplitSpec.seed == SplitSpec().seed == 0
+
+    def test_every_synth_flag_reaches_the_spec(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "generate_synthetic", lambda spec, bounds: specs.append(spec) or [])
+        assert main(["synth", "--bounds", BOUNDS_FLAG, "--grid", "3", "--vocab-per-cell", "7",
+                     "--shared-vocab", "5", "--posts-per-cell", "11", "--tokens-per-post", "4",
+                     "--leakage", "0.3", "--neighbor-overlap", "0.2", "--seed", "5",
+                     "--out", str(tmp_path / "s.jsonl")]) == 0
+        assert specs == [SyntheticSpec(3, 7, 5, 11, 4, 0.3, 0.2, 5)]
+
     @pytest.mark.parametrize(
         "command, line",
         [
@@ -155,6 +179,10 @@ class TestDefaults:
             ("tune", "size of the induced stopword list (default 200)"),
             ("train", "smoothing weight (default 0.9)"),
             ("evaluate", "error histogram bin width in km (default 0.25)"),
+            ("tune", "comma-separated grid sizes (default 5..15)"),
+            ("tune", "comma-separated alphas (default 0.1..1.0)"),
+            ("synth", "probability a token comes from a random other cell"),
+            ("synth", "probability a token comes from an adjacent cell"),
         ],
     )
     def test_help_states_the_default(self, command, line, capsys, monkeypatch):
@@ -965,8 +993,9 @@ class TestEvaluate:
 
 class TestPinnedOutputs:
     """The estimates CSV and the evaluate reports of a small planted model,
-    under Kneser-Ney and under the interpolation baseline, pinned by
-    SHA-256: a scoring change that alters one byte fails here."""
+    under Kneser-Ney and under the interpolation baseline, the tune surface
+    and a default-flag synth corpus, pinned by SHA-256: a change that
+    alters one byte of an output fails here."""
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
@@ -1006,6 +1035,20 @@ class TestPinnedOutputs:
         for name in ("errors.csv", "cdf.csv", "density.csv"):
             h.update((out / name).read_bytes())
         assert h.hexdigest() == digest
+
+    def test_tune_surface_csv(self, trained):
+        corpus, _, tmp_path = trained
+        out = tmp_path / "surface.csv"
+        assert main(["tune", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
+                     "--stopwords-k", "0", "--g-values", "2,3", "--out", str(out)]) == 0
+        digest = "1ec3e09a1c53c1e41cc0f105a4d7ff1a81f0301e94035536d6418e73fcb0c268"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_default_flag_synth_corpus(self, tmp_path):
+        out = tmp_path / "synth.jsonl"
+        assert main(["synth", "--bounds", BOUNDS_FLAG, "--grid", "3", "--out", str(out)]) == 0
+        digest = "1cdb741ca7c50860629a042e17cc50f48870319a98abd93bc8dd1c19b4e69e77"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestTune:

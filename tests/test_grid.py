@@ -74,6 +74,20 @@ class TestPartition:
         with pytest.raises(ValidationError, match="not booleans"):
             GeoBounds(*edges)
 
+    @pytest.mark.parametrize("bad", ["1.0", None, 10**400], ids=["str", "none", "past-float"])
+    @pytest.mark.parametrize("edge", range(4))
+    def test_non_number_bound_rejected(self, edge, bad):
+        edges = [0.0, 0.0, 2.0, 2.0]
+        edges[edge] = bad
+        with pytest.raises(ValidationError, match="^bounds must be numbers"):
+            GeoBounds(*edges)
+
+    def test_numpy_bounds_are_stored_as_floats(self):
+        bounds = GeoBounds(np.float32(40.7), np.int64(-74), np.float64(40.77), 1)
+        edges = (bounds.south, bounds.west, bounds.north, bounds.east)
+        assert [type(e) for e in edges] == [float] * 4
+        assert edges == (float(np.float32(40.7)), -74.0, 40.77, 1.0)
+
     def test_zero_grid_rejected(self):
         with pytest.raises(ValidationError):
             partition(GeoBounds(0.0, 0.0, 1.0, 1.0), 0)

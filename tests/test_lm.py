@@ -10,6 +10,7 @@ and the unseen-context case describe the reference model of
 import random
 from math import exp, log
 
+import numpy as np
 import pytest
 
 from geopost import BaselineInterpolation, CellId, ValidationError, compute_discounts
@@ -231,6 +232,18 @@ class TestBaseline:
                 BaselineInterpolation(flag)
         with pytest.raises(ValidationError):
             BaselineInterpolation(-0.1)
+
+    @pytest.mark.parametrize("lambda1", ["0.5", None, 10**400], ids=["str", "none", "past-float"])
+    def test_non_number_weight_is_a_validation_error(self, lambda1):
+        with pytest.raises(ValidationError, match="^interpolation weight lambda1 must lie in"):
+            BaselineInterpolation(lambda1)
+
+    @pytest.mark.parametrize(
+        "lambda1", [np.float64(0.7), np.float32(0.5), 1], ids=["float64", "float32", "int"]
+    )
+    def test_weight_is_stored_as_a_float(self, lambda1):
+        interp = BaselineInterpolation(lambda1)
+        assert type(interp.lambda1) is float and interp.lambda1 == float(lambda1)
 
     def test_unigram_weight_is_the_complement(self):
         # The CLI's --baseline-lambda1 passed 1.0 - lambda1 explicitly;

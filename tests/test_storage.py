@@ -27,6 +27,7 @@ from geopost import (
     save_model,
     split,
 )
+from geopost.lm import compile_tables
 from helpers import (
     MODEL_FILES,
     at,
@@ -109,6 +110,23 @@ class TestRoundTrip:
         loaded = load_model(tmp_path / "model").smoothing
         assert loaded == SmoothingConfig(alpha=0.5, diameter=1)
         assert (type(loaded.alpha), type(loaded.diameter)) == (float, int)
+
+    def test_numpy_bounds_round_trip(self, tmp_path):
+        # GeoBounds stores each edge as a float, which the manifest needs:
+        # json.dumps refuses an np.float32.
+        bounds = GeoBounds(*map(np.float32, (40.70, -74.02, 40.77, -73.93)))
+        spec = SyntheticSpec(g=2, vocab_per_cell=8, posts_per_cell=25, leakage=0.2, seed=31)
+        tr, _, te = split(generate_synthetic(spec, bounds), SplitSpec(seed=1))
+        tok, arts = build_training_corpus(tr, stopword_count=3)
+        ens = build_ensemble(tok, partition(bounds, 2), SmoothingConfig(alpha=0.9), arts)
+        save_model(ens, tmp_path / "model")
+        loaded = load_model(tmp_path / "model")
+        assert loaded.partition == ens.partition
+        assert loaded.partition.bounds.south == float(np.float32(40.70))
+        queries = [arts.preprocess(p) for p in te]
+        assert estimates_csv(queries, estimate_batch(loaded, queries)) == estimates_csv(
+            queries, estimate_batch(ens, queries)
+        )
 
     def test_numpy_grid_size_round_trips(self, tmp_path):
         # partition stores a numpy grid size as the int, which the manifest
@@ -602,6 +620,25 @@ class TestReplace:
         arts = dataclasses.replace(ens.artifacts, vocab=ens.artifacts.vocab | {"extra"})
         with pytest.raises(ValidationError, match="vocabulary"):
             save_model(dataclasses.replace(ens, artifacts=arts), tmp_path / "model")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "reword",
+        [
+            lambda v: v[::-1],
+            lambda v: (*v[:-1], v[0]),
+            lambda v: (*v[:-1], "~not-counted"),
+        ],
+        ids=["out-of-order", "repeated-word", "other-word"],
+    )
+    def test_refuses_tables_whose_vocabulary_load_would_refuse(self, trained, tmp_path, reword):
+        # The tables take their vocabulary as given; only a strictly
+        # increasing list of the pipeline's words can be loaded back.
+        ens, _ = trained
+        tables = compile_tables(reword(ens.tables.vocab), **ens.tables.count_arrays())
+        message = "^the ensemble's pipeline vocabulary differs from its count tables$"
+        with pytest.raises(ValidationError, match=message):
+            save_model(dataclasses.replace(ens, tables=tables), tmp_path / "model")
         assert os.listdir(tmp_path) == []
 
     def test_empty_directory_is_filled(self, trained, tmp_path):
