@@ -72,8 +72,8 @@ def parse_bounds(text: str) -> GeoBounds:
 def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[RawCorpus, int]:
     """Read a JSON-lines corpus into a ``RawCorpus``, with the number of
     lines skipped. Malformed lines, invalid UTF-8 included, raise
-    DataError with the line number, or are counted and skipped under
-    --skip-bad."""
+    DataError with the line number, or are skipped under --skip-bad: a
+    warning on stderr for each, then one note with their count."""
     rows = []
     skipped = 0
     try:
@@ -92,6 +92,8 @@ def read_corpus(path: str | Path, skip_bad: bool = False) -> tuple[RawCorpus, in
                     print(f"warning: skipping {exc}", file=sys.stderr)
     except OSError as exc:
         raise DataError(f"cannot read corpus {path}: {exc}") from exc
+    if skipped:
+        print(f"skipped {skipped} malformed lines", file=sys.stderr)
     ids, texts, lats, lons = zip(*rows) if rows else ((), (), (), ())
     return RawCorpus(ids, texts, lats, lons), skipped
 
@@ -171,13 +173,23 @@ def _parse_post(line: str, lineno: int) -> tuple[str, str, float, float]:
     return post_id, text, lat, lon
 
 
-def _located_in_bounds(posts: RawCorpus, bounds: GeoBounds) -> tuple[RawCorpus, int, int]:
-    """The located posts inside ``bounds`` (edges included), the number
-    without a location, and the number located outside."""
-    n_located = int(np.count_nonzero(~np.isnan(posts.lats)))
-    inside = bounds.covers(posts.lats, posts.lons)
-    n_inside = int(np.count_nonzero(inside))
-    return posts.take(np.flatnonzero(inside)), len(posts) - n_located, n_located - n_inside
+def _located_split(args) -> tuple[GeoBounds, tuple[RawCorpus, RawCorpus, RawCorpus]]:
+    """The ``--bounds`` region and the seeded split of the ``--corpus``
+    posts located inside it (edges included), for ``train`` and ``tune``.
+    Each kind of post left out gets a note on stderr; a corpus with none
+    inside is a DataError."""
+    bounds = parse_bounds(args.bounds)
+    posts, _ = read_corpus(args.corpus, args.skip_bad)
+    inside = np.flatnonzero(bounds.covers(posts.lats, posts.lons))
+    n_unlocated = int(np.count_nonzero(np.isnan(posts.lats)))
+    n_outside = len(posts) - n_unlocated - len(inside)
+    if n_unlocated:
+        print(f"dropped {n_unlocated} posts without coordinates", file=sys.stderr)
+    if n_outside:
+        print(f"dropped {n_outside} posts outside the region", file=sys.stderr)
+    if not len(inside):
+        raise DataError("no located posts inside the region; nothing to train on")
+    return bounds, split(posts.take(inside), SplitSpec(seed=args.seed))
 
 
 def _load_with_overrides(args) -> object:
@@ -191,17 +203,7 @@ def _load_with_overrides(args) -> object:
 
 
 def cmd_train(args) -> int:
-    bounds = parse_bounds(args.bounds)
-    posts, skipped = read_corpus(args.corpus, args.skip_bad)
-    usable, n_unlocated, n_outside = _located_in_bounds(posts, bounds)
-    if n_unlocated:
-        print(f"dropped {n_unlocated} posts without coordinates", file=sys.stderr)
-    if n_outside:
-        print(f"dropped {n_outside} posts outside the region", file=sys.stderr)
-    if not usable:
-        raise DataError("no located posts inside the region; nothing to train on")
-
-    train_raw, holdout_raw, test_raw = split(usable, SplitSpec(seed=args.seed))
+    bounds, (train_raw, holdout_raw, test_raw) = _located_split(args)
     print(f"split: train={len(train_raw)} holdout={len(holdout_raw)} test={len(test_raw)}")
     if not train_raw:
         raise DataError("training split is empty; corpus too small")
@@ -214,28 +216,24 @@ def cmd_train(args) -> int:
 
     for cell, n in zip(part.cells(), ens.tables.post_counts.tolist()):
         print(f"cell ({cell.row},{cell.col}): {n} posts")
-    if skipped:
-        print(f"skipped {skipped} malformed lines", file=sys.stderr)
     print(f"model written to {args.out}")
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     ens = _load_with_overrides(args)
-    posts, skipped = read_corpus(args.corpus, args.skip_bad)
+    posts, _ = read_corpus(args.corpus, args.skip_bad)
     tokenized = [ens.artifacts.preprocess(p) for p in posts]
     estimates = estimate_batch(ens, tokenized)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         f.write(estimates_csv(tokenized, estimates))
-    if skipped:
-        print(f"skipped {skipped} malformed lines", file=sys.stderr)
     print(f"estimated {len(estimates)} posts -> {args.out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     ens = _load_with_overrides(args)
-    posts, skipped = read_corpus(args.corpus, args.skip_bad)
+    posts, _ = read_corpus(args.corpus, args.skip_bad)
     located = [p for p in posts if p.location is not None]
     n_missing = len(posts) - len(located)
     if n_missing:
@@ -250,22 +248,12 @@ def cmd_evaluate(args) -> int:
     write_errors_csv(report, out / "errors.csv")
     write_cdf_csv(report, out / "cdf.csv")
     write_density_csv(report, out / "density.csv")
-    if skipped:
-        print(f"skipped {skipped} malformed lines", file=sys.stderr)
     print(f"mean_error_km={report.mean_error_km!r}")
     return EXIT_OK
 
 
 def cmd_tune(args) -> int:
-    bounds = parse_bounds(args.bounds)
-    posts, skipped = read_corpus(args.corpus, args.skip_bad)
-    usable, n_unlocated, n_outside = _located_in_bounds(posts, bounds)
-    if n_unlocated or n_outside:
-        print(
-            f"dropped {n_unlocated} unlocated and {n_outside} out-of-region posts",
-            file=sys.stderr,
-        )
-    train_raw, holdout_raw, _ = split(usable, SplitSpec(seed=args.seed))
+    bounds, (train_raw, holdout_raw, _) = _located_split(args)
     if not train_raw or not holdout_raw:
         raise DataError("corpus too small to form train and holdout splits")
 
@@ -275,8 +263,6 @@ def cmd_tune(args) -> int:
     )
     result = grid_search(train_raw, holdout_raw, space, bounds, stopword_count=args.stopwords_k)
     write_surface_csv(result, args.out)
-    if skipped:
-        print(f"skipped {skipped} malformed lines", file=sys.stderr)
     g, alpha, d = result.best
     print(f"best: g={g} alpha={alpha!r} d={d} mean_error_km={result.best_error_km!r}")
     return EXIT_OK
@@ -325,13 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate geo-coordinates of short posts from their text.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    region = "region as south,west,north,east degrees"
     # Options shared by every command that reads a corpus, by the two that
     # split a located corpus (train, tune), and by the two that load a model.
     reading = argparse.ArgumentParser(add_help=False)
     reading.add_argument("--skip-bad", action="store_true", help="skip malformed corpus lines")
     located = argparse.ArgumentParser(add_help=False, parents=[reading])
     located.add_argument("--corpus", required=True, help="JSONL corpus with lat/lon")
-    located.add_argument("--bounds", required=True, help="region as south,west,north,east degrees")
+    located.add_argument("--bounds", required=True, help=region)
     located.add_argument("--stopwords-k", type=int, default=DEFAULT_STOPWORD_COUNT,
                          help="size of the induced stopword list (default %(default)s)")
     located.add_argument("--seed", type=int, default=SplitSpec.seed, help="split shuffle seed")
@@ -343,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="score with the plain interpolated baseline using this bigram weight")
 
     train = sub.add_parser("train", parents=[located], help="train a model from a located corpus")
-    train.add_argument("--grid", type=int, default=8, help="grid dimension g (default 8)")
+    train.add_argument("--grid", type=int, default=8, help="grid dimension g (default %(default)s)")
     train.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                        help="smoothing weight (default %(default)s)")
     train.add_argument("--diameter", type=int, help="smoothing diameter (default g)")
@@ -373,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.set_defaults(func=cmd_tune)
 
     synth = sub.add_parser("synth", help="generate a planted-vocabulary synthetic corpus")
-    synth.add_argument("--bounds", required=True, help="region as south,west,north,east degrees")
+    synth.add_argument("--bounds", required=True, help=region)
     synth.add_argument("--grid", type=int, required=True, help="grid dimension g")
     for f in _SYNTH_FIELDS:
         synth.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),

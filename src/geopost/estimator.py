@@ -28,9 +28,9 @@ whose ring stack stays under ``_SMOOTH_BLOCK`` entries.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -360,10 +360,15 @@ def estimates_csv(posts: Sequence[TokenizedPost], estimates: Sequence[Estimate])
 
 def csv_text(header: Sequence, rows) -> str:
     """``header`` and then ``rows`` as CSV text: comma-separated, ``\\n``
-    line ends and the csv module's minimal quoting. Every CSV file that
-    geopost writes is made here."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    line ends and the csv module's minimal quoting, which quotes a field
+    that holds a comma, a double quote, a ``\\n`` or a ``\\r``. Every CSV
+    file that geopost writes is made here."""
+    lines = []
+    # Minimal quoting quotes the delimiter, the quote and the characters of
+    # the line terminator, so each row is made with a \r\n end and then cut
+    # to \n: under a \n terminator a \r is written bare, and a CSV reader
+    # takes it for the end of a row.
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join([line[:-2] + "\n" for line in lines])

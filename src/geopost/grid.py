@@ -65,12 +65,9 @@ class GeoBounds:
         if not self.west < self.east:
             raise ValidationError(f"west ({self.west}) must be < east ({self.east})")
 
-    def contains(self, p: GeoPoint) -> bool:
-        return self.south <= p.lat <= self.north and self.west <= p.lon <= self.east
-
     def covers(self, lats, lons) -> np.ndarray:
-        """Boolean mask of the points (lats[i], lons[i]) that ``contains``
-        would accept, edges included; a NaN coordinate lies outside."""
+        """Boolean mask of the points (lats[i], lons[i]) inside the
+        rectangle, edges included; a NaN coordinate lies outside."""
         lats = np.asarray(lats, dtype=np.float64)
         lons = np.asarray(lons, dtype=np.float64)
         lat_in = (self.south <= lats) & (lats <= self.north)

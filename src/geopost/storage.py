@@ -189,7 +189,7 @@ def load_model(model_dir: str | Path) -> GeoEnsemble:
         raise DataError(f"{_MODEL}: the cell tables need one row per cell ({n_cells})")
     vocab = _words(a.pop("vocab"), "vocab")
     vocab_set = frozenset(vocab)
-    if len(vocab_set) != len(vocab) or vocab != sorted(vocab):
+    if not vocab_agrees(vocab, vocab_set):
         raise DataError(f"{_MODEL}: the vocabulary is not strictly increasing")
     try:
         artifacts = PipelineArtifacts(

@@ -48,10 +48,11 @@ def cell_of(part: GridPartition, p: GeoPoint) -> CellId:
     boundary resolves to the higher index. The outermost north/east
     edges close the last row/column.
     """
-    if not part.bounds.contains(p):
-        raise OutOfRegionError(f"point ({p.lat}, {p.lon}) outside region {part.bounds}")
-    row = min(floor((p.lat - part.bounds.south) / part.dlat), part.g - 1)
-    col = min(floor((p.lon - part.bounds.west) / part.dlon), part.g - 1)
+    b = part.bounds
+    if not (b.south <= p.lat <= b.north and b.west <= p.lon <= b.east):
+        raise OutOfRegionError(f"point ({p.lat}, {p.lon}) outside region {b}")
+    row = min(floor((p.lat - b.south) / part.dlat), part.g - 1)
+    col = min(floor((p.lon - b.west) / part.dlon), part.g - 1)
     return CellId(row, col)
 
 

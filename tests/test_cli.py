@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: workflows, formats, and exit codes."""
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import inspect
@@ -534,20 +535,47 @@ class TestReader:
         assert gathered == want[:1] + want
         assert cli.read_corpus(corpus, skip_bad=True) == (posts, 0)
 
-    def test_training_path_makes_no_post_or_point(self, tmp_path, monkeypatch):
-        # Read, located-in-region mask, split and training corpus run on
-        # columns; only an item taken from a RawCorpus is made on access.
+    def test_training_path_makes_no_post_or_point(self, tmp_path, monkeypatch, capsys):
+        # train's read, located-in-region mask, split, training corpus and
+        # model run on columns; only an item taken from a RawCorpus is
+        # made on access.
         path = _synth(tmp_path)
         made = []
         for cls in (RawPost, GeoPoint):
             monkeypatch.setattr(cls, "__init__", _counting_init(cls.__init__, cls.__name__, made))
-        posts, _ = cli.read_corpus(path)
-        usable, _, _ = cli._located_in_bounds(posts, cli.parse_bounds(BOUNDS_FLAG))
-        train, _, _ = evaluation.split(usable, evaluation.SplitSpec(seed=1))
-        corpus, _ = build_training_corpus(train)
-        assert made == [] and len(corpus) == 84
-        train[0]
+        _train(tmp_path, path)
+        assert made == []
+        assert "split: train=84 holdout=18 test=18" in capsys.readouterr().out
+        cli.read_corpus(path)[0][0]
         assert made == ["GeoPoint", "RawPost"]
+
+    @pytest.mark.parametrize("command", ["train", "estimate", "evaluate", "tune"])
+    def test_skipped_lines_noted_once_after_the_warning(self, tmp_path, capsys, command):
+        # The corpus also holds an unlocated and an out-of-region post, so
+        # train and tune print drop notes and evaluate its truth note; the
+        # count comes first, as the reader prints it.
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        lines = corpus.read_text().splitlines()
+        lines[2:2] = ["{not json", json.dumps({"id": "x", "text": "no location"}),
+                      json.dumps({"id": "y", "text": "far away", "lat": 0.0, "lon": 0.0})]
+        corpus.write_text("\n".join(lines) + "\n")
+        argv = {
+            "train": ["--bounds", BOUNDS_FLAG, "--grid", "2"],
+            "estimate": ["--model", str(model)],
+            "evaluate": ["--model", str(model)],
+            "tune": ["--bounds", BOUNDS_FLAG, "--g-values", "2", "--alpha-values", "0.5"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--corpus", str(corpus), "--skip-bad", *argv,
+                     "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[:2] == [
+            "warning: skipping line 3: invalid JSON"
+            " (Expecting property name enclosed in double quotes)",
+            "skipped 1 malformed lines",
+        ]
+        assert err.count("skipped 1 malformed lines") == 1
 
 
 def _counting_init(init, name, made):
@@ -896,6 +924,25 @@ class TestEstimate:
         assert ids == ["synth-r0c0-0", "synth-r0c0-2"]
 
 
+    @pytest.mark.parametrize("command, report", [("estimate", None), ("evaluate", "errors.csv")])
+    def test_carriage_return_in_id_reads_back(self, tmp_path, command, report):
+        # A bare \r was written unquoted, and csv.reader split its row in two.
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        posts = [json.loads(line) for line in corpus.read_text().splitlines()[:3]]
+        ids = ["a\rb", "c\r\nd", "e\n"]
+        query = tmp_path / "query.jsonl"
+        query.write_text("".join(json.dumps({**post, "id": post_id}) + "\n"
+                                 for post, post_id in zip(posts, ids)))
+        out = tmp_path / "out"
+        assert main([command, "--model", str(model), "--corpus", str(query),
+                     "--out", str(out)]) == 0
+        with open(out / report if report else out, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [row[0] for row in rows[1:]] == ids
+        assert {len(row) for row in rows} == {len(rows[0])}
+
+
 SURROGATE_ID_ERROR = "line 2: 'id' is not valid UTF-8 (U+DC80)"
 
 
@@ -1073,9 +1120,26 @@ class TestTune:
         assert main(["tune", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
                      "--g-values", "2", "--alpha-values", "0.5", "--stopwords-k", "0",
                      "--skip-bad", "--out", str(tmp_path / "tuning.csv")]) == 0
-        err = capsys.readouterr().err
-        assert "dropped 1 unlocated and 1 out-of-region posts\n" in err
-        assert err.endswith("skipped 1 malformed lines\n")
+        assert capsys.readouterr().err == (
+            "warning: skipping line 163: invalid JSON"
+            " (Expecting property name enclosed in double quotes)\n"
+            "skipped 1 malformed lines\n"
+            "dropped 1 posts without coordinates\n"
+            "dropped 1 posts outside the region\n"
+        )
+
+    def test_no_usable_posts_is_data_error(self, tmp_path, capsys):
+        # The refusal train gives, not the too-small-split one.
+        corpus = tmp_path / "far.jsonl"
+        corpus.write_text(json.dumps({"id": "y", "text": "b", "lat": 0.0, "lon": 0.0}) + "\n")
+        out = tmp_path / "tuning.csv"
+        assert main(["tune", "--corpus", str(corpus), "--bounds", BOUNDS_FLAG,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "dropped 1 posts outside the region\n"
+            "error: no located posts inside the region; nothing to train on\n"
+        )
+        assert not out.exists()
 
     def test_corpus_too_small_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "small.jsonl"
