@@ -173,6 +173,15 @@ def _parse_post(line: str, lineno: int) -> tuple[str, str, float, float]:
     return post_id, text, lat, lon
 
 
+def _located_rows(posts: RawCorpus) -> np.ndarray:
+    """The indices of the located posts, for ``train``, ``tune`` and
+    ``evaluate``; a note on stderr counts the others, if any."""
+    rows = np.flatnonzero(~np.isnan(posts.lats))
+    if len(rows) < len(posts):
+        print(f"dropped {len(posts) - len(rows)} posts without coordinates", file=sys.stderr)
+    return rows
+
+
 def _located_split(args) -> tuple[GeoBounds, tuple[RawCorpus, RawCorpus, RawCorpus]]:
     """The ``--bounds`` region and the seeded split of the ``--corpus``
     posts located inside it (edges included), for ``train`` and ``tune``.
@@ -181,10 +190,7 @@ def _located_split(args) -> tuple[GeoBounds, tuple[RawCorpus, RawCorpus, RawCorp
     bounds = parse_bounds(args.bounds)
     posts, _ = read_corpus(args.corpus, args.skip_bad)
     inside = np.flatnonzero(bounds.covers(posts.lats, posts.lons))
-    n_unlocated = int(np.count_nonzero(np.isnan(posts.lats)))
-    n_outside = len(posts) - n_unlocated - len(inside)
-    if n_unlocated:
-        print(f"dropped {n_unlocated} posts without coordinates", file=sys.stderr)
+    n_outside = len(_located_rows(posts)) - len(inside)
     if n_outside:
         print(f"dropped {n_outside} posts outside the region", file=sys.stderr)
     if not len(inside):
@@ -234,12 +240,10 @@ def cmd_estimate(args) -> int:
 def cmd_evaluate(args) -> int:
     ens = _load_with_overrides(args)
     posts, _ = read_corpus(args.corpus, args.skip_bad)
-    located = [p for p in posts if p.location is not None]
-    n_missing = len(posts) - len(located)
-    if n_missing:
-        print(f"{n_missing} posts lack truth coordinates; evaluating the rest", file=sys.stderr)
-    if not located:
+    rows = _located_rows(posts)
+    if not len(rows):
         raise DataError("no posts with truth coordinates to evaluate")
+    located = posts.take(rows)
 
     tokenized = [ens.artifacts.preprocess(p) for p in located]
     report = evaluate(ens, tokenized, bin_width_km=args.bin_width)

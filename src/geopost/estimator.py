@@ -18,9 +18,18 @@ g**2) matrix whose rows equal the one-post vectors bit for bit.
 ``smoothing_terms`` maps a vector or such a matrix to its per-ring terms
 in one broadcast matmul against the ring stack ``_ring_matrices(g)``.
 ``estimate`` runs this on one post's vector; ``estimate_batch`` runs it
-on a block of posts at a time, as a (posts, g**2) matrix, with the same
+on a block of posts at a time, as a (rows, g**2) matrix, with the same
 bits. ``post_blocks`` cuts every batch pass, the tuner's too, into blocks
-whose ring stack stays under ``_SMOOTH_BLOCK`` entries.
+whose ring stack stays under ``_SMOOTH_BLOCK`` entries. The models score
+consecutive token pairs only, so a post with fewer than two tokens has
+likelihood 1 in every cell and its posterior is the prior, bit for bit.
+Within a block, ``block_rows`` gives every post with a bigram a row of
+its own and lets all the others share one prior row, so a batch pass
+scores and smooths the prior at most once per block. ``estimate`` keeps
+the full path even for such a post: it is the from-scratch reference
+that the batch passes are tested against, and a cached prior estimate
+there left the posts still scored to run with cold ring matrices, which
+raised the one-post p99 latency.
 ``dict[CellId, float]`` appears only in the API-edge wrappers
 ``posterior_field`` and ``geo_smooth``.
 """
@@ -312,22 +321,44 @@ def estimate(ens: GeoEnsemble, post: TokenizedPost) -> Estimate:
 def post_blocks(g: int, n: int) -> list[slice]:
     """Consecutive slices over n posts, each of at least one post and of at
     most ``_SMOOTH_BLOCK`` ring-stack entries, (g-1) x posts x g**2: the
-    block rule of every batch pass, ``estimate_batch`` and the tuner's."""
+    block rule of every batch pass, ``estimate_batch`` and the tuner's.
+    A block is scored as the rows of ``block_rows``, never more than its
+    posts, so the bound holds for its ring stack too."""
     step = max(_SMOOTH_BLOCK // max((g - 1) * g * g, 1), 1)
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+def block_rows(token_lists: Sequence[Sequence[str]]) -> tuple[list, list[int]]:
+    """The token sequences to score for a block of posts, and the row of
+    each post among them. Every post with a bigram has a row of its own,
+    in post order; the posts with fewer than two tokens share one last
+    row, the empty sequence, whose posterior is the prior, as theirs is."""
+    rows, row_of_post = [], []
+    for tokens in token_lists:
+        if len(tokens) > 1:
+            row_of_post.append(len(rows))
+            rows.append(tokens)
+        else:
+            row_of_post.append(-1)  # the shared row, appended last
+    if len(rows) < len(row_of_post):
+        rows.append(())
+    return rows, row_of_post
+
+
 def estimate_batch(ens: GeoEnsemble, posts: Sequence[TokenizedPost]) -> list[Estimate]:
     """``estimate`` of every post, in order and bit for bit: per block of
-    ``post_blocks``, one ``posterior_matrix`` call, one ``smoothing_terms``
-    and one ``smooth_from_terms`` call on the (posts, g**2) matrix, and one
-    row-wise argmax."""
+    ``post_blocks``, one ``posterior_matrix`` call on the ``block_rows``,
+    one ``smoothing_terms`` and one ``smooth_from_terms`` call on the
+    (rows, g**2) matrix, and one row-wise argmax; each post takes its
+    row's estimate, so the posts without a bigram share one."""
     part, alpha, diameter = ens.partition, ens.smoothing.alpha, ens.smoothing.diameter
     estimates = []
     for block in post_blocks(part.g, len(posts)):
-        vecs = posterior_matrix(ens, [post.tokens for post in posts[block]])
+        rows, row_of_post = block_rows([post.tokens for post in posts[block]])
+        vecs = posterior_matrix(ens, rows)
         scores = smooth_from_terms(vecs, smoothing_terms(part, vecs), alpha, diameter)
-        estimates += _pick_cells(part, vecs, scores)
+        picks = _pick_cells(part, vecs, scores)
+        estimates += [picks[r] for r in row_of_post]
     return estimates
 
 

@@ -5,15 +5,19 @@ dimension g, ``build_ensemble`` only re-bins the posts and recounts
 them. For each g the per-cell models, the hold-out posteriors
 and their per-ring neighbor terms depend only on g, so they are computed
 once, a block of posts at a time under the ``post_blocks`` rule that
-``estimate_batch`` keeps: per block, a (posts, g**2) matrix and a (g-1,
-posts, g**2) stack, by one ``posterior_matrix`` call and one
+``estimate_batch`` keeps: per block, a (rows, g**2) matrix and a (g-1,
+rows, g**2) stack, by one ``posterior_matrix`` call and one
 ``smoothing_terms`` call whose rows equal the one-post
-``posterior_vector`` and ``smoothing_terms`` bit for bit. Every d then
-adds one ring slice to a running (posts, g**2) sum, and every alpha is
-one blend plus one row-wise argmax over the block. Only the per-post
-errors outlive a block. The sweep reproduces from-scratch estimates bit
-for bit because it performs the same elementwise arithmetic in the same
-order, and distances are taken only for the cells that win.
+``posterior_vector`` and ``smoothing_terms`` bit for bit. The rows are
+those of ``block_rows``, as in ``estimate_batch``: one per post with a
+bigram, and one prior row that the block's posts with fewer than two
+tokens share, since their posteriors are the prior's bit for bit. Every
+d then adds one ring slice to a running (rows, g**2) sum, and every
+alpha is one blend plus one row-wise argmax over the block, which each
+post reads at its row. Only the per-post errors outlive a block. The
+sweep reproduces from-scratch estimates bit for bit because it performs
+the same elementwise arithmetic in the same order, and distances are
+taken per post, only for the cells that win.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import ValidationError
 from .estimator import (
     SmoothingConfig,
     blend_smoothed,
+    block_rows,
     build_ensemble,
     post_blocks,
     posterior_matrix,
@@ -86,9 +91,10 @@ def _sweep_alpha_d(
     ``posterior_matrix`` call and one ``smoothing_terms`` call per block
     of ``post_blocks``.
 
-    Within a block, ring terms accumulate into one (posts, g**2) matrix in
-    increasing d, in exactly the order smooth_from_terms sums them, and
-    every alpha is one 2-D blend plus a row-wise first-max argmax.
+    Within a block, ring terms accumulate into one (rows, g**2) matrix of
+    the ``block_rows`` in increasing d, in exactly the order
+    smooth_from_terms sums them, and every alpha is one 2-D blend plus a
+    row-wise first-max argmax, taken by each post at its row.
     Elementwise arithmetic and first-max ties give the same scores and
     cells as the direct path bit for bit. Distances from a post's truth
     to a cell center are computed only for cells that win some argmax,
@@ -101,20 +107,22 @@ def _sweep_alpha_d(
     errors = np.empty((part.g, len(alpha_values), n))
     for block in post_blocks(part.g, n):
         posts = holdout[block]
-        posteriors = posterior_matrix(ens, [post.tokens for post in posts])
+        token_rows, row_of_post = block_rows([post.tokens for post in posts])
+        row_of_post = np.array(row_of_post)
+        posteriors = posterior_matrix(ens, token_rows)
         rings = smoothing_terms(part, posteriors)
-        dists = np.full(posteriors.shape, np.nan)  # NaN: not computed yet
-        rows = np.arange(len(posts))
+        dists = np.full((len(posts), part.g * part.g), np.nan)  # NaN: not computed yet
+        each = np.arange(len(posts))
         acc = np.zeros_like(posteriors)
         for d in range(1, part.g + 1):
             if d < part.g:
                 acc = acc + rings[d - 1]
             for a, alpha in enumerate(alpha_values):
-                winners = np.argmax(blend_smoothed(posteriors, acc, alpha), axis=1)
-                for i in rows[np.isnan(dists[rows, winners])].tolist():
+                winners = np.argmax(blend_smoothed(posteriors, acc, alpha), axis=1)[row_of_post]
+                for i in each[np.isnan(dists[each, winners])].tolist():
                     j = int(winners[i])
                     dists[i, j] = geo_distance_km(posts[i].location, part.center_at(j))
-                errors[d - 1, a, block] = dists[rows, winners]
+                errors[d - 1, a, block] = dists[each, winners]
     # Row (d - 1) * len(alpha_values) + a of the reshaped table is (alpha, d).
     keys = [(alpha, d) for d in range(1, part.g + 1) for alpha in alpha_values]
     return {key: sum(row.tolist()) / n for key, row in zip(keys, errors.reshape(-1, n))}

@@ -278,3 +278,15 @@ def pair_probs(tables, pairs, baseline=None):
         tables = tables.interpolated(baseline)
     rows = tables.log_likelihoods([[v, w] for v, w in pairs])
     return [exp(x) for x in rows[:, 0].tolist()]
+
+
+def rows_per_block(posts, per_block):
+    """The rows a batch pass scores in each block of ``per_block``
+    consecutive posts: one per post with two or more tokens, plus one
+    shared prior row when the block holds a post with fewer."""
+    counts = []
+    for lo in range(0, len(posts), per_block):
+        lens = [len(post.tokens) for post in posts[lo : lo + per_block]]
+        scored = sum(n > 1 for n in lens)
+        counts.append(scored + (scored < len(lens)))
+    return counts

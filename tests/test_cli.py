@@ -982,7 +982,21 @@ class TestEvaluate:
         mixed.write_text("\n".join(lines) + "\n")
         assert main(["evaluate", "--model", str(model), "--corpus", str(mixed),
                      "--out", str(tmp_path / "rep")]) == 0
-        assert "lack truth coordinates" in capsys.readouterr().err
+        assert capsys.readouterr().err == "dropped 1 posts without coordinates\n"
+
+    def test_corpus_without_truth_is_data_error(self, tmp_path, capsys):
+        corpus = _synth(tmp_path)
+        model = _train(tmp_path, corpus)
+        unlocated = tmp_path / "unlocated.jsonl"
+        unlocated.write_text(json.dumps({"id": "a", "text": "hello"}) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--corpus", str(unlocated),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == (
+            "dropped 1 posts without coordinates\n"
+            "error: no posts with truth coordinates to evaluate\n"
+        )
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("width", ["nan", "inf", "0"])
     def test_bad_bin_width_is_usage_error(self, tmp_path, capsys, monkeypatch, width):

@@ -14,6 +14,7 @@ from geopost import (
     GeoBounds,
     OutOfRegionError,
     PipelineArtifacts,
+    RawPost,
     SmoothingConfig,
     SplitSpec,
     SyntheticSpec,
@@ -41,7 +42,7 @@ from geopost.estimator import (
     smooth_vector,
     smoothing_terms,
 )
-from helpers import as_corpus, assert_same_tables, decode, reference_posterior
+from helpers import as_corpus, assert_same_tables, decode, reference_posterior, rows_per_block
 import reference
 
 BOUNDS = GeoBounds(0.0, 0.0, 4.0, 4.0)
@@ -498,8 +499,7 @@ class TestEstimateBatch:
         rows = _spy_on_smoothing_terms(monkeypatch)
         _assert_batch_is_per_post(ens, posts)
         # One call per block of the batch, then one per post of ``estimate``.
-        full, rest = divmod(len(posts), per_block)
-        assert rows == [per_block] * full + [rest] * (rest > 0) + [1] * len(posts)
+        assert rows == rows_per_block(posts, per_block) + [1] * len(posts)
 
     def test_no_block_exceeds_the_ring_stack_bound(self, monkeypatch):
         g = 13
@@ -507,8 +507,54 @@ class TestEstimateBatch:
         rows = _spy_on_smoothing_terms(monkeypatch)
         estimates = estimate_batch(ens, posts)
         assert len(estimates) == len(posts) and None not in estimates
-        assert sum(rows) == len(posts) and len(rows) > 1
+        per_block = estimator._SMOOTH_BLOCK // ((g - 1) * g * g)
+        assert rows == rows_per_block(posts, per_block) and len(rows) > 1
         assert max(rows) * (g - 1) * g * g <= estimator._SMOOTH_BLOCK
+
+
+class TestSharedPriorRow:
+    """A post with fewer than two tokens has the prior as its posterior:
+    per block of ``estimate_batch`` all such posts share one row, and each
+    still gets ``estimate``'s result bit for bit."""
+
+    # Read in blocks of 3: prior-only posts first and last in a block, a
+    # block of them alone, a block with none, and a last short block.
+    MIXED = "PSP PSS SSP PPP SSS P"
+
+    @pytest.mark.parametrize("baseline", [None, BaselineInterpolation(0.6)])
+    @pytest.mark.parametrize("pattern", [MIXED, "PPPP PPPP", "SSSS SSS"])
+    @pytest.mark.parametrize("per_block", [1, 3, 4, 100])
+    def test_bit_for_bit_with_per_post_estimate(self, monkeypatch, per_block, pattern, baseline):
+        g = 4
+        ens, posts = self._case(g, pattern.replace(" ", ""))
+        ens = ens.with_baseline(baseline)
+        monkeypatch.setattr(estimator, "_SMOOTH_BLOCK", per_block * (g - 1) * g * g)
+        rows = _spy_on_smoothing_terms(monkeypatch)
+        _assert_batch_is_per_post(ens, posts)
+        assert rows == rows_per_block(posts, per_block) + [1] * len(posts)
+
+    @staticmethod
+    def _case(g, pattern):
+        """A planted ensemble at g, and one preprocessed query per letter
+        of ``pattern``: S a scored post of 2-6 words; P in turn an empty
+        text, one vocabulary word, a text that cleans to nothing and one
+        out-of-vocabulary word (a lone ``<misc>``)."""
+        spec = SyntheticSpec(g=g, vocab_per_cell=8, posts_per_cell=6, leakage=0.3, seed=12)
+        raw = generate_synthetic(spec, BOUNDS)
+        corpus, arts = build_training_corpus(raw, stopword_count=0)
+        ens = build_ensemble(corpus, partition(BOUNDS, g), SmoothingConfig(0.9, 2), arts)
+        rng = random.Random(g)
+        words = sorted(arts.vocab)
+        prior_only = ["", words[0], "@x http://y #z", "qqzz"]
+        texts = []
+        for kind in pattern:
+            if kind == "S":
+                texts.append(" ".join(rng.choices(words + ["qqzz"], k=rng.randint(2, 6))))
+            else:
+                texts.append(prior_only[len(texts) % len(prior_only)])
+        posts = [arts.preprocess(RawPost(f"q{i}", text, None)) for i, text in enumerate(texts)]
+        assert [("S" if len(p.tokens) > 1 else "P") for p in posts] == list(pattern)
+        return ens, posts
 
 
 def _batch_case(g, seed, n_queries=40):

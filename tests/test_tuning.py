@@ -30,6 +30,8 @@ from geopost.estimator import smoothing_terms
 from geopost.grid import geo_distance_km
 from geopost.tuning import DEFAULT_ALPHA_VALUES, DEFAULT_G_VALUES, select_best, write_surface_csv
 
+from helpers import rows_per_block
+
 BOUNDS = GeoBounds(40.70, -74.02, 40.77, -73.93)
 
 
@@ -256,6 +258,38 @@ class TestTunerMatchesDirectPath:
                 sweep = error_vs_d(ens, ho_tok, alpha=alpha)
                 assert sweep == {d: result.surface[(g, alpha, d)] for d in range(1, g + 1)}
 
+    def test_mostly_prior_only_holdout(self, monkeypatch):
+        # Eleven of fourteen hold-out posts have fewer than two tokens, each
+        # at its own truth: they share one prior row per block, and each
+        # still takes its own distance.
+        tr, ho, space, tok, arts, _ = _edge_case_search()
+        rng = random.Random(3)
+        texts = ["", "qqzz", "@x http://y #z", sorted(arts.vocab)[0]]
+        ho = ho[:3] + [
+            RawPost(
+                id=f"prior{i}",
+                text=texts[i % len(texts)],
+                location=GeoPoint(rng.uniform(40.70, 40.77), rng.uniform(-74.02, -73.93)),
+            )
+            for i in range(11)
+        ]
+        ho_tok = [arts.preprocess(p) for p in ho]
+        assert sum(len(p.tokens) < 2 for p in ho_tok) == 11
+        calls = _ring_rows_per_call(monkeypatch)
+        result = grid_search(tr, ho, space, BOUNDS, stopword_count=0)
+        search_calls = list(calls)
+        for g, alpha, d, direct in _direct_ensembles(space, tok, arts):
+            errors = [estimation_error_km(p.location, estimate(direct, p)) for p in ho_tok]
+            assert result.surface[(g, alpha, d)] == sum(errors) / len(errors)
+        for g in space.g_values:
+            per_block = max(estimator._SMOOTH_BLOCK // max((g - 1) * g * g, 1), 1)
+            rows = [n for call_g, n in search_calls if call_g == g]
+            assert rows == rows_per_block(ho_tok, per_block)
+            ens = build_ensemble(tok, partition(BOUNDS, g), SmoothingConfig(), arts)
+            for alpha in space.alpha_values:
+                sweep = error_vs_d(ens, ho_tok, alpha=alpha)
+                assert sweep == {d: result.surface[(g, alpha, d)] for d in range(1, g + 1)}
+
     def test_one_distance_per_winning_post_cell(self, monkeypatch):
         tr, ho, space, tok, arts, ho_tok = _edge_case_search()
         winners = {
@@ -335,20 +369,19 @@ class TestHoldoutBlocks:
             calls.clear()
             result = grid_search(tr, ho, space, BOUNDS, stopword_count=0)
             assert result.surface == whole.surface and result.best == whole.best
-            full, rest = divmod(len(ho), per_block)
-            assert calls == [(g, per_block)] * full + [(g, rest)] * (rest > 0)
+            assert calls == [(g, rows) for rows in rows_per_block(ho_tok, per_block)]
             for alpha in space.alpha_values:
                 sweep = error_vs_d(ens, ho_tok, alpha=alpha)
                 assert sweep == {d: whole.surface[(g, alpha, d)] for d in range(1, g + 1)}
 
     def test_no_ring_stack_exceeds_the_block_rule(self, monkeypatch):
-        tr, ho, space, *_ = _edge_case_search()
+        tr, ho, space, _, _, ho_tok = _edge_case_search()
         monkeypatch.setattr(estimator, "_SMOOTH_BLOCK", 60)
         calls = _ring_rows_per_call(monkeypatch)
         grid_search(tr, ho, space, BOUNDS, stopword_count=0)
         for g in space.g_values:
             rows = [n for call_g, n in calls if call_g == g]
-            assert sum(rows) == len(ho)
+            assert rows == rows_per_block(ho_tok, max(60 // max((g - 1) * g * g, 1), 1))
             assert max(rows) == 1 or max(rows) * (g - 1) * g * g <= 60
         assert len(calls) > len(space.g_values)
 
